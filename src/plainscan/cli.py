@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -29,19 +28,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
-
-
-def thread_cap() -> int:
-    """Value of PLAIN_SCAN_THREADS (0 = auto).  The built-in kernels are
-    vectorized single-threaded, which satisfies any cap."""
-    raw = os.environ.get("PLAIN_SCAN_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"PLAIN_SCAN_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ConfigError(f"PLAIN_SCAN_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def _giga(x):
@@ -249,7 +235,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        thread_cap()
         args = parser.parse_args(argv)
         args.func(args)
     except PlainScanError as e:

@@ -35,7 +35,6 @@ class ModelConfig:
     img_size: int = 224
     num_classes: int = 1000
     stem: str = "stacked"  # "stacked" or "single"
-    single_skip: bool = False
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -270,8 +269,7 @@ class Model:
             delta = ops.linear(dt_logits, p["dt_proj.weight"], p["dt_proj.bias"]).softplus()
             core = SsmCore(A=p["A"], D=p["D"], Theta=p["theta"])
             y = direction_aware_scan_2d(
-                xprime, b_grid, c_grid, delta, core, self._paths_for(H, W),
-                single_skip=cfg.single_skip,
+                xprime, b_grid, c_grid, delta, core, self._paths_for(H, W)
             )
             gated = y * zb.silu()
             out = ops.linear(gated, p["out_proj.weight"], p["out_proj.bias"])

@@ -1,10 +1,14 @@
 """Input-dependent state-space recurrences.
 
-``selective_scan_ref`` is the literal per-step recurrence and serves as
-the oracle; ``selective_scan_fused`` batches the discretization over all
-steps and channels but keeps the sequential order.  The 2D variant runs
-four snake-order scans, injecting a learnable per-direction vector into
-each step's discretized input matrix, and sums the un-permuted outputs.
+``selective_scan_ref`` is the literal per-step recurrence on the tape
+and serves as the oracle.  Every other scan discretizes all steps at
+once with ordinary vectorized tape ops and then hands the recurrence
+``h_i = A_bar_i h_{i-1} + B_bar_i x_i``, ``y_i = C_i h_i`` to one graph
+node, ``_recurrence``: a plain numpy loop forward and its reverse-time
+adjoint backward.  ``selective_scan_fused`` is one such scan; the 2D
+variant runs four snake-order scans at once, injecting a learnable
+per-direction vector into each step's discretized input matrix, and sums
+the un-permuted outputs.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .paths import PathSet, apply_path, invert_path
-from .tensor import Tensor
+from .paths import PathSet
+from .tensor import Tensor, _record
 
 
 @dataclass
@@ -111,8 +115,39 @@ def selective_scan_ref(inputs: ScanInputs, core: SsmCore) -> Tensor:
     return Tensor.stack(ys, axis=0)
 
 
+def _recurrence(A_bar: Tensor, Bx: Tensor, C: Tensor) -> Tensor:
+    """``h_i = A_bar_i h_{i-1} + Bx_i``, ``y_i = sum_m C_i h_i`` as one graph node.
+
+    Operands are ``[..., n, d, m]`` with time on axis -3; the output is
+    ``[..., n, d]``.  The backward pass is the reverse-time adjoint
+    ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``, from which
+    ``dBx = lam``, ``dA_bar_i = lam_i h_{i-1}`` and ``dC = g h``.
+    """
+    a, c = A_bar.data, C.data
+    n = a.shape[-3]
+    hs = Bx.data.copy()
+    for i in range(1, n):
+        hs[..., i, :, :] += a[..., i, :, :] * hs[..., i - 1, :, :]
+    _record(2 * a.size)  # A_bar*h and C*h, one MAC per element each
+    out = Tensor((c * hs).sum(axis=-1), (A_bar, Bx, C))
+
+    def bwd(g):
+        g = g[..., None]
+        lam = c * g
+        for i in range(n - 2, -1, -1):
+            lam[..., i, :, :] += a[..., i + 1, :, :] * lam[..., i + 1, :, :]
+        da = np.zeros_like(lam)
+        da[..., 1:, :, :] = lam[..., 1:, :, :] * hs[..., :-1, :, :]
+        A_bar._accumulate(da)
+        Bx._accumulate(lam)
+        C._accumulate(g * hs)
+
+    out._backward = bwd
+    return out
+
+
 def selective_scan_fused(inputs: ScanInputs, core: SsmCore) -> Tensor:
-    """Equivalent scan with all per-step discretizations precomputed."""
+    """Equivalent scan: vectorized discretization, then one recurrence node."""
     n = inputs.length
     d, m = core.A.shape
     if inputs.x.shape[1] != d:
@@ -123,12 +158,7 @@ def selective_scan_fused(inputs: ScanInputs, core: SsmCore) -> Tensor:
     B_bar = z.zoh_phi() * (d_all * inputs.B_seq.reshape(n, 1, m).expand(n, d, m))
     Bx = B_bar * inputs.x.reshape(n, d, 1).expand(n, d, m)
     C_all = inputs.C_seq.reshape(n, 1, m).expand(n, d, m)
-    h = Tensor.zeros((d, m), dtype=core.A.dtype)
-    ys = []
-    for i in range(n):
-        h = A_bar[i] * h + Bx[i]
-        ys.append((C_all[i] * h).sum(axis=-1))
-    y = Tensor.stack(ys, axis=0)
+    y = _recurrence(A_bar, Bx, C_all)
     skip = inputs.x * core.D.reshape(1, d).expand(n, d)
     return y + skip
 
@@ -140,65 +170,47 @@ def direction_aware_scan_2d(
     delta_grid: Tensor,
     core: SsmCore,
     paths: PathSet,
-    single_skip: bool = False,
 ) -> Tensor:
     """Four direction-labeled snake scans, summed on the grid.
 
     Every scan k runs ``h = A_bar h + (B_bar + Theta_bar_k) x`` where
     Theta_bar_k is the step-direction row of the direction table pushed
     through the same ZOH rule as B.  The output is the sum of the four
-    un-permuted scans; by default the skip term D*x therefore appears four
-    times (``single_skip=True`` adds it once instead).
+    un-permuted scans, so the skip term D*x appears four times.
     """
     d, m = core.A.shape
     batched = x_grid.data.ndim == 4
+    grids = (x_grid, b_grid, c_grid, delta_grid)
     if not batched:
-        x_grid = x_grid.reshape(1, *x_grid.shape)
-        b_grid = b_grid.reshape(1, *b_grid.shape)
-        c_grid = c_grid.reshape(1, *c_grid.shape)
-        delta_grid = delta_grid.reshape(1, *delta_grid.shape)
-    B, H, W = x_grid.shape[:3]
+        grids = tuple(g.reshape(1, *g.shape) for g in grids)
+    B, H, W = grids[0].shape[:3]
     if (H, W) != (paths.height, paths.width):
         raise ShapeError(
             f"grid {H}x{W} does not match paths for {paths.height}x{paths.width}"
         )
-    if x_grid.shape[3] != d:
-        raise ShapeError(f"grid channels {x_grid.shape[3]} != core d_inner {d}")
+    if x_grid.shape[-1] != d:
+        raise ShapeError(f"grid channels {x_grid.shape[-1]} != core d_inner {d}")
     n = H * W
     K = len(paths.paths)
+    # scan position k*n + i reads grid cell order_k[i]; grid cell j of path
+    # k comes back from scan position k*n + inverse_k[j]
+    order = np.concatenate([p.order for p in paths.paths])
+    unscan = np.stack([k * n + inv for k, inv in enumerate(paths.inverse_orders)])
+    xs, bs, cs, ds = (g.reshape(B, n, g.shape[3]).take(order, axis=1) for g in grids)
+    directions = np.concatenate([p.directions for p in paths.paths])
+    thetas = core.Theta.take(directions, axis=0)  # [K*n, m]
 
-    xs = Tensor.stack([apply_path(x_grid, p) for p in paths.paths])        # [K,B,N,d]
-    bs = Tensor.stack([apply_path(b_grid, p) for p in paths.paths])        # [K,B,N,m]
-    cs = Tensor.stack([apply_path(c_grid, p) for p in paths.paths])        # [K,B,N,m]
-    ds = Tensor.stack([apply_path(delta_grid, p) for p in paths.paths])    # [K,B,N,d]
-    thetas = Tensor.stack(
-        [core.Theta.take(p.directions, axis=0) for p in paths.paths]
-    )  # [K,N,m]
-
-    full = (K, B, n, d, m)
-    d_all = ds.reshape(K, B, n, d, 1).expand(full)
+    full = (B, K, n, d, m)
+    d_all = ds.reshape(B, K, n, d, 1).expand(full)
     z = d_all * core.A.reshape(1, 1, 1, d, m).expand(full)
     A_bar = z.exp()
     phi = z.zoh_phi()
-    B_bar = phi * (d_all * bs.reshape(K, B, n, 1, m).expand(full))
-    Theta_bar = phi * (d_all * thetas.reshape(K, 1, n, 1, m).expand(full))
-    Bx = (B_bar + Theta_bar) * xs.reshape(K, B, n, d, 1).expand(full)
-    C_all = cs.reshape(K, B, n, 1, m).expand(full)
+    B_bar = phi * (d_all * bs.reshape(B, K, n, 1, m).expand(full))
+    Theta_bar = phi * (d_all * thetas.reshape(1, K, n, 1, m).expand(full))
+    Bx = (B_bar + Theta_bar) * xs.reshape(B, K, n, d, 1).expand(full)
+    C_all = cs.reshape(B, K, n, 1, m).expand(full)
 
-    h = Tensor.zeros((K, B, d, m), dtype=core.A.dtype)
-    ys = []
-    for i in range(n):
-        sl = (slice(None), slice(None), i)
-        h = A_bar[sl] * h + Bx[sl]
-        ys.append((C_all[sl] * h).sum(axis=-1))
-    y_seq = Tensor.stack(ys, axis=2)  # [K,B,N,d]
-    if not single_skip:
-        y_seq = y_seq + xs * core.D.reshape(1, 1, 1, d).expand(K, B, n, d)
-
-    total = None
-    for k, p in enumerate(paths.paths):
-        back = invert_path(y_seq[k], p, paths.inverse_orders[k], batched=True)
-        total = back if total is None else total + back
-    if single_skip:
-        total = total + x_grid * core.D.reshape(1, 1, 1, d).expand(B, H, W, d)
-    return total if batched else total.reshape(H, W, d)
+    y_seq = _recurrence(A_bar, Bx, C_all).reshape(B, K * n, d)
+    y_seq = y_seq + xs * core.D.reshape(1, 1, d).expand(B, K * n, d)
+    total = y_seq.take(unscan, axis=1).sum(axis=1)  # [B,n,d]
+    return total.reshape(B, H, W, d) if batched else total.reshape(H, W, d)

@@ -1,11 +1,12 @@
 """Dense ndarray values with a reverse-mode gradient tape.
 
-Values are numpy arrays (row-major, contiguous, float64 by default) and
-each operation records a backward closure, micrograd style.  There is no
-implicit broadcasting: binary ops demand identical shapes (python scalars
-are the one convenience) and anything else goes through an explicit
-``expand``.  Shape violations raise :class:`~plainscan.errors.ShapeError`
-naming both operands.
+Values are numpy arrays (float64 by default) and each operation records
+a backward closure, micrograd style.  There is no implicit broadcasting:
+binary ops demand identical shapes (python scalars are the one
+convenience) and anything else goes through an explicit ``expand``,
+which gives a read-only broadcast view rather than a copy.  Shape
+violations raise :class:`~plainscan.errors.ShapeError` naming both
+operands.
 
 Multiply-accumulate counts can be collected with :func:`count_macs`; the
 cost conventions live in ``_record`` call sites and are mirrored by the
@@ -57,7 +58,11 @@ def _phi(z):
     """expm1(z)/z with a series fallback near zero (avoids cancellation)."""
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)  # dodge 0/0 in the dead branch
-    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(zs) / zs)
+    out = np.expm1(zs, out=np.empty_like(zs))
+    out /= zs
+    zm = z[small]  # the series only where it is used
+    out[small] = 1.0 + zm / 2.0 + zm * zm / 6.0
+    return out
 
 
 def _phi_prime(z):
@@ -114,9 +119,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"
-
-    def item(self):
-        return float(self.data)
 
     # -- graph machinery ----------------------------------------------
 
@@ -318,7 +320,7 @@ class Tensor:
         return out
 
     def expand(self, *shape):
-        """Explicit broadcast to `shape`; the gradient sums the copies."""
+        """Explicit broadcast to `shape` (a view); the gradient sums the copies."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         try:
@@ -330,7 +332,7 @@ class Tensor:
         axes = tuple(range(lead)) + tuple(
             lead + i for i, d in enumerate(old) if d == 1 and shape[lead + i] != 1
         )
-        out = Tensor(np.ascontiguousarray(data), (self,))
+        out = Tensor(data, (self,))
 
         def bwd(g):
             self._accumulate(g.sum(axis=axes).reshape(old) if axes else g)
@@ -352,12 +354,15 @@ class Tensor:
     def take(self, indices, axis=0):
         """Gather along an axis; the gradient scatter-adds back."""
         indices = np.asarray(indices)
+        axis = axis % self.data.ndim
         out = Tensor(np.take(self.data, indices, axis=axis), (self,))
+        # the gather puts indices.ndim axes where `axis` was
+        index_axes = list(range(axis, axis + indices.ndim))
 
         def bwd(g):
             full = np.zeros_like(self.data)
             moved = np.moveaxis(full, axis, 0)
-            np.add.at(moved, indices, np.moveaxis(g, axis, 0))
+            np.add.at(moved, indices, np.moveaxis(g, index_axes, range(indices.ndim)))
             self._accumulate(full)
 
         out._backward = bwd
@@ -405,6 +410,3 @@ class Tensor:
     def zeros(shape, dtype=np.float64):
         return Tensor(np.zeros(shape, dtype=dtype))
 
-
-def as_tensor(x, dtype=None):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x), dtype=dtype)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from plainscan import get_config, init_params
-from plainscan.cli import main, thread_cap
-from plainscan.errors import ConfigError
+from plainscan.cli import main
 from plainscan.netpbm import save_ppm
 from plainscan.weights import save_weights
 
@@ -141,16 +140,3 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
     assert code == 3
     assert "block 0" in capsys.readouterr().err
 
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("PLAIN_SCAN_THREADS", raising=False)
-    assert thread_cap() == 0
-    monkeypatch.setenv("PLAIN_SCAN_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("PLAIN_SCAN_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        thread_cap()
-    assert main(["params", "--config", "toy"]) == 1  # surfaces as a usage error
-    monkeypatch.setenv("PLAIN_SCAN_THREADS", "-1")
-    with pytest.raises(ConfigError):
-        thread_cap()

@@ -133,6 +133,24 @@ def test_fused_equals_reference_random():
         assert np.abs(yr.data - yf.data).max() < 1e-10
 
 
+def test_fused_gradients_match_reference():
+    # the fused scan's hand-written adjoint against the taped oracle
+    rng = np.random.default_rng(10)
+    n, d, m = 9, 3, 4
+    core = _rand_core(rng, d, m)
+    inp = _rand_inputs(rng, n, d, m)
+    weight = Tensor(rng.standard_normal((n, d)))
+    leaves = [inp.x, inp.B_seq, inp.C_seq, inp.Delta_seq, core.A, core.D]
+    grads = []
+    for scan in (selective_scan_ref, selective_scan_fused):
+        for t in leaves:
+            t.grad = None
+        (scan(inp, core) * weight).sum().backward()
+        grads.append([t.grad for t in leaves])
+    for ref, fused in zip(*grads):
+        assert np.abs(ref - fused).max() < 1e-10 * max(1.0, np.abs(ref).max())
+
+
 def test_scan_linearity_in_x():
     # with B, C, Delta held fixed the scan is linear in x
     rng = np.random.default_rng(2)
@@ -256,8 +274,6 @@ def test_2d_scan_zero_c_reduces_to_skips():
     # Theta feeds the state, but C == 0 silences emission: only skips remain
     expected = 4.0 * x.data * core.D.data
     assert np.abs(out.data - expected).max() < 1e-12
-    single = direction_aware_scan_2d(x, zero, zero, delta, core, ps, single_skip=True)
-    assert np.abs(single.data - x.data * core.D.data).max() < 1e-12
 
 
 def test_2d_scan_batched_equals_loop():
@@ -301,14 +317,38 @@ def test_2d_scan_gradients():
     A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.1, name="A")
     theta = Tensor(0.3 * rng.standard_normal((5, m)), name="theta")
     D = Tensor(rng.standard_normal(d), name="D")
-    b = Tensor(rng.standard_normal((H, W, m)))
-    c = Tensor(rng.standard_normal((H, W, m)))
-    delta = Tensor(rng.uniform(0.05, 0.6, (H, W, d)))
+    b = Tensor(rng.standard_normal((H, W, m)), name="b")
+    c = Tensor(rng.standard_normal((H, W, m)), name="c")
+    delta = Tensor(rng.uniform(0.05, 0.6, (H, W, d)), name="delta")
+    weight = Tensor(rng.standard_normal((H, W, d)))
 
-    def f(x, A, theta, D):
-        return direction_aware_scan_2d(x, b, c, delta, SsmCore(A, D, theta), ps).sum()
+    def f(x, A, theta, D, b, c, delta):
+        y = direction_aware_scan_2d(x, b, c, delta, SsmCore(A, D, theta), ps)
+        return (y * weight).sum()
 
-    assert grad_check(f, [x, A, theta, D]) < 1e-3
+    assert grad_check(f, [x, A, theta, D, b, c, delta]) < 1e-3
+
+
+def _graph_size(out):
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_2d_scan_graph_size_is_independent_of_length():
+    # the recurrence is one node, so the tape does not grow with the grid
+    rng = np.random.default_rng(11)
+    sizes = []
+    for side in (4, 8):
+        core = _rand_core(rng, 2, 3, theta_scale=0.3)
+        x, b, c, delta = _rand_grids(rng, side, side, 2, 3)
+        out = direction_aware_scan_2d(x, b, c, delta, core, generate_continuous_paths(side, side))
+        sizes.append(_graph_size(out))
+    assert sizes[0] == sizes[1]
 
 
 def test_2d_scan_shape_checks():

@@ -150,6 +150,21 @@ def test_take_gradient_scatter_adds():
     assert np.allclose(x.grad, [2.0, 0.0, 1.0])
 
 
+def test_take_gradient_multi_dim_indices_off_axis_0():
+    # a 2-D index on axis 1 puts two output axes where axis 1 was; a random
+    # upstream weighting (not an all-ones seed) exposes a misplaced scatter
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 4, 3)))
+    idx = np.array([[0, 1], [2, 3]])
+    w = rng.standard_normal((2, 2, 2, 3))
+    (x.take(idx, axis=1) * Tensor(w)).sum().backward()
+    ref = np.zeros((2, 4, 3))
+    for i in range(2):
+        for j in range(2):
+            ref[:, idx[i, j], :] += w[:, i, j, :]
+    assert np.abs(x.grad - ref).max() < 1e-15
+
+
 def test_getitem_gradient():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     y = x[1].sum()
