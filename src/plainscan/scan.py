@@ -1,14 +1,16 @@
 """Input-dependent state-space recurrences.
 
 ``selective_scan_ref`` is the literal per-step recurrence on the tape
-and serves as the oracle.  Every other scan discretizes all steps at
-once with ordinary vectorized tape ops and then hands the recurrence
-``h_i = A_bar_i h_{i-1} + B_bar_i x_i``, ``y_i = C_i h_i`` to one graph
-node, ``_recurrence``: a plain numpy loop forward and its reverse-time
-adjoint backward.  ``selective_scan_fused`` is one such scan; the 2D
-variant runs four snake-order scans at once, injecting a learnable
-per-direction vector into each step's discretized input matrix, and sums
-the un-permuted outputs.
+and serves as the oracle.  Every other scan is one graph node, ``_ssm``,
+that folds zero-order-hold discretization into the recurrence: a plain
+numpy loop forward that builds ``A_bar``, ``B_bar x`` and ``h_i = A_bar_i
+h_{i-1} + B_bar_i x_i`` step by step and emits ``y_i = C_i h_i``, and a
+reverse-time adjoint backward that recomputes the discretization per
+step.  Its inputs keep their per-token shapes, so the state history is
+its only ``[..., n, d, m]`` array.  ``selective_scan_fused`` is the
+single-sequence case; the 2D variant runs four snake-order scans at
+once, adding a learnable per-direction vector to each step's B before
+discretization (ZOH is linear in B), and sums the un-permuted outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .paths import PathSet
-from .tensor import Tensor, _record
+from .tensor import Tensor, _phi, _phi_prime, _record
 
 
 @dataclass
@@ -115,50 +117,96 @@ def selective_scan_ref(inputs: ScanInputs, core: SsmCore) -> Tensor:
     return Tensor.stack(ys, axis=0)
 
 
-def _recurrence(A_bar: Tensor, Bx: Tensor, C: Tensor) -> Tensor:
-    """``h_i = A_bar_i h_{i-1} + Bx_i``, ``y_i = sum_m C_i h_i`` as one graph node.
+def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
+    """ZOH discretization and the recurrence ``y_i = sum_m C_i h_i`` as one node.
 
-    Operands are ``[..., n, d, m]`` with time on axis -3; the output is
-    ``[..., n, d]``.  The backward pass is the reverse-time adjoint
-    ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``, from which
-    ``dBx = lam``, ``dA_bar_i = lam_i h_{i-1}`` and ``dC = g h``.
+    ``delta`` and ``x`` are ``[..., n, d]``, ``Bt`` and ``C`` are
+    ``[..., n, m]`` and ``A`` is ``[d, m]``; the output is ``[..., n, d]``.
+    Step i computes ``z = delta_i A`` and ``h_i = exp(z) h_{i-1} +
+    phi(z) delta_i Bt_i x_i`` in a few reused ``[..., d, m]`` buffers, so
+    the only ``[..., n, d, m]`` array is the state history.  The backward
+    pass is the reverse-time adjoint ``lam_i = C_i g_i + A_bar_{i+1}
+    lam_{i+1}``; it recomputes ``z``, ``exp(z)`` and ``phi(z)`` per step.
     """
-    a, c = A_bar.data, C.data
-    n = a.shape[-3]
-    hs = Bx.data.copy()
-    for i in range(1, n):
-        hs[..., i, :, :] += a[..., i, :, :] * hs[..., i - 1, :, :]
-    _record(2 * a.size)  # A_bar*h and C*h, one MAC per element each
-    out = Tensor((c * hs).sum(axis=-1), (A_bar, Bx, C))
+    *lead, n, d = delta.shape
+    m = A.shape[1]
+    L = int(np.prod(lead))
+
+    def time_major(t, k):  # [..., n, k] -> [n, L, k]
+        return t.data.reshape(L, n, k).transpose(1, 0, 2)
+
+    ds, xs, bs, cs = (time_major(t, k) for t, k in ((delta, d), (x, d), (Bt, m), (C, m)))
+    a_mat = A.data
+    sx = ds * xs  # delta_i x_i, [n, L, d]
+    hs = np.empty((n, L, d, m))
+    z, u = np.empty((L, d, m)), np.empty((L, d, m))
+    for i in range(n):
+        np.multiply(ds[i][:, :, None], a_mat, out=z)
+        _phi(z, out=u)
+        u *= sx[i][:, :, None]
+        u *= bs[i][:, None, :]
+        if i == 0:
+            hs[0] = u
+        else:
+            np.multiply(np.exp(z, out=z), hs[i - 1], out=hs[i])
+            hs[i] += u
+    # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
+    # the convention analysis.count_flops costs the 2D scan with.
+    _record(10 * hs.size)
+    ys = np.einsum("nldm,nlm->nld", hs, cs)
+    bad = ~np.isfinite(ys)
+    if bad.any():
+        step = int(bad.reshape(n, -1).any(axis=1).argmax())
+        raise NumericalError(f"non-finite scan value at step {step}")
+    out = Tensor(ys.transpose(1, 0, 2).reshape(delta.shape), (delta, A, Bt, x, C))
 
     def bwd(g):
-        g = g[..., None]
-        lam = c * g
-        for i in range(n - 2, -1, -1):
-            lam[..., i, :, :] += a[..., i + 1, :, :] * lam[..., i + 1, :, :]
-        da = np.zeros_like(lam)
-        da[..., 1:, :, :] = lam[..., 1:, :, :] * hs[..., :-1, :, :]
-        A_bar._accumulate(da)
-        Bx._accumulate(lam)
-        C._accumulate(g * hs)
+        g = g.reshape(L, n, d).transpose(1, 0, 2)
+        gd, gx, gb = np.empty((n, L, d)), np.empty((n, L, d)), np.empty((n, L, m))
+        ga = np.zeros((d, m))
+        lam = np.zeros((L, d, m))
+        w, q, dz, a_i, a_next = (np.empty((L, d, m)) for _ in range(5))
+        for i in range(n - 1, -1, -1):
+            if i < n - 1:
+                lam *= a_next
+            lam += np.multiply(g[i][:, :, None], cs[i][:, None, :], out=w)
+            np.multiply(ds[i][:, :, None], a_mat, out=z)
+            np.exp(z, out=a_i)
+            _phi(z, out=q)
+            q *= lam  # dL/du * phi
+            r = np.einsum("ldm,lm->ld", q, bs[i])
+            gx[i] = ds[i] * r
+            gb[i] = np.einsum("ldm,ld->lm", q, sx[i])
+            _phi_prime(z, out=dz)
+            dz *= np.multiply(sx[i][:, :, None], bs[i][:, None, :], out=w)
+            if i > 0:
+                dz += np.multiply(a_i, hs[i - 1], out=w)
+            dz *= lam
+            gd[i] = np.einsum("ldm,dm->ld", dz, a_mat) + xs[i] * r
+            ga += np.einsum("ldm,ld->dm", dz, ds[i])
+            a_i, a_next = a_next, a_i
+        gc = np.einsum("nld,nldm->nlm", g, hs)
+
+        def back(t, arr):
+            t._accumulate(arr.transpose(1, 0, 2).reshape(t.shape))
+
+        back(delta, gd)
+        A._accumulate(ga)
+        back(Bt, gb)
+        back(x, gx)
+        back(C, gc)
 
     out._backward = bwd
     return out
 
 
 def selective_scan_fused(inputs: ScanInputs, core: SsmCore) -> Tensor:
-    """Equivalent scan: vectorized discretization, then one recurrence node."""
+    """Equivalent scan: the fused scan node on one sequence, plus the skip."""
     n = inputs.length
     d, m = core.A.shape
     if inputs.x.shape[1] != d:
         raise ShapeError(f"x channels {inputs.x.shape[1]} != core d_inner {d}")
-    d_all = inputs.Delta_seq.reshape(n, d, 1).expand(n, d, m)
-    z = d_all * core.A.reshape(1, d, m).expand(n, d, m)
-    A_bar = z.exp()
-    B_bar = z.zoh_phi() * (d_all * inputs.B_seq.reshape(n, 1, m).expand(n, d, m))
-    Bx = B_bar * inputs.x.reshape(n, d, 1).expand(n, d, m)
-    C_all = inputs.C_seq.reshape(n, 1, m).expand(n, d, m)
-    y = _recurrence(A_bar, Bx, C_all)
+    y = _ssm(inputs.Delta_seq, core.A, inputs.B_seq, inputs.x, inputs.C_seq)
     skip = inputs.x * core.D.reshape(1, d).expand(n, d)
     return y + skip
 
@@ -175,8 +223,9 @@ def direction_aware_scan_2d(
 
     Every scan k runs ``h = A_bar h + (B_bar + Theta_bar_k) x`` where
     Theta_bar_k is the step-direction row of the direction table pushed
-    through the same ZOH rule as B.  The output is the sum of the four
-    un-permuted scans, so the skip term D*x appears four times.
+    through the same ZOH rule as B, so the scan node discretizes
+    ``B + Theta_k`` once.  The output is the sum of the four un-permuted
+    scans, so the skip term D*x appears four times.
     """
     d, m = core.A.shape
     batched = x_grid.data.ndim == 4
@@ -200,17 +249,12 @@ def direction_aware_scan_2d(
     directions = np.concatenate([p.directions for p in paths.paths])
     thetas = core.Theta.take(directions, axis=0)  # [K*n, m]
 
-    full = (B, K, n, d, m)
-    d_all = ds.reshape(B, K, n, d, 1).expand(full)
-    z = d_all * core.A.reshape(1, 1, 1, d, m).expand(full)
-    A_bar = z.exp()
-    phi = z.zoh_phi()
-    B_bar = phi * (d_all * bs.reshape(B, K, n, 1, m).expand(full))
-    Theta_bar = phi * (d_all * thetas.reshape(1, K, n, 1, m).expand(full))
-    Bx = (B_bar + Theta_bar) * xs.reshape(B, K, n, d, 1).expand(full)
-    C_all = cs.reshape(B, K, n, 1, m).expand(full)
-
-    y_seq = _recurrence(A_bar, Bx, C_all).reshape(B, K * n, d)
+    bt = bs + thetas.reshape(1, K * n, m).expand(B, K * n, m)
+    lead = (B, K, n)
+    y_seq = _ssm(
+        ds.reshape(*lead, d), core.A, bt.reshape(*lead, m), xs.reshape(*lead, d),
+        cs.reshape(*lead, m),
+    ).reshape(B, K * n, d)
     y_seq = y_seq + xs * core.D.reshape(1, 1, d).expand(B, K * n, d)
     total = y_seq.take(unscan, axis=1).sum(axis=1)  # [B,n,d]
     return total.reshape(B, H, W, d) if batched else total.reshape(H, W, d)

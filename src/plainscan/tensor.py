@@ -54,22 +54,33 @@ def count_macs():
                 break
 
 
-def _phi(z):
+def _phi(z, out=None):
     """expm1(z)/z with a series fallback near zero (avoids cancellation)."""
+    out = np.expm1(z, out=np.empty_like(z) if out is None else out)
     small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)  # dodge 0/0 in the dead branch
-    out = np.expm1(zs, out=np.empty_like(zs))
-    out /= zs
+    if not small.any():
+        out /= z
+        return out
+    np.divide(out, z, out=out, where=~small)  # dodge 0/0 in the dead branch
     zm = z[small]  # the series only where it is used
     out[small] = 1.0 + zm / 2.0 + zm * zm / 6.0
     return out
 
 
-def _phi_prime(z):
+def _phi_prime(z, out=None):
+    """d/dz of expm1(z)/z, with the same series fallback as :func:`_phi`."""
     small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    exact = (np.exp(zs) * (zs - 1.0) + 1.0) / (zs * zs)
-    return np.where(small, 0.5 + z / 3.0 + z * z / 8.0, exact)
+    any_small = small.any()
+    zs = np.where(small, 1.0, z) if any_small else z
+    out = np.exp(zs, out=np.empty_like(z) if out is None else out)
+    t = np.subtract(zs, 1.0, out=np.empty_like(out))
+    out *= t
+    out += 1.0
+    out /= np.multiply(zs, zs, out=t)
+    if any_small:
+        zm = z[small]
+        out[small] = 0.5 + zm / 3.0 + zm * zm / 8.0
+    return out
 
 
 def _softplus(x):

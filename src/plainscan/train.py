@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SyntheticDataset
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import Model, ModelConfig
 from .netpbm import normalize
 from .ops import cross_entropy
@@ -35,7 +35,7 @@ def toy_train(
     goes non-finite.
     """
     if batch_size > 16:
-        raise NumericalError("toy_train is capped at batch size 16")
+        raise ConfigError(f"toy_train is capped at batch size 16, got {batch_size}")
     model = Model(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     images = normalize(dataset.images)
@@ -49,7 +49,10 @@ def toy_train(
             cursor = 0
         idx = order[cursor : cursor + batch_size]
         cursor += batch_size
-        logits = model.forward(Tensor(images[idx]))
+        try:
+            logits = model.forward(Tensor(images[idx]))
+        except NumericalError as e:
+            raise NumericalError(f"training diverged at step {step}: {e}") from e
         loss = cross_entropy(logits, dataset.labels[idx])
         if not np.isfinite(loss.data):
             raise NumericalError(f"training diverged (non-finite loss) at step {step}")

@@ -6,6 +6,7 @@ diffable with standard tools.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from .tensor import Tensor
 
 MAGIC = b"PMWB"
 VERSION = 1
+_PREAMBLE = 16  # magic, u32 version, u64 header length
 
 _DTYPES = {"f8": np.dtype("<f8"), "f4": np.dtype("<f4")}
 _DTYPE_NAMES = {np.dtype(np.float64): "f8", np.dtype(np.float32): "f4"}
@@ -41,6 +43,7 @@ def save_weights(params: dict, path) -> None:
 
 def _parse_manifest(header: str):
     entries = []
+    names = set()
     for lineno, line in enumerate(header.splitlines(), start=1):
         if not line.strip():
             continue
@@ -50,8 +53,20 @@ def _parse_manifest(header: str):
         name, dt, shape_s, off_s = parts
         if dt not in _DTYPES:
             raise FormatError(f"manifest line {lineno}: unknown dtype {dt!r}")
-        shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split(","))
-        entries.append((name, _DTYPES[dt], shape, int(off_s)))
+        try:
+            shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split(","))
+            offset = int(off_s)
+        except ValueError:
+            raise FormatError(
+                f"manifest line {lineno}: shape {shape_s!r} and offset {off_s!r} "
+                "must be integers"
+            ) from None
+        if offset < 0 or any(s < 0 for s in shape):
+            raise FormatError(f"manifest line {lineno}: negative shape or offset in {line!r}")
+        if name in names:
+            raise FormatError(f"manifest line {lineno}: duplicate tensor name {name!r}")
+        names.add(name)
+        entries.append((name, _DTYPES[dt], shape, offset))
     return entries
 
 
@@ -61,20 +76,29 @@ def load_weights(path, config: ModelConfig | None = None) -> dict:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack("<I", blob[4:8])
+    if len(blob) < _PREAMBLE:
+        raise FormatError(f"file is {len(blob)} bytes, shorter than the {_PREAMBLE}-byte preamble")
+    version, header_len = struct.unpack("<IQ", blob[4:_PREAMBLE])
     if version != VERSION:
         raise FormatError(f"unsupported weight file version {version}")
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = blob[16 : 16 + header_len].decode()
-    payload = blob[16 + header_len :]
+    if header_len > len(blob) - _PREAMBLE:
+        raise FormatError(
+            f"header length {header_len} runs past the end of the {len(blob)}-byte file"
+        )
+    try:
+        header = blob[_PREAMBLE : _PREAMBLE + header_len].decode()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"manifest is not UTF-8: {e}") from None
+    payload = blob[_PREAMBLE + header_len :]
     params = {}
     for name, dtype, shape, offset in _parse_manifest(header):
-        nbytes = int(np.prod(shape or (1,))) * dtype.itemsize
+        count = math.prod(shape)
+        nbytes = count * dtype.itemsize
         if offset + nbytes > len(payload):
             raise FormatError(
                 f"payload truncated: tensor {name!r} needs {nbytes} bytes at offset {offset}"
             )
-        arr = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape or (1,))), offset=offset)
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
         params[name] = Tensor(arr.reshape(shape).copy(), name=name, dtype=dtype)
     if config is not None:
         _diff_against(config, params)

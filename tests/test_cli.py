@@ -140,3 +140,25 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
     assert code == 3
     assert "block 0" in capsys.readouterr().err
 
+
+
+def test_short_weight_file_exits_2(capsys, tmp_path):
+    short = tmp_path / "short.pmwb"
+    short.write_bytes(b"PMWB\x01")
+    _, image = _toy_fixture(tmp_path)
+    code = main(["infer", "--config", "toy", "--weights", str(short), "--image", str(image)])
+    assert code == 2
+    assert "shorter" in capsys.readouterr().err
+
+
+def test_nonfinite_weight_exits_3_naming_the_block(capsys, tmp_path):
+    cfg = get_config("toy")
+    params = init_params(cfg, seed=0)
+    params["blocks.1.in_proj.weight"].data[0, 0] = np.inf
+    weights = tmp_path / "inf.pmwb"
+    save_weights(params, weights)
+    _, image = _toy_fixture(tmp_path)
+    with np.errstate(invalid="ignore", over="ignore"):  # the inf is the point
+        code = main(["infer", "--config", "toy", "--weights", str(weights), "--image", str(image)])
+    assert code == 3
+    assert "block 1" in capsys.readouterr().err

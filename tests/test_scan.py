@@ -1,6 +1,8 @@
 """Recurrence correctness: closed forms, oracle equivalence, and the
 direction-aware 2D composition properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from plainscan import (
 from plainscan.errors import NumericalError, ShapeError
 from plainscan.ops import grad_check
 from plainscan.paths import apply_path
+from plainscan.scan import _ssm
 from plainscan.tensor import Tensor
 
 
@@ -358,3 +361,61 @@ def test_2d_scan_shape_checks():
     ps = generate_continuous_paths(4, 4)
     with pytest.raises(ShapeError, match="does not match"):
         direction_aware_scan_2d(x, b, c, delta, core, ps)
+
+
+def test_2d_scan_flags_nonfinite_input():
+    rng = np.random.default_rng(12)
+    core = _rand_core(rng, 2, 3, theta_scale=0.3)
+    x, b, c, delta = _rand_grids(rng, 3, 3, 2, 3)
+    x.data[1, 2, 0] = np.inf
+    ps = generate_continuous_paths(3, 3)
+    with np.errstate(invalid="ignore"):  # the inf is the point
+        with pytest.raises(NumericalError, match="non-finite scan value at step"):
+            direction_aware_scan_2d(x, b, c, delta, core, ps)
+
+
+def test_2d_scan_forward_peak_is_bounded_by_state_history():
+    # the fused node allocates the [B,K,n,d,m] state history and nothing
+    # else of that size, so the forward peak stays near the history itself
+    rng = np.random.default_rng(13)
+    side, d, m = 14, 96, 16
+    core = _rand_core(rng, d, m, theta_scale=0.3)
+    x, b, c, delta = _rand_grids(rng, side, side, d, m)
+    ps = generate_continuous_paths(side, side)
+    history = 8 * 1 * 4 * side * side * d * m
+    tracemalloc.start()
+    try:
+        direction_aware_scan_2d(x, b, c, delta, core, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * history, f"peak {peak / history:.2f}x the state history"
+
+
+def test_ssm_node_gradients_match_reference_batched():
+    # _ssm with lead shape [B, K] against selective_scan_ref per sequence
+    rng = np.random.default_rng(14)
+    Bn, K, n, d, m = 2, 3, 7, 3, 4
+    delta = Tensor(rng.uniform(0.01, 1.5, (Bn, K, n, d)))
+    A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05)
+    bt = Tensor(rng.standard_normal((Bn, K, n, m)))
+    x = Tensor(rng.standard_normal((Bn, K, n, d)))
+    c = Tensor(rng.standard_normal((Bn, K, n, m)))
+    weight = rng.standard_normal((Bn, K, n, d))
+    leaves = [delta, A, bt, x, c]
+
+    (_ssm(delta, A, bt, x, c) * Tensor(weight)).sum().backward()
+    fused = [t.grad for t in leaves]
+
+    for t in leaves:
+        t.grad = None
+    core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(np.zeros((5, m))))
+    total = None
+    for i in range(Bn):
+        for k in range(K):
+            inp = ScanInputs(x=x[i, k], B_seq=bt[i, k], C_seq=c[i, k], Delta_seq=delta[i, k])
+            term = (selective_scan_ref(inp, core) * Tensor(weight[i, k])).sum()
+            total = term if total is None else total + term
+    total.backward()
+    for ref, got in zip([t.grad for t in leaves], fused):
+        assert np.abs(ref - got).max() < 1e-10 * max(1.0, np.abs(ref).max())

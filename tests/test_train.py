@@ -5,7 +5,7 @@ import pytest
 
 from plainscan import get_config
 from plainscan.data import make_stripes
-from plainscan.errors import NumericalError
+from plainscan.errors import ConfigError, NumericalError
 from plainscan.model import Model
 from plainscan.train import accuracy, toy_train
 
@@ -53,7 +53,8 @@ def test_toy_train_reduces_loss():
 
 
 def test_toy_train_batch_cap():
-    with pytest.raises(NumericalError, match="16"):
+    # an oversized batch is a configuration error (exit 1), not a numerical one
+    with pytest.raises(ConfigError, match="16"):
         toy_train(get_config("toy"), make_stripes(n=4), steps=1, lr=0.1, batch_size=64)
 
 

@@ -117,3 +117,52 @@ def test_loaded_tensors_are_writable(tmp_path):
     loaded = load_weights(path)
     loaded["w"].data[0] = 1.0
     assert loaded["w"].data[0] == 1.0
+
+
+def _container(header: bytes, payload: bytes = b"", header_len=None) -> bytes:
+    n = len(header) if header_len is None else header_len
+    return MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", n) + header + payload
+
+
+def test_short_file_is_format_error(tmp_path):
+    path = tmp_path / "short.pmwb"
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION))  # 8 of the 16 preamble bytes
+    with pytest.raises(FormatError, match="shorter"):
+        load_weights(path)
+
+
+def test_non_utf8_manifest_is_format_error(tmp_path):
+    path = tmp_path / "latin.pmwb"
+    path.write_bytes(_container(b"w\xff f8 1 0\n", np.zeros(1).tobytes()))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_weights(path)
+
+
+def test_non_integer_shape_or_offset_is_format_error(tmp_path):
+    path = tmp_path / "m.pmwb"
+    for header in (b"w f8 2,x 0\n", b"w f8 2 1.5\n"):
+        path.write_bytes(_container(header, np.zeros(2).tobytes()))
+        with pytest.raises(FormatError, match="integers"):
+            load_weights(path)
+
+
+def test_header_length_past_end_is_format_error(tmp_path):
+    path = tmp_path / "m.pmwb"
+    header = b"w f8 1 0\n"
+    path.write_bytes(_container(header, np.zeros(1).tobytes(), header_len=1 << 40))
+    with pytest.raises(FormatError, match="past the end"):
+        load_weights(path)
+
+
+def test_negative_offset_is_format_error(tmp_path):
+    path = tmp_path / "m.pmwb"
+    path.write_bytes(_container(b"w f8 1 -8\n", np.zeros(2).tobytes()))
+    with pytest.raises(FormatError, match="negative"):
+        load_weights(path)
+
+
+def test_duplicate_tensor_name_is_format_error(tmp_path):
+    path = tmp_path / "m.pmwb"
+    path.write_bytes(_container(b"w f8 1 0\nw f8 1 8\n", np.zeros(2).tobytes()))
+    with pytest.raises(FormatError, match="duplicate tensor name 'w'"):
+        load_weights(path)
