@@ -142,7 +142,7 @@ def peak_activation_bytes(cfg, resolution, dtype_bytes=8) -> int:
     (``2 * 4 * n * d_inner * m`` values): the fused scan node keeps the
     ``[K, n, d_inner, m]`` history and otherwise only per-token and
     per-step arrays.  A traced forward measures the scan's peak at about
-    1.5-1.6x the history at ``m = 16`` (14x14 and 16x16 grids), inside
+    1.5x the history at ``m = 16`` (14x14 and 16x16 grids), inside
     this figure; each ``[n, d_inner]`` array adds ``1/m`` of the history,
     so at small ``m`` the per-token arrays can take the peak past it.
     """

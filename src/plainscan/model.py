@@ -203,6 +203,11 @@ def bilinear_resample_matrix(src_hw, dst_hw):
     return mat
 
 
+def _require_finite(t: Tensor, message: str) -> None:
+    if not np.isfinite(t.data).all():
+        raise NumericalError(message)
+
+
 class Model:
     """Immutable weights + pure forward; scan paths are cached per extent."""
 
@@ -273,6 +278,7 @@ class Model:
             )
             gated = y * zb.silu()
             out = ops.linear(gated, p["out_proj.weight"], p["out_proj.bias"])
+            _require_finite(out, "non-finite block output")
         except NumericalError as e:
             raise NumericalError(f"block {index}: {e}") from e
         return out + grid
@@ -280,12 +286,15 @@ class Model:
     def forward(self, images: Tensor) -> Tensor:
         """[B,Hi,Wi,3] images -> [B,num_classes] logits."""
         grid = self.tokenize(images)
+        _require_finite(grid, "stem: non-finite token grid")
         for i in range(self.cfg.depth):
             grid = self.block_forward(grid, i)
         B, H, W, d = grid.shape
         normed = ops.layernorm(grid, self.params["norm.gamma"], self.params["norm.beta"])
         pooled = normed.reshape(B, H * W, d).mean(axis=1)
-        return ops.linear(pooled, self.params["head.weight"], self.params["head.bias"])
+        logits = ops.linear(pooled, self.params["head.weight"], self.params["head.bias"])
+        _require_finite(logits, "head: non-finite logits")
+        return logits
 
 
 def model_forward(image: Tensor, model: Model) -> Tensor:

@@ -2,12 +2,12 @@
 
 ``selective_scan_ref`` is the literal per-step recurrence on the tape
 and serves as the oracle.  Every other scan is one graph node, ``_ssm``,
-that folds zero-order-hold discretization into the recurrence: a plain
-numpy loop forward that builds ``A_bar``, ``B_bar x`` and ``h_i = A_bar_i
-h_{i-1} + B_bar_i x_i`` step by step and emits ``y_i = C_i h_i``, and a
-reverse-time adjoint backward that recomputes the discretization per
-step.  Its inputs keep their per-token shapes, so the state history is
-its only ``[..., n, d, m]`` array.  ``selective_scan_fused`` is the
+that folds zero-order-hold discretization into the recurrence: a numpy
+loop forward over ``[..., m, d]`` state buffers (the wide channel axis
+contiguous) that forms ``B_bar x`` as ``expm1(delta A)/A B x``, since
+``phi(z) delta = expm1(z)/A``, and a reverse-time adjoint backward that
+recomputes the discretization per step.  The state history is its only
+``[..., n, m, d]`` array.  ``selective_scan_fused`` is the
 single-sequence case; the 2D variant runs four snake-order scans at
 once, adding a learnable per-direction vector to each step's B before
 discretization (ZOH is linear in B), and sums the un-permuted outputs.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .paths import PathSet
-from .tensor import Tensor, _phi, _phi_prime, _record
+from .tensor import Tensor, _phi_prime, _record
 
 
 @dataclass
@@ -123,10 +123,11 @@ def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
     ``delta`` and ``x`` are ``[..., n, d]``, ``Bt`` and ``C`` are
     ``[..., n, m]`` and ``A`` is ``[d, m]``; the output is ``[..., n, d]``.
     Step i computes ``z = delta_i A`` and ``h_i = exp(z) h_{i-1} +
-    phi(z) delta_i Bt_i x_i`` in a few reused ``[..., d, m]`` buffers, so
-    the only ``[..., n, d, m]`` array is the state history.  The backward
-    pass is the reverse-time adjoint ``lam_i = C_i g_i + A_bar_{i+1}
-    lam_{i+1}``; it recomputes ``z``, ``exp(z)`` and ``phi(z)`` per step.
+    expm1(z)/A Bt_i x_i`` in reused ``[..., m, d]`` buffers, d contiguous.
+    The backward pass is the reverse-time adjoint ``lam_i = C_i g_i +
+    A_bar_{i+1} lam_{i+1}``; it recomputes ``exp(z)`` and ``expm1(z)`` per
+    step, and the A gradient's ``delta^2 phi'(z)`` takes phi's series where
+    ``(delta exp(z) - expm1(z)/A)/A`` would cancel.
     """
     *lead, n, d = delta.shape
     m = A.shape[1]
@@ -136,24 +137,23 @@ def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
         return t.data.reshape(L, n, k).transpose(1, 0, 2)
 
     ds, xs, bs, cs = (time_major(t, k) for t, k in ((delta, d), (x, d), (Bt, m), (C, m)))
-    a_mat = A.data
-    sx = ds * xs  # delta_i x_i, [n, L, d]
-    hs = np.empty((n, L, d, m))
-    z, u = np.empty((L, d, m)), np.empty((L, d, m))
+    d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
+    a_t = np.ascontiguousarray(A.data.T)  # [m, d]
+    inv_a = 1.0 / a_t
+    hs = np.empty((n, L, m, d))
+    z, u = np.empty((L, m, d)), np.empty((L, m, d))
     for i in range(n):
-        np.multiply(ds[i][:, :, None], a_mat, out=z)
-        _phi(z, out=u)
-        u *= sx[i][:, :, None]
-        u *= bs[i][:, None, :]
-        if i == 0:
-            hs[0] = u
-        else:
-            np.multiply(np.exp(z, out=z), hs[i - 1], out=hs[i])
-            hs[i] += u
+        np.multiply(d_row[i], a_t, out=z)
+        np.expm1(z, out=u)
+        u *= inv_a
+        u *= x_row[i]
+        u *= b_col[i]
+        np.multiply(np.exp(z, out=z), hs[i - 1] if i else 0.0, out=hs[i])
+        hs[i] += u
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
     _record(10 * hs.size)
-    ys = np.einsum("nldm,nlm->nld", hs, cs)
+    ys = np.matmul(cs[:, :, None, :], hs)[:, :, 0]
     bad = ~np.isfinite(ys)
     if bad.any():
         step = int(bad.reshape(n, -1).any(axis=1).argmax())
@@ -163,35 +163,44 @@ def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
     def bwd(g):
         g = g.reshape(L, n, d).transpose(1, 0, 2)
         gd, gx, gb = np.empty((n, L, d)), np.empty((n, L, d)), np.empty((n, L, m))
-        ga = np.zeros((d, m))
-        lam = np.zeros((L, d, m))
-        w, q, dz, a_i, a_next = (np.empty((L, d, m)) for _ in range(5))
+        ga, lam, w, q, k, a_i, a_next = (np.zeros((L, m, d)) for _ in range(7))
+        near0 = (ds * -a_t.max(axis=0)).min(axis=(1, 2)) < 1e-4  # steps with |z| < 1e-4
         for i in range(n - 1, -1, -1):
-            if i < n - 1:
-                lam *= a_next
-            lam += np.multiply(g[i][:, :, None], cs[i][:, None, :], out=w)
-            np.multiply(ds[i][:, :, None], a_mat, out=z)
+            lam *= a_next
+            lam += np.multiply(cs[i][:, :, None], g[i][:, None, :], out=w)
+            np.multiply(d_row[i], a_t, out=z)
             np.exp(z, out=a_i)
-            _phi(z, out=q)
-            q *= lam  # dL/du * phi
-            r = np.einsum("ldm,lm->ld", q, bs[i])
-            gx[i] = ds[i] * r
-            gb[i] = np.einsum("ldm,ld->lm", q, sx[i])
-            _phi_prime(z, out=dz)
-            dz *= np.multiply(sx[i][:, :, None], bs[i][:, None, :], out=w)
-            if i > 0:
-                dz += np.multiply(a_i, hs[i - 1], out=w)
-            dz *= lam
-            gd[i] = np.einsum("ldm,dm->ld", dz, a_mat) + xs[i] * r
-            ga += np.einsum("ldm,ld->dm", dz, ds[i])
+            np.multiply(np.expm1(z, out=q), inv_a, out=q)  # du/d(Bt x)
+            np.multiply(q, lam, out=w)
+            gx[i] = np.matmul(bs[i][:, None, :], w)[:, 0]
+            gb[i] = np.matmul(w, xs[i][:, :, None])[:, :, 0]
+            # du/d delta = exp(z) Bt x and d A_bar/d delta = A exp(z)
+            np.multiply(lam, a_i, out=w)
+            gd[i] = xs[i] * np.matmul(bs[i][:, None, :], w)[:, 0]
+            # du/dA = delta^2 phi'(z) Bt x = (delta exp(z) - expm1(z)/A)/A Bt x,
+            # which cancels near z = 0, where phi' takes its series
+            np.multiply(d_row[i], a_i, out=k)
+            k -= q
+            k *= inv_a
+            if near0[i]:
+                small = np.abs(z) < 1e-4
+                k[small] = _phi_prime(z[small]) * np.broadcast_to(d_row[i] ** 2, z.shape)[small]
+            k *= lam
+            k *= b_col[i]
+            k *= x_row[i]
+            w *= hs[i - 1] if i else 0.0  # exp(z) lam h_{i-1}
+            gd[i] += np.einsum("lmd,md->ld", w, a_t)
+            w *= d_row[i]
+            k += w
+            ga += k
             a_i, a_next = a_next, a_i
-        gc = np.einsum("nld,nldm->nlm", g, hs)
+        gc = np.matmul(hs, g[:, :, :, None])[..., 0]
 
         def back(t, arr):
             t._accumulate(arr.transpose(1, 0, 2).reshape(t.shape))
 
         back(delta, gd)
-        A._accumulate(ga)
+        A._accumulate(ga.sum(axis=0).T)
         back(Bt, gb)
         back(x, gx)
         back(C, gc)

@@ -54,32 +54,23 @@ def count_macs():
                 break
 
 
-def _phi(z, out=None):
+def _phi(z):
     """expm1(z)/z with a series fallback near zero (avoids cancellation)."""
-    out = np.expm1(z, out=np.empty_like(z) if out is None else out)
     small = np.abs(z) < 1e-4
-    if not small.any():
-        out /= z
-        return out
+    out = np.expm1(z)
     np.divide(out, z, out=out, where=~small)  # dodge 0/0 in the dead branch
-    zm = z[small]  # the series only where it is used
+    zm = z[small]
     out[small] = 1.0 + zm / 2.0 + zm * zm / 6.0
     return out
 
 
-def _phi_prime(z, out=None):
+def _phi_prime(z):
     """d/dz of expm1(z)/z, with the same series fallback as :func:`_phi`."""
     small = np.abs(z) < 1e-4
-    any_small = small.any()
-    zs = np.where(small, 1.0, z) if any_small else z
-    out = np.exp(zs, out=np.empty_like(z) if out is None else out)
-    t = np.subtract(zs, 1.0, out=np.empty_like(out))
-    out *= t
-    out += 1.0
-    out /= np.multiply(zs, zs, out=t)
-    if any_small:
-        zm = z[small]
-        out[small] = 0.5 + zm / 3.0 + zm * zm / 8.0
+    zs = np.where(small, 1.0, z)
+    out = (np.exp(zs) * (zs - 1.0) + 1.0) / (zs * zs)
+    zm = z[small]
+    out[small] = 0.5 + zm / 3.0 + zm * zm / 8.0
     return out
 
 
@@ -92,11 +83,11 @@ def _softplus(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) cannot overflow: it is exp(-x) for x >= 0 and exp(x) below
+    # (minimum rather than -abs keeps a NaN's sign, bit for bit)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
     return out
 
 

@@ -90,7 +90,7 @@ def load_weights(path, config: ModelConfig | None = None) -> dict:
     except UnicodeDecodeError as e:
         raise FormatError(f"manifest is not UTF-8: {e}") from None
     payload = blob[_PREAMBLE + header_len :]
-    params = {}
+    params, spans = {}, []
     for name, dtype, shape, offset in _parse_manifest(header):
         count = math.prod(shape)
         nbytes = count * dtype.itemsize
@@ -98,8 +98,17 @@ def load_weights(path, config: ModelConfig | None = None) -> dict:
             raise FormatError(
                 f"payload truncated: tensor {name!r} needs {nbytes} bytes at offset {offset}"
             )
+        if nbytes:
+            spans.append((offset, offset + nbytes, name))
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
         params[name] = Tensor(arr.reshape(shape).copy(), name=name, dtype=dtype)
+    # sorted by start, any overlap shows up between neighbours
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise FormatError(
+                f"tensors {first!r} and {second!r} overlap: both read payload byte {start}"
+            )
     if config is not None:
         _diff_against(config, params)
     return params

@@ -162,3 +162,20 @@ def test_nonfinite_weight_exits_3_naming_the_block(capsys, tmp_path):
         code = main(["infer", "--config", "toy", "--weights", str(weights), "--image", str(image)])
     assert code == 3
     assert "block 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tensor, stage", [
+    ("patch_embed.weight", "stem: non-finite token grid"),
+    ("blocks.1.out_proj.weight", "block 1: non-finite block output"),
+    ("head.weight", "head: non-finite logits"),
+])
+def test_nonfinite_weight_exits_3_naming_the_stage(capsys, tmp_path, tensor, stage):
+    params = init_params(get_config("toy"), seed=0)
+    params[tensor].data[0, 0] = np.inf
+    weights = tmp_path / "inf.pmwb"
+    save_weights(params, weights)
+    _, image = _toy_fixture(tmp_path)
+    with np.errstate(invalid="ignore", over="ignore"):  # the inf is the point
+        code = main(["infer", "--config", "toy", "--weights", str(weights), "--image", str(image)])
+    assert code == 3
+    assert stage in capsys.readouterr().err

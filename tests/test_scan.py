@@ -419,3 +419,38 @@ def test_ssm_node_gradients_match_reference_batched():
     total.backward()
     for ref, got in zip([t.grad for t in leaves], fused):
         assert np.abs(ref - got).max() < 1e-10 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize(
+    "d, m, mixed", [(3, 4, False), (1, 4, False), (3, 1, False), (3, 4, True)],
+    ids=["small-z", "d=1", "m=1", "mixed"],
+)
+def test_ssm_matches_reference_at_small_z(d, m, mixed):
+    # delta ~ 1e-6 and A ~ -1e-3 put every |z| = delta |A| below 1e-4, where
+    # phi and phi' take their series and the A gradient's closed form would
+    # cancel.  The mixed case scales every other state's A to ~ -1e5, so each
+    # step also holds |z| ~ 0.1, well clear of the switch (just above it the
+    # reference's closed-form phi' keeps only ~8 digits).
+    rng = np.random.default_rng(15)
+    n = 6
+    delta = Tensor(rng.uniform(1e-6, 2e-6, (n, d)))
+    A = Tensor(-rng.uniform(5e-4, 2e-3, (d, m)))
+    if mixed:
+        A.data[:, ::2] *= 1e8
+    bt, x, c = (Tensor(rng.standard_normal(s)) for s in ((n, m), (n, d), (n, m)))
+    weight = Tensor(rng.standard_normal((n, d)))
+    leaves = [delta, A, bt, x, c]
+    core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(np.zeros((5, m))))
+    outs, grads = [], []
+    for run in (
+        lambda: _ssm(delta, A, bt, x, c),
+        lambda: selective_scan_ref(ScanInputs(x=x, B_seq=bt, C_seq=c, Delta_seq=delta), core),
+    ):
+        for t in leaves:
+            t.grad = None
+        y = run()
+        (y * weight).sum().backward()
+        outs.append(y.data)
+        grads.append([t.grad for t in leaves])
+    for got, ref in zip([outs[0], *grads[0]], [outs[1], *grads[1]]):
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()

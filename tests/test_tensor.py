@@ -75,6 +75,20 @@ def test_sigmoid_is_stable_at_extremes():
     assert np.isfinite(_softplus(x)).all()
 
 
+def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0]
+    x = np.concatenate([special, np.random.default_rng(16).standard_normal(100_000)])
+    assert np.array_equal(_sigmoid(x).view(np.int64), two_branch(x).view(np.int64))
+
+
 def test_phi_series_matches_exact_across_the_switch():
     # the series branch engages below |z| = 1e-4; both sides must agree
     z = np.array([-2e-4, -1.0000001e-4, -0.9999999e-4, -1e-6, 1e-6, 2e-4])

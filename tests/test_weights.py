@@ -166,3 +166,11 @@ def test_duplicate_tensor_name_is_format_error(tmp_path):
     path.write_bytes(_container(b"w f8 1 0\nw f8 1 8\n", np.zeros(2).tobytes()))
     with pytest.raises(FormatError, match="duplicate tensor name 'w'"):
         load_weights(path)
+
+
+def test_overlapping_tensors_are_format_error(tmp_path):
+    # b starts inside a: both would read the middle 8 bytes
+    path = tmp_path / "m.pmwb"
+    path.write_bytes(_container(b"a f8 2 0\nb f8 2 8\n", np.zeros(3).tobytes()))
+    with pytest.raises(FormatError, match="'a' and 'b' overlap"):
+        load_weights(path)
