@@ -29,7 +29,7 @@ from .scan import (
     selective_scan_ref,
     zoh_discretize,
 )
-from .tensor import Tensor, count_macs
+from .tensor import Tensor, count_macs, no_grad
 
 __all__ = [
     "AttentionBaselineConfig",
@@ -60,6 +60,7 @@ __all__ = [
     "invert_path",
     "layernorm",
     "model_forward",
+    "no_grad",
     "scaling_curve",
     "selective_scan_fused",
     "selective_scan_ref",

@@ -18,7 +18,7 @@ from .errors import ConfigError, PlainScanError
 from .model import Model, get_config, init_params, param_spec
 from .netpbm import load_image, normalize
 from .scan import SsmCore, direction_aware_scan_2d
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .train import toy_train
 from .weights import load_weights, save_weights
 
@@ -97,7 +97,8 @@ def cmd_infer(args):
     params = load_weights(args.weights, cfg)
     model = Model(cfg, params)
     img = normalize(load_image(args.image))
-    logits = model.forward(Tensor(img).reshape(1, *img.shape)).data[0]
+    with no_grad():
+        logits = model.forward(Tensor(img).reshape(1, *img.shape)).data[0]
     top = np.argsort(logits)[::-1][: args.top_k]
     for rank, cls in enumerate(top, start=1):
         print(f"{rank}. class {int(cls)}  logit {logits[cls]:+.6f}")

@@ -215,6 +215,13 @@ class Model:
         self.cfg = cfg
         self.params = params if params is not None else init_params(cfg, seed)
         check_params(cfg, self.params)
+        # each block's tensors by their name within the block; the same
+        # Tensor objects as self.params, so in-place updates show here too
+        self._blocks = [{} for _ in range(cfg.depth)]
+        for name, t in self.params.items():
+            if name.startswith("blocks."):
+                _, index, local = name.split(".", 2)
+                self._blocks[int(index)][local] = t
         self._paths = {}
 
     def _paths_for(self, H, W):
@@ -256,8 +263,7 @@ class Model:
 
     def block_forward(self, grid: Tensor, index: int) -> Tensor:
         cfg = self.cfg
-        p = {k.split(".", 2)[2]: v for k, v in self.params.items()
-             if k.startswith(f"blocks.{index}.")}
+        p = self._blocks[index]
         di = cfg.d_inner
         m = cfg.state_size
         r = cfg.rank

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
-from .tensor import Tensor, _record, _sigmoid
+from .tensor import Tensor, _record, _sigmoid, no_grad
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -173,8 +173,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 def grad_check(f, inputs, h=1e-5, max_coords_per_input=None, seed=0):
     """Max relative error between tape gradients and central differences.
 
-    ``f`` maps the given leaf tensors to a scalar Tensor.  Each probed
-    coordinate is perturbed by ``h * max(1, |x|)``.  With
+    ``f`` maps the given leaf tensors to a scalar Tensor.  The analytic
+    pass is taped; the finite-difference probes run under ``no_grad``.
+    Each probed coordinate is perturbed by ``h * max(1, |x|)``.  With
     ``max_coords_per_input`` set, a deterministic subsample of coordinates
     is probed per input (needed for whole-model checks).
     """
@@ -198,11 +199,12 @@ def grad_check(f, inputs, h=1e-5, max_coords_per_input=None, seed=0):
         for i in coords:
             x0 = flat[i]
             step = h * max(1.0, abs(x0))
-            flat[i] = x0 + step
-            yp = float(f(*inputs).data)
-            flat[i] = x0 - step
-            ym = float(f(*inputs).data)
-            flat[i] = x0
+            with no_grad():
+                flat[i] = x0 + step
+                yp = float(f(*inputs).data)
+                flat[i] = x0 - step
+                ym = float(f(*inputs).data)
+                flat[i] = x0
             num = (yp - ym) / (2.0 * step)
             if not np.isfinite(num):
                 raise NumericalError(

@@ -6,11 +6,13 @@ that folds zero-order-hold discretization into the recurrence: a numpy
 loop forward over ``[..., m, d]`` state buffers (the wide channel axis
 contiguous) that forms ``B_bar x`` as ``expm1(delta A)/A B x``, since
 ``phi(z) delta = expm1(z)/A``, and a reverse-time adjoint backward that
-recomputes the discretization per step.  The state history is its only
-``[..., n, m, d]`` array.  ``selective_scan_fused`` is the
-single-sequence case; the 2D variant runs four snake-order scans at
-once, adding a learnable per-direction vector to each step's B before
-discretization (ZOH is linear in B), and sums the un-permuted outputs.
+recomputes the discretization per step.  The state history, which only
+that backward reads, is its only ``[..., n, m, d]`` array; under
+``no_grad`` the loop writes one rolling ``[..., m, d]`` state instead.
+``selective_scan_fused`` is the single-sequence case; the 2D variant
+runs four snake-order scans at once, adding a learnable per-direction
+vector to each step's B before discretization (ZOH is linear in B), and
+sums the un-permuted outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .paths import PathSet
-from .tensor import Tensor, _phi_prime, _record
+from .tensor import Tensor, _phi_prime, _record, grad_enabled
 
 
 @dataclass
@@ -122,8 +124,10 @@ def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
 
     ``delta`` and ``x`` are ``[..., n, d]``, ``Bt`` and ``C`` are
     ``[..., n, m]`` and ``A`` is ``[d, m]``; the output is ``[..., n, d]``.
-    Step i computes ``z = delta_i A`` and ``h_i = exp(z) h_{i-1} +
-    expm1(z)/A Bt_i x_i`` in reused ``[..., m, d]`` buffers, d contiguous.
+    Step i computes ``z = delta_i A``, ``h_i = exp(z) h_{i-1} +
+    expm1(z)/A Bt_i x_i`` and ``y_i`` in reused ``[..., m, d]`` buffers, d
+    contiguous.  Taped, ``h_i`` goes into the ``[n, ..., m, d]`` history
+    the backward pass reads; under ``no_grad`` into one rolling state.
     The backward pass is the reverse-time adjoint ``lam_i = C_i g_i +
     A_bar_{i+1} lam_{i+1}``; it recomputes ``exp(z)`` and ``expm1(z)`` per
     step, and the A gradient's ``delta^2 phi'(z)`` takes phi's series where
@@ -140,20 +144,24 @@ def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
     d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
     a_t = np.ascontiguousarray(A.data.T)  # [m, d]
     inv_a = 1.0 / a_t
-    hs = np.empty((n, L, m, d))
+    # the backward pass reads every state; without a tape one rolling
+    # state is enough, and step i writes hs[i % len(hs)] either way
+    hs = np.empty((n if grad_enabled() else 1, L, m, d))
     z, u = np.empty((L, m, d)), np.empty((L, m, d))
+    ys = np.empty((n, L, d))
     for i in range(n):
         np.multiply(d_row[i], a_t, out=z)
         np.expm1(z, out=u)
         u *= inv_a
         u *= x_row[i]
         u *= b_col[i]
-        np.multiply(np.exp(z, out=z), hs[i - 1] if i else 0.0, out=hs[i])
-        hs[i] += u
+        h = hs[i % len(hs)]
+        np.multiply(np.exp(z, out=z), hs[(i - 1) % len(hs)] if i else 0.0, out=h)
+        h += u
+        ys[i] = np.matmul(cs[i][:, None, :], h)[:, 0]
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
-    _record(10 * hs.size)
-    ys = np.matmul(cs[:, :, None, :], hs)[:, :, 0]
+    _record(10 * n * L * m * d)
     bad = ~np.isfinite(ys)
     if bad.any():
         step = int(bad.reshape(n, -1).any(axis=1).argmax())

@@ -8,6 +8,14 @@ which gives a read-only broadcast view rather than a copy.  Shape
 violations raise :class:`~plainscan.errors.ShapeError` naming both
 operands.
 
+The tape keeps only what a later ``backward()`` reads.  Inside
+:func:`no_grad` operations record neither parents nor closures, so each
+intermediate is freed as soon as its last reference goes.
+``backward()`` releases the graph as it runs: once a node's closure has
+run, the node drops the closure, its parents and (unless it is a leaf or
+the root) its gradient.  A second ``backward()`` through a released node
+raises.
+
 Multiply-accumulate counts can be collected with :func:`count_macs`; the
 cost conventions live in ``_record`` call sites and are mirrored by the
 analytic counters in :mod:`plainscan.analysis`.
@@ -22,6 +30,30 @@ import numpy as np
 from .errors import ShapeError
 
 _mac_stack: list[list[int]] = []
+_grad_enabled = True
+
+
+def grad_enabled() -> bool:
+    """Whether new operations are recorded on the tape (see :func:`no_grad`)."""
+    return _grad_enabled
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape while active; the previous mode comes back on exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _released(g):
+    raise RuntimeError(
+        "backward() reached a node whose graph an earlier backward() released; "
+        "run the forward again"
+    )
 
 
 def _record(n: int) -> None:
@@ -68,7 +100,8 @@ def _phi_prime(z):
     """d/dz of expm1(z)/z, with the same series fallback as :func:`_phi`."""
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)
-    out = (np.exp(zs) * (zs - 1.0) + 1.0) / (zs * zs)
+    # z e^z - expm1(z) keeps about twice the digits of e^z (z - 1) + 1
+    out = (zs * np.exp(zs) - np.expm1(zs)) / (zs * zs)
     zm = z[small]
     out[small] = 0.5 + zm / 3.0 + zm * zm / 8.0
     return out
@@ -94,15 +127,15 @@ def _sigmoid(x):
 class Tensor:
     """A node in the gradient graph wrapping one ndarray value."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "_parents", "_closure", "name")
 
-    def __init__(self, data, parents=(), backward=None, name=None, dtype=None):
+    def __init__(self, data, parents=(), name=None, dtype=None):
         if isinstance(data, Tensor):
             raise TypeError("wrap ndarrays, not Tensors")
         self.data = np.asarray(data, dtype=dtype or np.float64)
         self.grad = None
-        self._parents = parents
-        self._backward = backward
+        self._parents = parents  # until the op sets _backward
+        self._closure = None
         self.name = name
 
     # -- introspection -------------------------------------------------
@@ -124,13 +157,32 @@ class Tensor:
 
     # -- graph machinery ----------------------------------------------
 
+    @property
+    def _backward(self):
+        return self._closure
+
+    @_backward.setter
+    def _backward(self, fn):
+        # every op hands its closure over here, so this is where the grad
+        # mode acts: without it a node keeps no closure and no parents
+        if grad_enabled():
+            self._closure = fn
+        else:
+            self._closure, self._parents = None, ()
+
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
     def backward(self, grad=None):
-        """Reverse sweep; visits every reachable node exactly once."""
+        """Reverse sweep; visits every reachable node exactly once.
+
+        Each node is released once its closure has run: it drops the
+        closure, its parents and, unless it is the root, its gradient, so
+        the graph is freed while the sweep goes on.  Leaves keep their
+        gradients; a later ``backward()`` through a released node raises.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError(
@@ -153,9 +205,14 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._closure is None:  # a leaf
+                continue
+            node._closure(node.grad)
+            node._closure, node._parents = _released, ()
+            if node is not self:
+                node.grad = None
 
     # -- helpers -------------------------------------------------------
 

@@ -13,11 +13,12 @@ from .errors import ConfigError, NumericalError
 from .model import Model, ModelConfig
 from .netpbm import normalize
 from .ops import cross_entropy
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 def accuracy(model: Model, dataset: SyntheticDataset) -> float:
-    logits = model.forward(Tensor(normalize(dataset.images))).data
+    with no_grad():
+        logits = model.forward(Tensor(normalize(dataset.images))).data
     return float((logits.argmax(axis=1) == dataset.labels).mean())
 
 

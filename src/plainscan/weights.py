@@ -101,7 +101,11 @@ def load_weights(path, config: ModelConfig | None = None) -> dict:
         if nbytes:
             spans.append((offset, offset + nbytes, name))
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        params[name] = Tensor(arr.reshape(shape).copy(), name=name, dtype=dtype)
+        try:  # an empty tensor passes the size check with any other extent
+            arr = arr.reshape(shape)
+        except ValueError as e:
+            raise FormatError(f"tensor {name!r} cannot have shape {shape}: {e}") from None
+        params[name] = Tensor(arr.copy(), name=name, dtype=dtype)
     # sorted by start, any overlap shows up between neighbours
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):

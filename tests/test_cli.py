@@ -8,6 +8,7 @@ import pytest
 from plainscan import get_config, init_params
 from plainscan.cli import main
 from plainscan.netpbm import save_ppm
+from plainscan.tensor import grad_enabled
 from plainscan.weights import save_weights
 
 
@@ -179,3 +180,4 @@ def test_nonfinite_weight_exits_3_naming_the_stage(capsys, tmp_path, tensor, sta
         code = main(["infer", "--config", "toy", "--weights", str(weights), "--image", str(image)])
     assert code == 3
     assert stage in capsys.readouterr().err
+    assert grad_enabled()  # infer's no_grad is undone on the way out

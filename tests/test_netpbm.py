@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from plainscan.errors import FormatError
+from plainscan.errors import FormatError, PlainScanError
 from plainscan.netpbm import load_image, normalize, save_ppm
 
 
@@ -85,3 +87,34 @@ def test_save_ppm_clips_and_validates(tmp_path):
 def test_normalize_centering():
     x = np.array([0.0, 0.5, 1.0])
     assert np.allclose(normalize(x), [-1.0, 0.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    magic=st.sampled_from([b"P6", b"P5"]),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["set", "insert", "delete", "truncate"]),
+                  st.integers(0, 2**16), st.integers(0, 255)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_mutated_image_loads_or_is_format_error(tmp_path, magic, edits):
+    channels = 3 if magic == b"P6" else 1
+    blob = bytearray(magic + b"\n# a comment\n3 2\n255\n" + bytes(range(6 * channels)))
+    for kind, pos, byte in edits:  # positions wrap around the current length
+        pos %= len(blob) + 1
+        if kind == "set" and pos < len(blob):
+            blob[pos] = byte
+        elif kind == "insert":
+            blob.insert(pos, byte)
+        elif kind == "delete":
+            del blob[pos : pos + 1]
+        elif kind == "truncate":
+            del blob[pos:]
+    path = tmp_path / "fuzz.pnm"
+    path.write_bytes(bytes(blob))
+    try:
+        load_image(path)
+    except PlainScanError as e:
+        assert e.exit_code == 2, f"{type(e).__name__} ({e}) exits {e.exit_code}, not 2"

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from plainscan import (
+    Model,
+    ModelConfig,
     ScanInputs,
     SsmCore,
     direction_aware_scan_2d,
     generate_continuous_paths,
+    get_config,
     invert_path,
     selective_scan_fused,
     selective_scan_ref,
@@ -20,7 +23,7 @@ from plainscan.errors import NumericalError, ShapeError
 from plainscan.ops import grad_check
 from plainscan.paths import apply_path
 from plainscan.scan import _ssm
-from plainscan.tensor import Tensor
+from plainscan.tensor import Tensor, count_macs, no_grad
 
 
 def _rand_core(rng, d, m, theta_scale=0.0):
@@ -390,6 +393,44 @@ def test_2d_scan_forward_peak_is_bounded_by_state_history():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * history, f"peak {peak / history:.2f}x the state history"
+
+
+def test_ssm_no_grad_forward_peak_is_a_fraction_of_the_state_history():
+    # without a tape the node keeps one rolling state instead of the history
+    rng = np.random.default_rng(13)
+    side, d, m = 14, 96, 16
+    lead = (1, 4, side * side)
+    delta = Tensor(rng.uniform(0.01, 1.5, (*lead, d)))
+    x = Tensor(rng.standard_normal((*lead, d)))
+    bt, c = (Tensor(rng.standard_normal((*lead, m))) for _ in range(2))
+    A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05)
+    history = 8 * 4 * side * side * d * m
+    taped = _ssm(delta, A, bt, x, c).data
+    tracemalloc.start()
+    try:
+        with no_grad():
+            y = _ssm(delta, A, bt, x, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * history, f"peak {peak / history:.2f}x the state history"
+    assert np.array_equal(y.data, taped)
+
+
+@pytest.mark.parametrize("cfg", [
+    get_config("toy"),
+    ModelConfig(depth=3, d_model=16, state_size=4, img_size=64, num_classes=3),
+], ids=["toy", "stacked-3-blocks"])
+def test_no_grad_forward_is_bit_identical_to_the_taped_one(cfg):
+    model = Model(cfg, seed=3)
+    images = np.random.default_rng(4).uniform(-1, 1, (3, cfg.img_size, cfg.img_size, 3))
+    with count_macs() as taped_macs:
+        taped = model.forward(Tensor(images))
+    with no_grad(), count_macs() as free_macs:
+        free = model.forward(Tensor(images))
+    assert np.array_equal(free.data, taped.data)
+    assert free_macs.total == taped_macs.total
+    assert free._parents == () and taped._parents
 
 
 def test_ssm_node_gradients_match_reference_batched():

@@ -4,7 +4,7 @@ against finite differences, and the shape/graph contracts."""
 import numpy as np
 import pytest
 
-from plainscan.errors import ShapeError
+from plainscan.errors import NumericalError, ShapeError
 from plainscan.ops import grad_check
 from plainscan.tensor import (
     MacTally,
@@ -14,6 +14,8 @@ from plainscan.tensor import (
     _sigmoid,
     _softplus,
     count_macs,
+    grad_enabled,
+    no_grad,
 )
 
 
@@ -269,3 +271,63 @@ def test_tally_outside_context_is_static():
 def test_tensor_rejects_tensor_wrapping():
     with pytest.raises(TypeError):
         Tensor(Tensor(np.zeros(2)))
+
+
+@pytest.mark.parametrize("z", [-1.2e-4, -1e-3, -0.1])
+def test_phi_prime_matches_long_double_series(z):
+    # phi'(z) = sum_k (k+1) z^k / (k+2)!, summed in long double
+    zl = np.longdouble(z)
+    term, ref = np.longdouble(1), np.longdouble(0)  # term = z^k / (k+2)!
+    term /= 2
+    for k in range(40):
+        ref += (k + 1) * term
+        term *= zl / (k + 3)
+    got = _phi_prime(np.array([z]))[0]
+    assert abs((np.longdouble(got) - ref) / ref) < 1e-11
+
+
+def test_no_grad_records_no_parents_and_nests():
+    x = Tensor(np.array([0.5, -1.0, 2.0]))
+    assert grad_enabled()
+    with no_grad():
+        assert not grad_enabled()
+        with no_grad():
+            y = (x * 2.0).exp().silu().sum()
+        assert not grad_enabled()  # the inner exit restores the outer mode
+    assert grad_enabled()
+    assert y._parents == () and y._backward is None
+    taped = (x * 2.0).exp().silu().sum()
+    assert y.data == taped.data
+    assert taped._parents and taped._backward is not None
+
+
+def test_no_grad_restores_the_mode_after_an_error():
+    with pytest.raises(NumericalError):
+        with no_grad():
+            raise NumericalError("raised inside the context")
+    assert grad_enabled()
+
+
+def test_backward_releases_intermediates_and_keeps_leaf_grads():
+    x = Tensor(np.array([0.5, -1.0, 2.0]))
+    w = Tensor(np.array([1.5, 2.0, -0.5]))
+    y = x * w
+    z = y.exp()
+    loss = z.sum()
+    loss.backward()
+    for node in (y, z):
+        assert node.grad is None and node._parents == ()
+    assert np.allclose(x.grad, w.data * np.exp(y.data))
+    assert np.allclose(w.grad, x.data * np.exp(y.data))
+    assert loss.grad == 1.0  # the root keeps its seed
+
+
+def test_second_backward_through_a_released_graph_raises():
+    x = Tensor(np.array([0.5, -1.0, 2.0]))
+    y = x.exp()
+    first, second = y.sum(), (y * 3.0).sum()
+    first.backward()
+    with pytest.raises(RuntimeError, match="released"):
+        first.backward()
+    with pytest.raises(RuntimeError, match="released"):
+        second.backward()  # reaches y, which the first sweep released

@@ -4,9 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plainscan import get_config, init_params
-from plainscan.errors import FormatError, ManifestError
+from plainscan.errors import FormatError, ManifestError, PlainScanError
 from plainscan.tensor import Tensor
 from plainscan.weights import MAGIC, VERSION, load_weights, save_weights
 
@@ -174,3 +176,78 @@ def test_overlapping_tensors_are_format_error(tmp_path):
     path.write_bytes(_container(b"a f8 2 0\nb f8 2 8\n", np.zeros(3).tobytes()))
     with pytest.raises(FormatError, match="'a' and 'b' overlap"):
         load_weights(path)
+
+
+@pytest.mark.parametrize("shape", [
+    "0,100000000000000000000",            # empty, but past numpy's extent limit
+    "0," + ",".join(["1"] * 70),          # empty, but past numpy's 64 dimensions
+    "9223372036854775807,0",
+], ids=["huge-extent", "too-many-dims", "too-big"])
+def test_unrepresentable_empty_shape_is_format_error(tmp_path, shape):
+    path = tmp_path / "m.pmwb"
+    path.write_bytes(_container(f"a f8 {shape} 0\n".encode(), b""))
+    with pytest.raises(FormatError, match="cannot have shape"):
+        load_weights(path)
+
+
+# (kind, position, byte) edits; positions wrap around the current length
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["set", "insert", "delete", "truncate"]),
+              st.integers(0, 2**16), st.integers(0, 255)),
+    min_size=1, max_size=3,
+)
+
+
+def _mutate(blob, edits):
+    out = bytearray(blob)
+    for kind, pos, byte in edits:
+        pos %= len(out) + 1
+        if kind == "set" and pos < len(out):
+            out[pos] = byte
+        elif kind == "insert":
+            out.insert(pos, byte)
+        elif kind == "delete":
+            del out[pos : pos + 1]
+        elif kind == "truncate":
+            del out[pos:]
+    return bytes(out)
+
+
+def _loads_or_exits_2(load, path):
+    try:
+        load(path)
+    except PlainScanError as e:
+        assert e.exit_code == 2, f"{type(e).__name__} ({e}) exits {e.exit_code}, not 2"
+
+
+_SMALL = {
+    "w": Tensor(np.arange(6.0).reshape(2, 3)),
+    "b": Tensor(np.float32([0.5, -1.0, 2.0]), dtype=np.float32),
+    "s": Tensor(np.float64(3.0)),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS)
+def test_mutated_weight_file_loads_or_is_format_error(tmp_path, edits):
+    # a small file, so most edits land in the preamble and the manifest
+    path = tmp_path / "small.pmwb"
+    save_weights(_SMALL, path)
+    path.write_bytes(_mutate(path.read_bytes(), edits))
+    _loads_or_exits_2(load_weights, path)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS)
+def test_mutated_model_weight_file_loads_or_exits_2(tmp_path, edits):
+    # against a config: a manifest edit may also be a ManifestError
+    cfg = get_config("toy")
+    path = tmp_path / "toy.pmwb"
+    save_weights(init_params(cfg, seed=0), path)
+    blob = path.read_bytes()
+    header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+    edits = [(kind, pos % header_end, byte) for kind, pos, byte in edits]
+    path.write_bytes(_mutate(blob, edits))
+    _loads_or_exits_2(lambda p: load_weights(p, cfg), path)
