@@ -10,7 +10,7 @@ from .analysis import (
     count_params,
     scaling_curve,
 )
-from .model import Model, ModelConfig, PRESETS, get_config, init_params, model_forward
+from .model import Model, ModelConfig, PRESETS, get_config, init_params
 from .ops import activation, depthwise_conv2d, grad_check, layernorm
 from .paths import (
     Direction,
@@ -59,7 +59,6 @@ __all__ = [
     "init_params",
     "invert_path",
     "layernorm",
-    "model_forward",
     "no_grad",
     "scaling_curve",
     "selective_scan_fused",

@@ -136,15 +136,18 @@ def count_flops_attention(cfg: AttentionBaselineConfig, resolution) -> FlopsRepo
 
 
 def peak_activation_bytes(cfg, resolution, dtype_bytes=8) -> int:
-    """Footprint of the widest live operation for one image.
+    """Footprint of the widest live operation for one image, taped.
 
     For this model that is the 2D scan, costed at twice its state history
-    (``2 * 4 * n * d_inner * m`` values): the fused scan node keeps the
-    ``[K, n, d_inner, m]`` history and otherwise only per-token and
-    per-step arrays.  A traced forward measures the scan's peak at about
-    1.5x the history at ``m = 16`` (14x14 and 16x16 grids), inside
-    this figure; each ``[n, d_inner]`` array adds ``1/m`` of the history,
-    so at small ``m`` the per-token arrays can take the peak past it.
+    (``2 * 4 * n * d_inner * m`` values): the taped scan node keeps the
+    ``[n, K, d_inner, m]`` history and otherwise only per-token and
+    per-step arrays.  A taped forward measures the scan's peak at about
+    1.25x the history at ``m = 16`` (14x14 grid, d_inner 96 and 384),
+    inside this figure; each ``[n, d_inner]`` array adds ``1/m`` of the
+    history, so at small ``m`` the per-token arrays can take the peak past
+    it.  This bounds the taped forward only: under ``no_grad`` the scan
+    keeps no history and peaks at about 0.25x of it at the same shapes
+    (0.10x for the recurrence alone, without the path gathers).
     """
     if isinstance(cfg, AttentionBaselineConfig):
         n = _check_resolution(resolution, cfg.patch)

@@ -301,8 +301,3 @@ class Model:
         logits = ops.linear(pooled, self.params["head.weight"], self.params["head.bias"])
         _require_finite(logits, "head: non-finite logits")
         return logits
-
-
-def model_forward(image: Tensor, model: Model) -> Tensor:
-    """Single image [Hi,Wi,3] -> logits [num_classes]."""
-    return model.forward(image.reshape(1, *image.shape))[0]

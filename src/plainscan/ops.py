@@ -39,12 +39,12 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        gamma._accumulate((g * xhat).sum(axis=lead))
-        beta._accumulate(g.sum(axis=lead))
+        gamma._accumulate((g * xhat).sum(axis=lead), fresh=True)
+        beta._accumulate(g.sum(axis=lead), fresh=True)
         gx = g * gamma.data
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate((gx - m1 - xhat * m2) * inv)
+        x._accumulate((gx - m1 - xhat * m2) * inv, fresh=True)
 
     out._backward = bwd
     return out
@@ -85,8 +85,8 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
                 win = xp[..., di : di + H, dj : dj + W, :]
                 gk[di, dj] = (g * win).sum(axis=lead)
                 gxp[..., di : di + H, dj : dj + W, :] += g * kernel.data[di, dj]
-        kernel._accumulate(gk)
-        x._accumulate(gxp[..., p : p + H, p : p + W, :])
+        kernel._accumulate(gk, fresh=True)
+        x._accumulate(gxp[..., p : p + H, p : p + W, :], fresh=True)
 
     out._backward = bwd
     return out
@@ -126,9 +126,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int = 0
 
     def bwd(g):
         gflat = g.reshape(-1, Cout)
-        w._accumulate((cols.reshape(-1, k * k * Cin).T @ gflat).reshape(w.shape))
+        w._accumulate((cols.reshape(-1, k * k * Cin).T @ gflat).reshape(w.shape), fresh=True)
         if b is not None:
-            b._accumulate(gflat.sum(axis=0))
+            b._accumulate(gflat.sum(axis=0), fresh=True)
         gcols = (gflat @ wmat.T).reshape(B, Ho, Wo, k * k * Cin)
         gxp = np.zeros_like(xp)
         for di in range(k):
@@ -137,7 +137,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int = 0
                     dj : dj + stride * (Wo - 1) + 1 : stride, :] += gcols[
                     ..., (di * k + dj) * Cin : (di * k + dj + 1) * Cin
                 ]
-        x._accumulate(gxp[:, padding : padding + H, padding : padding + W, :] if padding else gxp)
+        if padding:
+            gxp = gxp[:, padding : padding + H, padding : padding + W, :]
+        x._accumulate(gxp, fresh=True)
 
     out._backward = bwd
     return out
@@ -164,7 +166,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def bwd(g):
         probs = np.exp(logp)
         probs[np.arange(B), labels] -= 1.0
-        logits._accumulate(g * probs / B)
+        logits._accumulate(g * probs / B, fresh=True)
 
     out._backward = bwd
     return out

@@ -2,17 +2,20 @@
 
 ``selective_scan_ref`` is the literal per-step recurrence on the tape
 and serves as the oracle.  Every other scan is one graph node, ``_ssm``,
-that folds zero-order-hold discretization into the recurrence: a numpy
-loop forward over ``[..., m, d]`` state buffers (the wide channel axis
-contiguous) that forms ``B_bar x`` as ``expm1(delta A)/A B x``, since
-``phi(z) delta = expm1(z)/A``, and a reverse-time adjoint backward that
-recomputes the discretization per step.  The state history, which only
-that backward reads, is its only ``[..., n, m, d]`` array; under
-``no_grad`` the loop writes one rolling ``[..., m, d]`` state instead.
-``selective_scan_fused`` is the single-sequence case; the 2D variant
-runs four snake-order scans at once, adding a learnable per-direction
-vector to each step's B before discretization (ZOH is linear in B), and
-sums the un-permuted outputs.
+that folds zero-order-hold discretization, the recurrence and the skip
+term together: a numpy loop forward over ``[S, m, d]`` state buffers
+(the wide channel axis contiguous) that forms ``B_bar x`` as
+``expm1(delta A)/A B x``, since ``phi(z) delta = expm1(z)/A``, and a
+reverse-time adjoint backward that recomputes the discretization per
+step.  The state history, which only that backward reads, is its only
+``[n, S, m, d]`` array; under ``no_grad`` the loop writes one rolling
+state instead.  ``selective_scan_fused`` is the node's one-path case.
+``direction_aware_scan_2d`` is the node with the four snake paths: it
+gathers the grid into each path's order as it builds its time-major
+inputs, adds a learnable per-direction vector to each step's B before
+discretization (ZOH is linear in B), and sums the un-permuted outputs
+on the grid.  Every path is a permutation, so the backward pass gathers
+instead of scattering: the adjoint of the gather is the un-permute.
 """
 
 from __future__ import annotations
@@ -119,36 +122,82 @@ def selective_scan_ref(inputs: ScanInputs, core: SsmCore) -> Tensor:
     return Tensor.stack(ys, axis=0)
 
 
-def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
-    """ZOH discretization and the recurrence ``y_i = sum_m C_i h_i`` as one node.
+def _ssm(
+    delta: Tensor,
+    A: Tensor,
+    B: Tensor,
+    x: Tensor,
+    C: Tensor,
+    D: Tensor | None = None,
+    Theta: Tensor | None = None,
+    paths: PathSet | None = None,
+) -> Tensor:
+    """ZOH discretization, the recurrence ``y_i = sum_m C_i h_i`` and the skip.
 
-    ``delta`` and ``x`` are ``[..., n, d]``, ``Bt`` and ``C`` are
-    ``[..., n, m]`` and ``A`` is ``[d, m]``; the output is ``[..., n, d]``.
+    ``A`` is ``[d, m]``.  Without ``paths``, ``delta`` and ``x`` are
+    ``[..., n, d]``, ``B`` and ``C`` are ``[..., n, m]``, and each leading
+    index is one sequence; this is the one-path case, whose order is the
+    identity.  With ``paths`` the inputs are grids ``[..., H, W, k]`` and
+    every leading index runs one sequence per path: sequence k reads the
+    grid in ``paths.paths[k].order``, adds ``Theta[direction]`` to each
+    step's B (ZOH is linear in B), and its outputs go back to the grid by
+    the inverse order, summed over the K paths.  With ``D`` the node adds
+    the skip term, which summed over the paths is ``K D x`` on the grid.
+    The output has the shape of ``delta``.
+
+    The paths are permutations, so the forward gathers each input while it
+    builds its time-major copy, and the backward gathers ``g`` by each order
+    and returns the input gradients to the grid by the inverse orders and a
+    sum over K; no scatter-add.  Theta's gradient is B's, summed per
+    direction label.
+
     Step i computes ``z = delta_i A``, ``h_i = exp(z) h_{i-1} +
-    expm1(z)/A Bt_i x_i`` and ``y_i`` in reused ``[..., m, d]`` buffers, d
-    contiguous.  Taped, ``h_i`` goes into the ``[n, ..., m, d]`` history
-    the backward pass reads; under ``no_grad`` into one rolling state.
-    The backward pass is the reverse-time adjoint ``lam_i = C_i g_i +
-    A_bar_{i+1} lam_{i+1}``; it recomputes ``exp(z)`` and ``expm1(z)`` per
+    expm1(z)/A B_i x_i`` and ``y_i`` in reused ``[S, m, d]`` buffers (S
+    sequences, d contiguous).  Taped, ``h_i`` goes into the ``[n, S, m, d]``
+    history the backward pass reads; under ``no_grad`` into one rolling
+    state.  The backward pass is the reverse-time adjoint ``lam_i = C_i g_i
+    + A_bar_{i+1} lam_{i+1}``; it recomputes ``exp(z)`` and ``expm1(z)`` per
     step, and the A gradient's ``delta^2 phi'(z)`` takes phi's series where
     ``(delta exp(z) - expm1(z)/A)/A`` would cancel.
     """
-    *lead, n, d = delta.shape
-    m = A.shape[1]
-    L = int(np.prod(lead))
+    d, m = A.shape
+    n = delta.shape[-2] if paths is None else paths.height * paths.width
+    K = 1 if paths is None else len(paths.paths)
+    L = delta.size // (n * d)  # sequences per path
+    S = K * L
+    if paths is not None:
+        order = np.stack([p.order for p in paths.paths], axis=1)  # [n, K]
+        labels = np.stack([p.directions for p in paths.paths], axis=1)
+        inverse = paths.inverse_orders
+        # row order[i, k] + n l of an input as [L n, k] is step i of path k in sequence l
+        rows = (order[:, :, None] + n * np.arange(L)).reshape(-1)
 
-    def time_major(t, k):  # [..., n, k] -> [n, L, k]
-        return t.data.reshape(L, n, k).transpose(1, 0, 2)
+    def gather(a, k):  # [..., n, k] -> [n, S, k]: time first, then path, then lead
+        if paths is None:
+            return a.reshape(L, n, k).transpose(1, 0, 2)
+        return np.take(a.reshape(L * n, k), rows, axis=0).reshape(n, S, k)
 
-    ds, xs, bs, cs = (time_major(t, k) for t, k in ((delta, d), (x, d), (Bt, m), (C, m)))
+    def to_grid(a, shape):  # gather's adjoint: un-permute each path, sum over paths
+        if paths is None:
+            return a.transpose(1, 0, 2).reshape(shape)
+        a = a.reshape(n, K, L, a.shape[-1])
+        total = a[inverse[0], 0]
+        for k in range(1, K):
+            total += a[inverse[k], k]
+        return total.transpose(1, 0, 2).reshape(shape)
+
+    ds, xs, bs, cs = (gather(t.data, k) for t, k in ((delta, d), (x, d), (B, m), (C, m)))
+    if Theta is not None:
+        b_paths = bs.reshape(n, K, L, m)  # a view of the gathered copy
+        b_paths += Theta.data[labels][:, :, None, :]
     d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
     a_t = np.ascontiguousarray(A.data.T)  # [m, d]
     inv_a = 1.0 / a_t
     # the backward pass reads every state; without a tape one rolling
     # state is enough, and step i writes hs[i % len(hs)] either way
-    hs = np.empty((n if grad_enabled() else 1, L, m, d))
-    z, u = np.empty((L, m, d)), np.empty((L, m, d))
-    ys = np.empty((n, L, d))
+    hs = np.empty((n if grad_enabled() else 1, S, m, d))
+    z, u = np.empty((S, m, d)), np.empty((S, m, d))
+    ys = np.empty((n, S, d))
     for i in range(n):
         np.multiply(d_row[i], a_t, out=z)
         np.expm1(z, out=u)
@@ -161,31 +210,40 @@ def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
         ys[i] = np.matmul(cs[i][:, None, :], h)[:, 0]
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
-    _record(10 * n * L * m * d)
+    _record(10 * n * S * m * d)
     bad = ~np.isfinite(ys)
     if bad.any():
         step = int(bad.reshape(n, -1).any(axis=1).argmax())
         raise NumericalError(f"non-finite scan value at step {step}")
-    out = Tensor(ys.transpose(1, 0, 2).reshape(delta.shape), (delta, A, Bt, x, C))
+    y = to_grid(ys, delta.shape)
+    parents = (delta, A, B, x, C)
+    if D is not None:
+        # one multiply on the grid, metered as the K per-path skips it sums
+        _record(n * S * d)
+        y += x.data * (K * D.data)
+        parents += (D,)
+    if Theta is not None:
+        parents += (Theta,)
+    out = Tensor(y, parents)
 
     def bwd(g):
-        g = g.reshape(L, n, d).transpose(1, 0, 2)
-        gd, gx, gb = np.empty((n, L, d)), np.empty((n, L, d)), np.empty((n, L, m))
-        ga, lam, w, q, k, a_i, a_next = (np.zeros((L, m, d)) for _ in range(7))
+        gs = gather(g, d)
+        gd, gx, gb = np.empty((n, S, d)), np.empty((n, S, d)), np.empty((n, S, m))
+        ga, lam, w, q, k, a_i, a_next = (np.zeros((S, m, d)) for _ in range(7))
         near0 = (ds * -a_t.max(axis=0)).min(axis=(1, 2)) < 1e-4  # steps with |z| < 1e-4
         for i in range(n - 1, -1, -1):
             lam *= a_next
-            lam += np.multiply(cs[i][:, :, None], g[i][:, None, :], out=w)
+            lam += np.multiply(cs[i][:, :, None], gs[i][:, None, :], out=w)
             np.multiply(d_row[i], a_t, out=z)
             np.exp(z, out=a_i)
-            np.multiply(np.expm1(z, out=q), inv_a, out=q)  # du/d(Bt x)
+            np.multiply(np.expm1(z, out=q), inv_a, out=q)  # du/d(B x)
             np.multiply(q, lam, out=w)
             gx[i] = np.matmul(bs[i][:, None, :], w)[:, 0]
             gb[i] = np.matmul(w, xs[i][:, :, None])[:, :, 0]
-            # du/d delta = exp(z) Bt x and d A_bar/d delta = A exp(z)
+            # du/d delta = exp(z) B x and d A_bar/d delta = A exp(z)
             np.multiply(lam, a_i, out=w)
             gd[i] = xs[i] * np.matmul(bs[i][:, None, :], w)[:, 0]
-            # du/dA = delta^2 phi'(z) Bt x = (delta exp(z) - expm1(z)/A)/A Bt x,
+            # du/dA = delta^2 phi'(z) B x = (delta exp(z) - expm1(z)/A)/A B x,
             # which cancels near z = 0, where phi' takes its series
             np.multiply(d_row[i], a_i, out=k)
             k -= q
@@ -202,30 +260,32 @@ def _ssm(delta: Tensor, A: Tensor, Bt: Tensor, x: Tensor, C: Tensor) -> Tensor:
             k += w
             ga += k
             a_i, a_next = a_next, a_i
-        gc = np.matmul(hs, g[:, :, :, None])[..., 0]
-
-        def back(t, arr):
-            t._accumulate(arr.transpose(1, 0, 2).reshape(t.shape))
-
-        back(delta, gd)
-        A._accumulate(ga.sum(axis=0).T)
-        back(Bt, gb)
-        back(x, gx)
-        back(C, gc)
+        gc = np.matmul(hs, gs[:, :, :, None])[..., 0]
+        gx = to_grid(gx, x.shape)
+        if D is not None:
+            gx += g * (K * D.data)
+            g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x.data.reshape(-1, d))
+            D._accumulate(K * g_d, fresh=True)
+        if Theta is not None:
+            g_theta = np.zeros_like(Theta.data)
+            np.add.at(g_theta, labels, gb.reshape(n, K, L, m).sum(axis=2))
+            Theta._accumulate(g_theta, fresh=True)
+        delta._accumulate(to_grid(gd, delta.shape), fresh=True)
+        A._accumulate(ga.sum(axis=0).T, fresh=True)
+        B._accumulate(to_grid(gb, B.shape), fresh=True)
+        x._accumulate(gx, fresh=True)
+        C._accumulate(to_grid(gc, C.shape), fresh=True)
 
     out._backward = bwd
     return out
 
 
 def selective_scan_fused(inputs: ScanInputs, core: SsmCore) -> Tensor:
-    """Equivalent scan: the fused scan node on one sequence, plus the skip."""
-    n = inputs.length
-    d, m = core.A.shape
+    """Equivalent scan: the scan node's one-path case, skip term included."""
+    d = core.d_inner
     if inputs.x.shape[1] != d:
         raise ShapeError(f"x channels {inputs.x.shape[1]} != core d_inner {d}")
-    y = _ssm(inputs.Delta_seq, core.A, inputs.B_seq, inputs.x, inputs.C_seq)
-    skip = inputs.x * core.D.reshape(1, d).expand(n, d)
-    return y + skip
+    return _ssm(inputs.Delta_seq, core.A, inputs.B_seq, inputs.x, inputs.C_seq, core.D)
 
 
 def direction_aware_scan_2d(
@@ -236,42 +296,27 @@ def direction_aware_scan_2d(
     core: SsmCore,
     paths: PathSet,
 ) -> Tensor:
-    """Four direction-labeled snake scans, summed on the grid.
+    """Four direction-labeled snake scans, summed on the grid, as one node.
 
     Every scan k runs ``h = A_bar h + (B_bar + Theta_bar_k) x`` where
     Theta_bar_k is the step-direction row of the direction table pushed
     through the same ZOH rule as B, so the scan node discretizes
     ``B + Theta_k`` once.  The output is the sum of the four un-permuted
-    scans, so the skip term D*x appears four times.
+    scans, so the skip term is ``4 D x``.  Grids are ``[H, W, k]`` or
+    ``[B, H, W, k]`` with k = d_inner for x and delta and m for B and C.
     """
     d, m = core.A.shape
-    batched = x_grid.data.ndim == 4
-    grids = (x_grid, b_grid, c_grid, delta_grid)
-    if not batched:
-        grids = tuple(g.reshape(1, *g.shape) for g in grids)
-    B, H, W = grids[0].shape[:3]
+    if x_grid.data.ndim not in (3, 4):
+        raise ShapeError(f"grids must be [H,W,C] or [B,H,W,C], got {x_grid.shape}")
+    lead = x_grid.shape[:-1]
+    H, W = lead[-2:]
     if (H, W) != (paths.height, paths.width):
         raise ShapeError(
             f"grid {H}x{W} does not match paths for {paths.height}x{paths.width}"
         )
     if x_grid.shape[-1] != d:
         raise ShapeError(f"grid channels {x_grid.shape[-1]} != core d_inner {d}")
-    n = H * W
-    K = len(paths.paths)
-    # scan position k*n + i reads grid cell order_k[i]; grid cell j of path
-    # k comes back from scan position k*n + inverse_k[j]
-    order = np.concatenate([p.order for p in paths.paths])
-    unscan = np.stack([k * n + inv for k, inv in enumerate(paths.inverse_orders)])
-    xs, bs, cs, ds = (g.reshape(B, n, g.shape[3]).take(order, axis=1) for g in grids)
-    directions = np.concatenate([p.directions for p in paths.paths])
-    thetas = core.Theta.take(directions, axis=0)  # [K*n, m]
-
-    bt = bs + thetas.reshape(1, K * n, m).expand(B, K * n, m)
-    lead = (B, K, n)
-    y_seq = _ssm(
-        ds.reshape(*lead, d), core.A, bt.reshape(*lead, m), xs.reshape(*lead, d),
-        cs.reshape(*lead, m),
-    ).reshape(B, K * n, d)
-    y_seq = y_seq + xs * core.D.reshape(1, 1, d).expand(B, K * n, d)
-    total = y_seq.take(unscan, axis=1).sum(axis=1)  # [B,n,d]
-    return total.reshape(B, H, W, d) if batched else total.reshape(H, W, d)
+    for name, t, k in (("B", b_grid, m), ("C", c_grid, m), ("Delta", delta_grid, d)):
+        if t.shape != (*lead, k):
+            raise ShapeError(f"{name} grid must be {(*lead, k)}, got {t.shape}")
+    return _ssm(delta_grid, core.A, b_grid, x_grid, c_grid, core.D, core.Theta, paths)

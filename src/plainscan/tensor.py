@@ -170,10 +170,23 @@ class Tensor:
         else:
             self._closure, self._parents = None, ()
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def _accumulate(self, g, fresh=False):
+        """Add ``g`` to this node's gradient.
+
+        The first gradient is kept as it is when the op made ``g`` for
+        this call alone (``fresh``) with this node's shape and dtype.
+        Otherwise it is copied: ``__add__`` hands the same ``g`` to both
+        parents, views share the child's buffer, and ``backward()`` hands
+        the caller's seed to the root.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif (fresh and type(g) is np.ndarray and g.shape == self.data.shape
+              and g.dtype == self.data.dtype):
+            self.grad = g
+        else:
+            self.grad = np.empty(self.data.shape, self.data.dtype)
+            self.grad[...] = g
 
     def backward(self, grad=None):
         """Reverse sweep; visits every reachable node exactly once.
@@ -247,7 +260,7 @@ class Tensor:
 
     def __neg__(self):
         out = Tensor(-self.data, (self,))
-        out._backward = lambda g: self._accumulate(-g)
+        out._backward = lambda g: self._accumulate(-g, fresh=True)
         return out
 
     def __sub__(self, other):
@@ -264,8 +277,8 @@ class Tensor:
         def bwd(g):
             ga = g * other.data
             gb = g * self.data
-            self._accumulate(ga if self.size > 1 else ga.sum())
-            other._accumulate(gb if other.size > 1 else gb.sum())
+            self._accumulate(ga if self.size > 1 else ga.sum(), fresh=True)
+            other._accumulate(gb if other.size > 1 else gb.sum(), fresh=True)
 
         out._backward = bwd
         return out
@@ -280,8 +293,8 @@ class Tensor:
         def bwd(g):
             ga = g / other.data
             gb = -g * self.data / (other.data * other.data)
-            self._accumulate(ga if self.size > 1 else ga.sum())
-            other._accumulate(gb if other.size > 1 else gb.sum())
+            self._accumulate(ga if self.size > 1 else ga.sum(), fresh=True)
+            other._accumulate(gb if other.size > 1 else gb.sum(), fresh=True)
 
         out._backward = bwd
         return out
@@ -291,7 +304,7 @@ class Tensor:
             raise TypeError("only scalar exponents")
         _record(self.size)
         out = Tensor(self.data**p, (self,))
-        out._backward = lambda g: self._accumulate(g * p * self.data ** (p - 1))
+        out._backward = lambda g: self._accumulate(g * p * self.data ** (p - 1), fresh=True)
         return out
 
     def __matmul__(self, other):
@@ -311,8 +324,8 @@ class Tensor:
         out = Tensor(self.data @ other.data, (self, other))
 
         def bwd(g):
-            self._accumulate(g @ other.data.T)
-            other._accumulate(self.data.T @ g)
+            self._accumulate(g @ other.data.T, fresh=True)
+            other._accumulate(self.data.T @ g, fresh=True)
 
         out._backward = bwd
         return out
@@ -322,40 +335,42 @@ class Tensor:
     def exp(self):
         _record(self.size)
         out = Tensor(np.exp(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * out.data)
+        out._backward = lambda g: self._accumulate(g * out.data, fresh=True)
         return out
 
     def log(self):
         _record(self.size)
         out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g / self.data)
+        out._backward = lambda g: self._accumulate(g / self.data, fresh=True)
         return out
 
     def sigmoid(self):
         _record(self.size)
         s = _sigmoid(self.data)
         out = Tensor(s, (self,))
-        out._backward = lambda g: self._accumulate(g * s * (1.0 - s))
+        out._backward = lambda g: self._accumulate(g * s * (1.0 - s), fresh=True)
         return out
 
     def silu(self):
         _record(2 * self.size)
         s = _sigmoid(self.data)
         out = Tensor(self.data * s, (self,))
-        out._backward = lambda g: self._accumulate(g * s * (1.0 + self.data * (1.0 - s)))
+        out._backward = lambda g: self._accumulate(
+            g * s * (1.0 + self.data * (1.0 - s)), fresh=True
+        )
         return out
 
     def softplus(self):
         _record(self.size)
         out = Tensor(_softplus(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * _sigmoid(self.data))
+        out._backward = lambda g: self._accumulate(g * _sigmoid(self.data), fresh=True)
         return out
 
     def zoh_phi(self):
         """expm1(z)/z, the factor turning Delta*B into B_bar under ZOH."""
         _record(self.size)
         out = Tensor(_phi(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * _phi_prime(self.data))
+        out._backward = lambda g: self._accumulate(g * _phi_prime(self.data), fresh=True)
         return out
 
     # -- shape manipulation (zero-cost) -------------------------------
@@ -394,7 +409,10 @@ class Tensor:
         out = Tensor(data, (self,))
 
         def bwd(g):
-            self._accumulate(g.sum(axis=axes).reshape(old) if axes else g)
+            if axes:
+                self._accumulate(g.sum(axis=axes).reshape(old), fresh=True)
+            else:
+                self._accumulate(g)
 
         out._backward = bwd
         return out
@@ -405,7 +423,7 @@ class Tensor:
         def bwd(g):
             full = np.zeros_like(self.data)
             full[idx] += g
-            self._accumulate(full)
+            self._accumulate(full, fresh=True)
 
         out._backward = bwd
         return out
@@ -422,7 +440,7 @@ class Tensor:
             full = np.zeros_like(self.data)
             moved = np.moveaxis(full, axis, 0)
             np.add.at(moved, indices, np.moveaxis(g, index_axes, range(indices.ndim)))
-            self._accumulate(full)
+            self._accumulate(full, fresh=True)
 
         out._backward = bwd
         return out
@@ -434,12 +452,9 @@ class Tensor:
         shape = self.shape
 
         def bwd(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, shape).copy())
+            self._accumulate(np.broadcast_to(g, shape))
 
         out._backward = bwd
         return out
@@ -460,7 +475,7 @@ class Tensor:
 
         def bwd(g):
             for i, t in enumerate(tensors):
-                t._accumulate(np.take(g, i, axis=axis))
+                t._accumulate(np.take(g, i, axis=axis), fresh=True)
 
         out._backward = bwd
         return out

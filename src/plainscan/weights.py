@@ -89,7 +89,8 @@ def load_weights(path, config: ModelConfig | None = None) -> dict:
         header = blob[_PREAMBLE : _PREAMBLE + header_len].decode()
     except UnicodeDecodeError as e:
         raise FormatError(f"manifest is not UTF-8: {e}") from None
-    payload = blob[_PREAMBLE + header_len :]
+    # a view, so the file's bytes are copied once: into each tensor
+    payload = memoryview(blob)[_PREAMBLE + header_len :]
     params, spans = {}, []
     for name, dtype, shape, offset in _parse_manifest(header):
         count = math.prod(shape)

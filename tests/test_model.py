@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plainscan import Model, get_config, init_params, model_forward
+from plainscan import Model, get_config, init_params
 from plainscan.errors import ConfigError, ManifestError, NumericalError
 from plainscan.model import (
     ModelConfig,
@@ -102,8 +102,9 @@ def test_forward_shapes_and_determinism():
     out2 = Model(cfg, seed=0).forward(Tensor(imgs)).data
     assert out1.shape == (2, 2)
     assert np.array_equal(out1, out2)  # bit-exact across fresh builds
-    single = model_forward(Tensor(imgs[0]), model)
-    assert np.abs(single.data - out1[0]).max() < 1e-12
+    single = model.forward(Tensor(imgs[:1])).data
+    assert single.shape == (1, 2)
+    assert np.abs(single[0] - out1[0]).max() < 1e-12
 
 
 def test_variable_resolution_resamples_pos_embed():

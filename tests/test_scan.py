@@ -346,7 +346,8 @@ def _graph_size(out):
 
 
 def test_2d_scan_graph_size_is_independent_of_length():
-    # the recurrence is one node, so the tape does not grow with the grid
+    # the whole 2D scan is one node, so the tape does not grow with the grid:
+    # the node and its seven leaves (x, B, C, Delta, A, D, Theta)
     rng = np.random.default_rng(11)
     sizes = []
     for side in (4, 8):
@@ -355,6 +356,63 @@ def test_2d_scan_graph_size_is_independent_of_length():
         out = direction_aware_scan_2d(x, b, c, delta, core, generate_continuous_paths(side, side))
         sizes.append(_graph_size(out))
     assert sizes[0] == sizes[1]
+    assert sizes[0] <= 8, f"{sizes[0]} nodes"
+
+
+def _per_path_reference(x, b, c, delta, core, ps):
+    """Four ``selective_scan_ref`` runs over ``B + Theta[direction]``, un-permuted
+    and summed on the tape; batched grids run one image at a time."""
+    if x.data.ndim == 4:
+        return Tensor.stack([
+            _per_path_reference(x[i], b[i], c[i], delta[i], core, ps)
+            for i in range(x.shape[0])
+        ])
+    total = None
+    for p, inv in zip(ps.paths, ps.inverse_orders):
+        inp = ScanInputs(
+            x=apply_path(x, p),
+            B_seq=apply_path(b, p) + core.Theta.take(p.directions, axis=0),
+            C_seq=apply_path(c, p),
+            Delta_seq=apply_path(delta, p),
+        )
+        back = invert_path(selective_scan_ref(inp, core), p, inv)
+        total = back if total is None else total + back
+    return total
+
+
+@pytest.mark.parametrize("lead", [(2, 3, 5), (5, 3)], ids=["batched-3x5", "unbatched-5x3"])
+def test_2d_scan_node_output_and_all_gradients_match_per_path_reference(lead):
+    rng = np.random.default_rng(16)
+    d, m = 3, 4
+    core = _rand_core(rng, d, m, theta_scale=0.4)
+    x, b, c = (Tensor(rng.standard_normal((*lead, k))) for k in (d, m, m))
+    delta = Tensor(rng.uniform(0.01, 1.5, (*lead, d)))
+    weight = Tensor(rng.standard_normal((*lead, d)))
+    ps = generate_continuous_paths(*lead[-2:])
+    leaves = [x, b, c, delta, core.A, core.D, core.Theta]
+    outs, grads = [], []
+    for scan in (direction_aware_scan_2d, _per_path_reference):
+        for t in leaves:
+            t.grad = None
+        y = scan(x, b, c, delta, core, ps)
+        (y * weight).sum().backward()
+        outs.append(y.data)
+        grads.append([t.grad for t in leaves])
+    for got, ref in zip([outs[0], *grads[0]], [outs[1], *grads[1]]):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_2d_scan_meters_the_recurrence_and_one_skip_per_path():
+    rng = np.random.default_rng(17)
+    Bn, H, W, d, m, K = 2, 3, 5, 3, 4, 4
+    core = _rand_core(rng, d, m, theta_scale=0.3)
+    x, b, c = (Tensor(rng.standard_normal((Bn, H, W, k))) for k in (d, m, m))
+    delta = Tensor(rng.uniform(0.01, 1.5, (Bn, H, W, d)))
+    with count_macs() as tally:
+        direction_aware_scan_2d(x, b, c, delta, core, generate_continuous_paths(H, W))
+    n = H * W
+    assert tally.total == 10 * Bn * K * n * d * m + Bn * K * n * d
 
 
 def test_2d_scan_shape_checks():

@@ -331,3 +331,38 @@ def test_second_backward_through_a_released_graph_raises():
         first.backward()
     with pytest.raises(RuntimeError, match="released"):
         second.backward()  # reaches y, which the first sweep released
+
+
+def test_first_gradient_is_not_shared_between_the_parents_of_an_add():
+    # __add__ hands the same g to both parents; each must get its own copy
+    a, b = Tensor(np.array([1.0, 2.0, 3.0])), Tensor(np.array([-1.0, 0.5, 4.0]))
+    seed = np.array([0.25, -2.0, 1.5])
+    (a + b).backward(seed)
+    a.grad += 10.0
+    assert np.array_equal(b.grad, [0.25, -2.0, 1.5])
+    assert np.array_equal(seed, [0.25, -2.0, 1.5])
+
+
+@pytest.mark.parametrize("op, expected", [
+    (lambda a: a * a, lambda x: 2.0 * x),
+    (lambda a: a + a, lambda x: np.full_like(x, 2.0)),
+], ids=["a*a", "a+a"])
+def test_leaf_used_twice_gets_the_summed_gradient(op, expected):
+    a = Tensor(np.array([1.5, -2.0, 0.5]))
+    out = op(a)
+    out.backward(np.ones(3))
+    assert np.array_equal(a.grad, expected(a.data))
+    assert np.array_equal(out.grad, np.ones(3))  # the root's grad was not added to
+
+
+def test_root_gradient_does_not_alias_the_callers_seed():
+    for make in (lambda a: a.exp(), lambda a: a.reshape(3, 1), lambda a: a + a):
+        a = Tensor(np.array([0.5, -1.0, 2.0]))
+        out = make(a)
+        seed = np.ones(out.shape)
+        out.backward(seed)
+        assert not np.shares_memory(out.grad, seed)
+        assert not np.shares_memory(a.grad, seed)
+        out.grad += 1.0
+        a.grad += 1.0
+        assert np.array_equal(seed, np.ones(out.shape))

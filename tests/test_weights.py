@@ -1,6 +1,7 @@
 """PMWB weight container: round trips, manifest diffs, corruption."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,3 +252,22 @@ def test_mutated_model_weight_file_loads_or_exits_2(tmp_path, edits):
     edits = [(kind, pos % header_end, byte) for kind, pos, byte in edits]
     path.write_bytes(_mutate(blob, edits))
     _loads_or_exits_2(lambda p: load_weights(p, cfg), path)
+
+
+def test_load_peak_is_under_two_and_a_half_file_sizes(tmp_path):
+    # the file's bytes plus one copy per tensor; slicing the payload out of
+    # the bytes would add a third copy of the file
+    rng = np.random.default_rng(0)
+    params = {f"w{i}": Tensor(rng.standard_normal(128 * 1024)) for i in range(5)}
+    path = tmp_path / "big.pmwb"
+    save_weights(params, path)
+    size = path.stat().st_size
+    assert size >= 4 * 2**20
+    tracemalloc.start()
+    try:
+        loaded = load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size, f"peak {peak / size:.2f}x the file size"
+    assert all(np.array_equal(loaded[k].data, params[k].data) for k in params)
