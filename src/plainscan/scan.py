@@ -129,16 +129,15 @@ def _ssm(
     x: Tensor,
     C: Tensor,
     D: Tensor | None = None,
-    Theta: Tensor | None = None,
-    paths: PathSet | None = None,
+    grid: tuple[PathSet, Tensor] | None = None,
 ) -> Tensor:
     """ZOH discretization, the recurrence ``y_i = sum_m C_i h_i`` and the skip.
 
-    ``A`` is ``[d, m]``.  Without ``paths``, ``delta`` and ``x`` are
+    ``A`` is ``[d, m]``.  Without ``grid``, ``delta`` and ``x`` are
     ``[..., n, d]``, ``B`` and ``C`` are ``[..., n, m]``, and each leading
     index is one sequence; this is the one-path case, whose order is the
-    identity.  With ``paths`` the inputs are grids ``[..., H, W, k]`` and
-    every leading index runs one sequence per path: sequence k reads the
+    identity.  With ``grid = (paths, Theta)`` the inputs are grids
+    ``[..., H, W, k]`` and every leading index runs one sequence per path: sequence k reads the
     grid in ``paths.paths[k].order``, adds ``Theta[direction]`` to each
     step's B (ZOH is linear in B), and its outputs go back to the grid by
     the inverse order, summed over the K paths.  With ``D`` the node adds
@@ -161,6 +160,7 @@ def _ssm(
     ``(delta exp(z) - expm1(z)/A)/A`` would cancel.
     """
     d, m = A.shape
+    paths, Theta = grid if grid is not None else (None, None)
     n = delta.shape[-2] if paths is None else paths.height * paths.width
     K = 1 if paths is None else len(paths.paths)
     L = delta.size // (n * d)  # sequences per path
@@ -187,7 +187,7 @@ def _ssm(
         return total.transpose(1, 0, 2).reshape(shape)
 
     ds, xs, bs, cs = (gather(t.data, k) for t, k in ((delta, d), (x, d), (B, m), (C, m)))
-    if Theta is not None:
+    if paths is not None:
         b_paths = bs.reshape(n, K, L, m)  # a view of the gathered copy
         b_paths += Theta.data[labels][:, :, None, :]
     d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
@@ -222,7 +222,7 @@ def _ssm(
         _record(n * S * d)
         y += x.data * (K * D.data)
         parents += (D,)
-    if Theta is not None:
+    if paths is not None:
         parents += (Theta,)
     out = Tensor(y, parents)
 
@@ -266,7 +266,7 @@ def _ssm(
             gx += g * (K * D.data)
             g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x.data.reshape(-1, d))
             D._accumulate(K * g_d, fresh=True)
-        if Theta is not None:
+        if paths is not None:
             g_theta = np.zeros_like(Theta.data)
             np.add.at(g_theta, labels, gb.reshape(n, K, L, m).sum(axis=2))
             Theta._accumulate(g_theta, fresh=True)
@@ -319,4 +319,4 @@ def direction_aware_scan_2d(
     for name, t, k in (("B", b_grid, m), ("C", c_grid, m), ("Delta", delta_grid, d)):
         if t.shape != (*lead, k):
             raise ShapeError(f"{name} grid must be {(*lead, k)}, got {t.shape}")
-    return _ssm(delta_grid, core.A, b_grid, x_grid, c_grid, core.D, core.Theta, paths)
+    return _ssm(delta_grid, core.A, b_grid, x_grid, c_grid, core.D, (paths, core.Theta))

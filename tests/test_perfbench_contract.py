@@ -23,19 +23,13 @@ SEED = 301
 MACS = {"toy-train": 99_103_104, "l1-infer": 1_082_789_568, "scan-long": 10_551_296}
 
 
-def test_every_traced_callable_resolves():
-    for owner, attr, name in spans._targets():
-        assert attr in owner.__dict__, f"{owner.__name__}.{attr} (span {name}) is gone"
-        assert callable(owner.__dict__[attr])
-
-
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_runs_traced_and_passes_its_checks(name, tmp_path):
     wl = workloads.WORKLOADS[name](SEED, tmp_path)
     wl.warm_up()
     assert wl.reference_macs == MACS[name]
     tracer = spans.Tracer()
-    tracer.install()
+    tracer.install()  # fails on any traced callable that is gone
     tracer.begin_op()
     try:
         out, macs = wl.run()

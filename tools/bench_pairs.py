@@ -10,9 +10,10 @@ many pairs the change won.  With ``--trace-seed`` it adds one traced run
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs 10 --first-seed 301 --out BENCH.json
 
-Both checkouts must hold ``perfbench/run.py`` and ``BENCHMARK.json``; the
-workloads, the window and the better direction of each metric come from
-the change's ``BENCHMARK.json``.
+Both checkouts must hold ``perfbench/run.py`` and ``BENCHMARK.json``.
+Every workload runs, and the run length and the better direction of each
+metric come from the change's ``BENCHMARK.json``, so both sides always run
+what the benchmark sets.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ def parse_args(argv=None):
     p.add_argument("--change", type=Path, required=True, help="checkout of the change")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=301)
-    p.add_argument("--workloads", help="comma-separated; default: all in BENCHMARK.json")
-    p.add_argument("--seconds", type=float, help="default: run_seconds in BENCHMARK.json")
     p.add_argument("--trace-seed", type=int, help="also run one traced pair with this seed")
     p.add_argument("--out", type=Path, required=True)
     return p.parse_args(argv)
@@ -91,9 +90,8 @@ def bench_workload(args, workload, seconds, better):
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in spec["workloads"]])
+    seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S "
