@@ -147,7 +147,7 @@ def peak_activation_bytes(cfg, resolution, dtype_bytes=8) -> int:
     history, so at small ``m`` the per-token arrays can take the peak past
     it.  This bounds the taped forward only: under ``no_grad`` the scan
     keeps no history and peaks at about 0.25x of it at the same shapes
-    (0.10x for the recurrence alone, without the path gathers).
+    (0.16x for the one-path node, which gathers nothing).
     """
     if isinstance(cfg, AttentionBaselineConfig):
         n = _check_resolution(resolution, cfg.patch)

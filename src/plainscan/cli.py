@@ -93,6 +93,8 @@ def cmd_curve(args):
 
 
 def cmd_infer(args):
+    if args.top_k < 1:
+        raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
     cfg = get_config(args.config)
     params = load_weights(args.weights, cfg)
     model = Model(cfg, params)

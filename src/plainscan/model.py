@@ -44,6 +44,8 @@ class ModelConfig:
             raise ConfigError(f"conv_k must be odd, got {self.conv_k}")
         if self.stem not in ("stacked", "single"):
             raise ConfigError(f"unknown stem kind {self.stem!r}")
+        if self.dtype not in ("float64", "float32"):
+            raise ConfigError(f"unknown dtype {self.dtype!r} (want 'float64' or 'float32')")
         if self.stem == "stacked" and self.patch != 16:
             raise ConfigError("the stacked stem downsamples by 16; use stem='single'")
         if self.img_size % self.patch:
@@ -160,19 +162,24 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
 
 def check_params(cfg: ModelConfig, params: dict) -> None:
-    """Raise a ManifestError naming the first tensor that disagrees."""
-    spec = param_spec(cfg)
-    names = {n for n, _ in spec}
-    for name, shape in spec:
-        if name not in params:
-            raise ManifestError(f"missing tensor {name!r} (expected shape {shape})")
-        if tuple(params[name].shape) != shape:
-            raise ManifestError(
-                f"tensor {name!r} has shape {tuple(params[name].shape)}, expected {shape}"
-            )
-    extra = sorted(set(params) - names)
-    if extra:
-        raise ManifestError(f"unexpected tensor {extra[0]!r} in weights")
+    """Raise a ManifestError listing the missing, extra and misshapen tensors."""
+    spec = dict(param_spec(cfg))
+    missing = sorted(set(spec) - set(params))
+    extra = sorted(set(params) - set(spec))
+    wrong = sorted(
+        f"{n}: given {tuple(params[n].shape)}, expected {spec[n]}"
+        for n in set(spec) & set(params)
+        if tuple(params[n].shape) != spec[n]
+    )
+    parts = [
+        f"{label}: {sep.join(names[:5])}"
+        for label, sep, names in (
+            ("missing", ", ", missing), ("extra", ", ", extra), ("shape conflicts", "; ", wrong)
+        )
+        if names
+    ]
+    if parts:
+        raise ManifestError("parameters do not match the config — " + " | ".join(parts))
 
 
 def bilinear_resample_matrix(src_hw, dst_hw):

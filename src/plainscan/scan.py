@@ -128,7 +128,7 @@ def _ssm(
     B: Tensor,
     x: Tensor,
     C: Tensor,
-    D: Tensor | None = None,
+    D: Tensor,
     grid: tuple[PathSet, Tensor] | None = None,
 ) -> Tensor:
     """ZOH discretization, the recurrence ``y_i = sum_m C_i h_i`` and the skip.
@@ -140,9 +140,9 @@ def _ssm(
     ``[..., H, W, k]`` and every leading index runs one sequence per path: sequence k reads the
     grid in ``paths.paths[k].order``, adds ``Theta[direction]`` to each
     step's B (ZOH is linear in B), and its outputs go back to the grid by
-    the inverse order, summed over the K paths.  With ``D`` the node adds
-    the skip term, which summed over the paths is ``K D x`` on the grid.
-    The output has the shape of ``delta``.
+    the inverse order, summed over the K paths.  The node adds the skip
+    term ``D x`` per path, which summed over the paths is ``K D x`` on the
+    grid.  The output has the shape of ``delta``.
 
     The paths are permutations, so the forward gathers each input while it
     builds its time-major copy, and the backward gathers ``g`` by each order
@@ -216,12 +216,10 @@ def _ssm(
         step = int(bad.reshape(n, -1).any(axis=1).argmax())
         raise NumericalError(f"non-finite scan value at step {step}")
     y = to_grid(ys, delta.shape)
-    parents = (delta, A, B, x, C)
-    if D is not None:
-        # one multiply on the grid, metered as the K per-path skips it sums
-        _record(n * S * d)
-        y += x.data * (K * D.data)
-        parents += (D,)
+    # one multiply on the grid, metered as the K per-path skips it sums
+    _record(n * S * d)
+    y += x.data * (K * D.data)
+    parents = (delta, A, B, x, C, D)
     if paths is not None:
         parents += (Theta,)
     out = Tensor(y, parents)
@@ -262,10 +260,9 @@ def _ssm(
             a_i, a_next = a_next, a_i
         gc = np.matmul(hs, gs[:, :, :, None])[..., 0]
         gx = to_grid(gx, x.shape)
-        if D is not None:
-            gx += g * (K * D.data)
-            g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x.data.reshape(-1, d))
-            D._accumulate(K * g_d, fresh=True)
+        gx += g * (K * D.data)
+        g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x.data.reshape(-1, d))
+        D._accumulate(K * g_d, fresh=True)
         if paths is not None:
             g_theta = np.zeros_like(Theta.data)
             np.add.at(g_theta, labels, gb.reshape(n, K, L, m).sum(axis=2))

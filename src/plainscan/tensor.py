@@ -1,12 +1,12 @@
 """Dense ndarray values with a reverse-mode gradient tape.
 
 Values are numpy arrays (float64 by default) and each operation records
-a backward closure, micrograd style.  There is no implicit broadcasting:
-binary ops demand identical shapes (python scalars are the one
-convenience) and anything else goes through an explicit ``expand``,
-which gives a read-only broadcast view rather than a copy.  Shape
-violations raise :class:`~plainscan.errors.ShapeError` naming both
-operands.
+a backward closure, micrograd style.  The op set is the one the package
+calls, plus ``sigmoid``.  There is no implicit broadcasting and no
+scalar operand: ``+`` and ``*`` take another Tensor of the same shape,
+and anything else goes through an explicit ``expand``, which gives a
+read-only broadcast view rather than a copy.  Shape violations raise
+:class:`~plainscan.errors.ShapeError` naming both operands.
 
 The tape keeps only what a later ``backward()`` reads.  Inside
 :func:`no_grad` operations record neither parents nor closures, so each
@@ -227,89 +227,47 @@ class Tensor:
             if node is not self:
                 node.grad = None
 
-    # -- helpers -------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Tensor):
-            if other.shape != self.shape and other.size != 1 and self.size != 1:
-                raise ShapeError(
-                    f"elementwise op needs matching shapes, got {self.shape} vs {other.shape}"
-                )
-            return other
-        arr = np.asarray(other, dtype=self.dtype)
-        if arr.ndim != 0:
-            raise ShapeError(
-                "only python scalars auto-wrap; use expand() for broadcasting"
-            )
-        return Tensor(arr)
-
     # -- arithmetic ----------------------------------------------------
 
+    def _same_shape(self, other):
+        """The one shape rule: ``+`` and ``*`` take a Tensor of this shape."""
+        if not isinstance(other, Tensor):
+            raise ShapeError(
+                f"elementwise op needs a Tensor, got {type(other).__name__}; "
+                "wrap it and use expand() for broadcasting"
+            )
+        if other.shape != self.shape:
+            raise ShapeError(
+                f"elementwise op needs matching shapes, got {self.shape} vs {other.shape}"
+            )
+        return other
+
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._same_shape(other)
         out = Tensor(self.data + other.data, (self, other))
 
         def bwd(g):
-            self._accumulate(g if self.size > 1 else g.sum())
-            other._accumulate(g if other.size > 1 else g.sum())
+            self._accumulate(g)
+            other._accumulate(g)
 
         out._backward = bwd
         return out
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = Tensor(-self.data, (self,))
-        out._backward = lambda g: self._accumulate(-g, fresh=True)
-        return out
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        _record(max(self.size, other.size))
+        other = self._same_shape(other)
+        _record(self.size)
         out = Tensor(self.data * other.data, (self, other))
 
         def bwd(g):
-            ga = g * other.data
-            gb = g * self.data
-            self._accumulate(ga if self.size > 1 else ga.sum(), fresh=True)
-            other._accumulate(gb if other.size > 1 else gb.sum(), fresh=True)
+            self._accumulate(g * other.data, fresh=True)
+            other._accumulate(g * self.data, fresh=True)
 
         out._backward = bwd
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        _record(max(self.size, other.size))
-        out = Tensor(self.data / other.data, (self, other))
-
-        def bwd(g):
-            ga = g / other.data
-            gb = -g * self.data / (other.data * other.data)
-            self._accumulate(ga if self.size > 1 else ga.sum(), fresh=True)
-            other._accumulate(gb if other.size > 1 else gb.sum(), fresh=True)
-
-        out._backward = bwd
-        return out
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents")
-        _record(self.size)
-        out = Tensor(self.data**p, (self,))
-        out._backward = lambda g: self._accumulate(g * p * self.data ** (p - 1), fresh=True)
         return out
 
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other, dtype=self.dtype))
+            raise ShapeError(f"matmul needs a Tensor, got {type(other).__name__}")
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ShapeError(
                 f"matmul expects 2-D operands, got {self.shape} and {other.shape}"
@@ -336,12 +294,6 @@ class Tensor:
         _record(self.size)
         out = Tensor(np.exp(self.data), (self,))
         out._backward = lambda g: self._accumulate(g * out.data, fresh=True)
-        return out
-
-    def log(self):
-        _record(self.size)
-        out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g / self.data, fresh=True)
         return out
 
     def sigmoid(self):
@@ -381,16 +333,6 @@ class Tensor:
         old = self.shape
         out = Tensor(self.data.reshape(shape), (self,))
         out._backward = lambda g: self._accumulate(g.reshape(old))
-        return out
-
-    def transpose(self, *axes):
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inv = np.argsort(axes)
-        out = Tensor(np.ascontiguousarray(self.data.transpose(axes)), (self,))
-        out._backward = lambda g: self._accumulate(g.transpose(inv))
         return out
 
     def expand(self, *shape):
@@ -460,8 +402,20 @@ class Tensor:
         return out
 
     def mean(self, axis=None, keepdims=False):
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        """The sum times 1/n in one node, metered as one MAC per output."""
+        scale = 1.0 / (self.size if axis is None else self.shape[axis])
+        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims) * scale, (self,))
+        _record(out.size)
+        shape = self.shape
+
+        def bwd(g):
+            g = g * scale
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, shape))
+
+        out._backward = bwd
+        return out
 
     # -- constructors --------------------------------------------------
 

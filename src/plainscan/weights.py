@@ -11,8 +11,8 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ManifestError
-from .model import ModelConfig, param_spec
+from .errors import FormatError
+from .model import ModelConfig, check_params
 from .tensor import Tensor
 
 MAGIC = b"PMWB"
@@ -115,25 +115,6 @@ def load_weights(path, config: ModelConfig | None = None) -> dict:
                 f"tensors {first!r} and {second!r} overlap: both read payload byte {start}"
             )
     if config is not None:
-        _diff_against(config, params)
+        check_params(config, params)
     return params
 
-
-def _diff_against(config: ModelConfig, params: dict) -> None:
-    spec = dict(param_spec(config))
-    missing = sorted(set(spec) - set(params))
-    extra = sorted(set(params) - set(spec))
-    wrong = sorted(
-        f"{n}: file {tuple(params[n].shape)} vs model {spec[n]}"
-        for n in set(spec) & set(params)
-        if tuple(params[n].shape) != spec[n]
-    )
-    if missing or extra or wrong:
-        parts = []
-        if missing:
-            parts.append("missing: " + ", ".join(missing[:5]))
-        if extra:
-            parts.append("extra: " + ", ".join(extra[:5]))
-        if wrong:
-            parts.append("shape conflicts: " + "; ".join(wrong[:5]))
-        raise ManifestError("weight file does not match config — " + " | ".join(parts))

@@ -99,6 +99,17 @@ def test_infer_command(capsys, tmp_path):
     assert out.startswith("1. class ") and "logit" in out
 
 
+
+@pytest.mark.parametrize("k", ["0", "-1", "-2"])
+def test_infer_rejects_top_k_below_1(capsys, tmp_path, k):
+    weights, image = _toy_fixture(tmp_path)
+    code = main(["infer", "--config", "toy", "--weights", str(weights),
+                 "--image", str(image), "--top-k", k])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--top-k" in captured.err and captured.out == ""
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as e:
         main(["params"])  # --config is required

@@ -35,6 +35,10 @@ def test_config_validation():
         ModelConfig(depth=1, d_model=64, patch=8)  # stacked stem fixes patch=16
     with pytest.raises(ConfigError, match="stem"):
         ModelConfig(depth=1, d_model=64, stem="resnet")
+    for bad in ("banana", "float16", "f8"):
+        with pytest.raises(ConfigError, match="dtype"):
+            ModelConfig(depth=1, d_model=64, dtype=bad)
+    assert ModelConfig(depth=1, d_model=64, dtype="float32").np_dtype == np.float32
 
 
 def test_get_config_overrides():

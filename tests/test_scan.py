@@ -462,12 +462,13 @@ def test_ssm_no_grad_forward_peak_is_a_fraction_of_the_state_history():
     x = Tensor(rng.standard_normal((*lead, d)))
     bt, c = (Tensor(rng.standard_normal((*lead, m))) for _ in range(2))
     A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05)
+    D = Tensor(np.zeros(d))
     history = 8 * 4 * side * side * d * m
-    taped = _ssm(delta, A, bt, x, c).data
+    taped = _ssm(delta, A, bt, x, c, D).data
     tracemalloc.start()
     try:
         with no_grad():
-            y = _ssm(delta, A, bt, x, c)
+            y = _ssm(delta, A, bt, x, c, D)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,13 +503,13 @@ def test_ssm_node_gradients_match_reference_batched():
     c = Tensor(rng.standard_normal((Bn, K, n, m)))
     weight = rng.standard_normal((Bn, K, n, d))
     leaves = [delta, A, bt, x, c]
+    core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(np.zeros((5, m))))
 
-    (_ssm(delta, A, bt, x, c) * Tensor(weight)).sum().backward()
+    (_ssm(delta, A, bt, x, c, core.D) * Tensor(weight)).sum().backward()
     fused = [t.grad for t in leaves]
 
     for t in leaves:
         t.grad = None
-    core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(np.zeros((5, m))))
     total = None
     for i in range(Bn):
         for k in range(K):
@@ -542,7 +543,7 @@ def test_ssm_matches_reference_at_small_z(d, m, mixed):
     core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(np.zeros((5, m))))
     outs, grads = [], []
     for run in (
-        lambda: _ssm(delta, A, bt, x, c),
+        lambda: _ssm(delta, A, bt, x, c, core.D),
         lambda: selective_scan_ref(ScanInputs(x=x, B_seq=bt, C_seq=c, Delta_seq=delta), core),
     ):
         for t in leaves:

@@ -41,20 +41,17 @@ def test_matmul_shape_errors_name_operands():
 
 
 def test_elementwise_requires_matching_shapes():
+    t = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
-        Tensor(np.zeros((2, 3))) + Tensor(np.zeros((3, 2)))
+        t + Tensor(np.zeros((3, 2)))
+    with pytest.raises(ShapeError):
+        t * Tensor(np.ones(1))  # a one-element Tensor does not broadcast either
     with pytest.raises(ShapeError, match="expand"):
-        Tensor(np.zeros((2, 3))) * np.zeros(3)  # arrays do not auto-broadcast
-    # python scalars are the one convenience
-    out = Tensor(np.ones((2, 3))) * 2.0 + 1
-    assert np.all(out.data == 3.0)
-
-
-def test_scalar_convenience_gradient():
-    x = Tensor(np.array([1.0, 2.0]))
-    y = (x * 3.0 + 1.0).sum()
-    y.backward()
-    assert np.allclose(x.grad, [3.0, 3.0])
+        t * np.zeros(3)  # arrays do not auto-broadcast
+    with pytest.raises(ShapeError, match="expand"):
+        t + 2.0  # nor do python scalars
+    with pytest.raises(TypeError):
+        2.0 * t  # there are no reflected ops
 
 
 def test_pointwise_values():
@@ -138,7 +135,7 @@ def test_reused_node_in_chain():
 def test_backward_requires_scalar_without_seed():
     t = Tensor(np.zeros((2, 2)))
     with pytest.raises(ShapeError, match="scalar"):
-        (t * 1.0).backward()
+        (t + t).backward()
 
 
 def test_deep_graph_does_not_hit_recursion_limit():
@@ -197,8 +194,8 @@ def test_stack_requires_identical_shapes():
 
 def test_reshape_transpose_roundtrip_gradients():
     x = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    y = (x.transpose(2, 0, 1).reshape(4, 6) * 2.0).sum()
-    y.backward()
+    y = x.reshape(4, 6).reshape(3, 8)
+    (y + y).sum().backward()
     assert np.all(x.grad == 2.0)
 
 
@@ -214,11 +211,11 @@ def test_mean_and_sum_axes():
     "fn",
     [
         lambda a, b: (a * b).sum(),
-        lambda a, b: (a / (b * b + 1.0)).sum(),
-        lambda a, b: (a - b).sum(),
-        lambda a, b: (a**3).sum() + b.sum(),
+        lambda a, b: (a.mean(axis=0) * b.mean(axis=0)).sum(),
+        lambda a, b: (a[1:] * b[:-1]).sum(),
+        lambda a, b: (a * a * a).sum() + b.sum(),
         lambda a, b: a.exp().sum() + b.sigmoid().sum(),
-        lambda a, b: (a * a + 1.5).log().sum() + b.silu().sum(),
+        lambda a, b: (a * a).mean().exp() + b.silu().sum(),
         lambda a, b: a.softplus().sum() + b.zoh_phi().sum(),
     ],
 )
@@ -235,7 +232,7 @@ def test_grad_check_matmul_and_moves():
     b = Tensor(rng.standard_normal((4, 2)), name="b")
 
     def f(a, b):
-        return ((a @ b).transpose().reshape(3, 2).take(np.array([0, 2]), axis=0)).sum()
+        return ((a @ b).reshape(2, 3).take(np.array([0, 2]), axis=1)).sum()
 
     assert grad_check(f, [a, b]) < 1e-3
 
@@ -251,7 +248,8 @@ def test_mac_counting_conventions():
         a * a          # one MAC per element
         a.silu()       # two per element
         a.reshape(12)  # moves are free
-    assert tally.total == 12 + 24
+        a.mean(axis=1)  # one per output, for the scaling
+    assert tally.total == 12 + 24 + 3
     # nested tallies both observe inner work
     with count_macs() as outer:
         with count_macs() as inner:
@@ -292,11 +290,11 @@ def test_no_grad_records_no_parents_and_nests():
     with no_grad():
         assert not grad_enabled()
         with no_grad():
-            y = (x * 2.0).exp().silu().sum()
+            y = (x + x).exp().silu().sum()
         assert not grad_enabled()  # the inner exit restores the outer mode
     assert grad_enabled()
     assert y._parents == () and y._backward is None
-    taped = (x * 2.0).exp().silu().sum()
+    taped = (x + x).exp().silu().sum()
     assert y.data == taped.data
     assert taped._parents and taped._backward is not None
 
@@ -325,7 +323,7 @@ def test_backward_releases_intermediates_and_keeps_leaf_grads():
 def test_second_backward_through_a_released_graph_raises():
     x = Tensor(np.array([0.5, -1.0, 2.0]))
     y = x.exp()
-    first, second = y.sum(), (y * 3.0).sum()
+    first, second = y.sum(), (y * y).sum()
     first.backward()
     with pytest.raises(RuntimeError, match="released"):
         first.backward()

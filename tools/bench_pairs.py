@@ -36,7 +36,10 @@ def parse_args(argv=None):
     p.add_argument("--first-seed", type=int, default=301)
     p.add_argument("--trace-seed", type=int, help="also run one traced pair with this seed")
     p.add_argument("--out", type=Path, required=True)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.pairs < 2:  # the quartiles of each side need two runs
+        p.error(f"--pairs must be at least 2, got {args.pairs}")
+    return args
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
