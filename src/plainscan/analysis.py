@@ -70,6 +70,8 @@ def count_params(cfg: ModelConfig):
 
 def _check_resolution(resolution, patch):
     h, w = resolution
+    if h <= 0 or w <= 0:
+        raise ConfigError(f"resolution {h}x{w} must be positive")
     if h % patch or w % patch:
         raise ConfigError(
             f"resolution {h}x{w} must be a multiple of the downsample factor {patch}"

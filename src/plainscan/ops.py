@@ -50,8 +50,22 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     return out
 
 
+def _depthwise_same(x, kernel):
+    """'Same' per-channel correlation of [B,H,W,C] with [k,k,C]; returns (out, windows)."""
+    p = (kernel.shape[0] - 1) // 2
+    xp = np.pad(x, [(0, 0), (p, p), (p, p), (0, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(xp, kernel.shape[:2], axis=(1, 2))
+    return np.einsum("bhwcij,ijc->bhwc", win, kernel), win
+
+
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel 2-D 'same' correlation; accepts [H,W,C] or [B,H,W,C]."""
+    """Per-channel 2-D 'same' correlation; accepts [H,W,C] or [B,H,W,C].
+
+    One einsum over a strided view of the zero-padded k x k windows. For odd
+    k the adjoint of a 'same' correlation is the same correlation with the
+    kernel flipped, so the input gradient is the forward applied to ``g``;
+    the kernel gradient is one einsum of ``g`` against the same windows.
+    """
     if kernel.data.ndim != 3 or kernel.shape[0] != kernel.shape[1]:
         raise ShapeError(f"depthwise kernel must be [k,k,C], got {kernel.shape}")
     k = kernel.shape[0]
@@ -61,32 +75,18 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     if not batched and x.data.ndim != 3:
         raise ShapeError(f"depthwise_conv2d input must be [H,W,C] or [B,H,W,C], got {x.shape}")
     if x.shape[-1] != kernel.shape[-1]:
-        raise ShapeError(
-            f"channel mismatch: input {x.shape} vs kernel {kernel.shape}"
-        )
-    H, W, C = x.shape[-3:]
-    p = (k - 1) // 2
-    pad = [(0, 0)] * (x.data.ndim - 3) + [(p, p), (p, p), (0, 0)]
-    xp = np.pad(x.data, pad)
-    out_data = np.zeros_like(x.data)
-    for di in range(k):
-        for dj in range(k):
-            out_data += xp[..., di : di + H, dj : dj + W, :] * kernel.data[di, dj]
-    nb = x.shape[0] if batched else 1
+        raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
+    xb = x.data if batched else x.data[None]
+    out_data, win = _depthwise_same(xb, kernel.data)
+    nb, H, W, C = xb.shape
     _record(nb * H * W * k * k * C)
-    out = Tensor(out_data, (x, kernel))
+    out = Tensor(out_data if batched else out_data[0], (x, kernel))
 
     def bwd(g):
-        gxp = np.zeros_like(xp)
-        gk = np.zeros_like(kernel.data)
-        lead = tuple(range(g.ndim - 1))
-        for di in range(k):
-            for dj in range(k):
-                win = xp[..., di : di + H, dj : dj + W, :]
-                gk[di, dj] = (g * win).sum(axis=lead)
-                gxp[..., di : di + H, dj : dj + W, :] += g * kernel.data[di, dj]
-        kernel._accumulate(gk, fresh=True)
-        x._accumulate(gxp[..., p : p + H, p : p + W, :], fresh=True)
+        gb = g if batched else g[None]
+        kernel._accumulate(np.einsum("bhwc,bhwcij->ijc", gb, win), fresh=True)
+        gx = _depthwise_same(gb, kernel.data[::-1, ::-1])[0]
+        x._accumulate(gx if batched else gx[0], fresh=True)
 
     out._backward = bwd
     return out

@@ -35,6 +35,8 @@ def toy_train(
     Deterministic given the seed; aborts with the step index if the loss
     goes non-finite.
     """
+    if steps < 0:
+        raise ConfigError(f"toy_train needs a step count >= 0, got {steps}")
     if batch_size > 16:
         raise ConfigError(f"toy_train is capped at batch size 16, got {batch_size}")
     model = Model(cfg, seed=seed)

@@ -123,6 +123,21 @@ def test_config_error_exits_1(capsys):
     # resolution not divisible by the downsample factor
     assert main(["flops", "--config", "L1", "--resolution", "100", "100"]) == 1
     assert "error:" in capsys.readouterr().err
+    # a negative step count, before any training runs
+    assert main(["toy-train", "--steps", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "step count" in captured.err and "accuracy" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["flops", "--config", "L1", "--resolution", "0", "0"],
+    ["flops", "--attention-baseline", "--resolution", "-16", "-16"],
+    ["curve", "--resolutions", "224,-16"],
+])
+def test_non_positive_resolution_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "must be positive" in captured.err and captured.out == ""
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

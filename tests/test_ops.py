@@ -5,7 +5,7 @@ import pytest
 
 from plainscan import ops
 from plainscan.errors import ConfigError, ShapeError
-from plainscan.tensor import Tensor
+from plainscan.tensor import Tensor, count_macs
 
 
 def test_activation_dispatch():
@@ -81,6 +81,51 @@ def test_depthwise_conv_batched_equals_stacked_singles():
         [ops.depthwise_conv2d(Tensor(x[i]), Tensor(k)).data for i in range(2)]
     )
     assert np.abs(batched - singles).max() < 1e-12
+
+
+def _depthwise_adjoint_oracle(x, k, w):
+    """Loop-written gradients of sum(w * conv(x, k)) with respect to x and k."""
+    H, W, C = x.shape
+    ks = k.shape[0]
+    p = (ks - 1) // 2
+    gx, gk = np.zeros_like(x), np.zeros_like(k)
+    for i in range(H):
+        for j in range(W):
+            for di in range(ks):
+                for dj in range(ks):
+                    si, sj = i + di - p, j + dj - p
+                    if 0 <= si < H and 0 <= sj < W:
+                        gx[si, sj] += w[i, j] * k[di, dj]
+                        gk[di, dj] += w[i, j] * x[si, sj]
+    return gx, gk
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("shape,ks", [((2, 4, 4, 3), 7), ((6, 5, 3), 3), ((6, 5, 3), 5)])
+def test_depthwise_conv_exact_output_and_gradients(shape, ks):
+    # k=7 on a 4x4 grid: the kernel is wider than the grid, as in toy-train
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((ks, ks, shape[-1]))
+    w = rng.standard_normal(shape)  # a random weighting of the output, not .sum()
+    xt, kt = Tensor(x), Tensor(k)
+    with count_macs() as fwd:
+        out = ops.depthwise_conv2d(xt, kt)
+    with count_macs() as bwd:
+        out.backward(w)
+    xs, ws = (x, w) if x.ndim == 4 else (x[None], w[None])
+    B, H, W, C = xs.shape
+    assert fwd.total == B * H * W * ks * ks * C and bwd.total == 0
+    want_out = np.stack([_depthwise_oracle(xb, k) for xb in xs]).reshape(shape)
+    grads = [_depthwise_adjoint_oracle(xb, k, wb) for xb, wb in zip(xs, ws)]
+    want_gx = np.stack([gx for gx, _ in grads]).reshape(shape)
+    want_gk = sum(gk for _, gk in grads)
+    assert _rel_err(out.data, want_out) < 1e-12
+    assert _rel_err(xt.grad, want_gx) < 1e-12
+    assert _rel_err(kt.grad, want_gk) < 1e-12
 
 
 def test_depthwise_conv_validation():

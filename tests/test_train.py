@@ -58,6 +58,13 @@ def test_toy_train_batch_cap():
         toy_train(get_config("toy"), make_stripes(n=4), steps=1, lr=0.1, batch_size=64)
 
 
+def test_toy_train_rejects_negative_steps():
+    with pytest.raises(ConfigError, match="-1"):
+        toy_train(get_config("toy"), make_stripes(n=4), steps=-1, lr=0.1, batch_size=4)
+    _, curve, _ = toy_train(get_config("toy"), make_stripes(n=4), steps=0, lr=0.1, batch_size=4)
+    assert curve == []
+
+
 def test_divergence_is_reported_with_step():
     cfg = get_config("toy")
     ds = make_stripes(n=32, seed=0)
