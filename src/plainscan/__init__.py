@@ -25,7 +25,6 @@ from .scan import (
     ScanInputs,
     SsmCore,
     direction_aware_scan_2d,
-    selective_scan_fused,
     selective_scan_ref,
     zoh_discretize,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "layernorm",
     "no_grad",
     "scaling_curve",
-    "selective_scan_fused",
     "selective_scan_ref",
     "zoh_discretize",
 ]

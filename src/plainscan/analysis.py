@@ -148,8 +148,8 @@ def peak_activation_bytes(cfg, resolution, dtype_bytes=8) -> int:
     inside this figure; each ``[n, d_inner]`` array adds ``1/m`` of the
     history, so at small ``m`` the per-token arrays can take the peak past
     it.  This bounds the taped forward only: under ``no_grad`` the scan
-    keeps no history and peaks at about 0.25x of it at the same shapes
-    (0.16x for the one-path node, which gathers nothing).
+    keeps no history and peaks at about 0.275x of it (taped: 1.270x) at
+    14x14, d_inner 96, m 16, most of it the gathered copies of its inputs.
     """
     if isinstance(cfg, AttentionBaselineConfig):
         n = _check_resolution(resolution, cfg.patch)

@@ -81,7 +81,10 @@ def cmd_flops(args):
 
 
 def cmd_curve(args):
-    sides = [int(s) for s in args.resolutions.split(",") if s]
+    try:
+        sides = [int(s) for s in args.resolutions.split(",") if s]
+    except ValueError as e:  # int() names the entry it could not read
+        raise ConfigError(f"--resolutions takes comma-separated integers: {e}") from None
     if not sides:
         raise ConfigError("no resolutions given")
     configs = [get_config(c) for c in args.configs.split(",") if c]

@@ -92,7 +92,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Tensor:
     """Dense strided conv, input [B,H,W,Cin], weight [k,k,Cin,Cout]."""
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be [B,H,W,C], got {x.shape}")
@@ -117,18 +117,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int = 0
             cols[..., (di * k + dj) * Cin : (di * k + dj + 1) * Cin] = sl
     wmat = w.data.reshape(k * k * Cin, Cout)
     out_data = cols.reshape(-1, k * k * Cin) @ wmat
-    out_data = out_data.reshape(B, Ho, Wo, Cout)
-    if b is not None:
-        out_data = out_data + b.data
+    out_data = out_data.reshape(B, Ho, Wo, Cout) + b.data
     _record(B * Ho * Wo * k * k * Cin * Cout)
-    parents = (x, w) if b is None else (x, w, b)
-    out = Tensor(out_data, parents)
+    out = Tensor(out_data, (x, w, b))
 
     def bwd(g):
         gflat = g.reshape(-1, Cout)
         w._accumulate((cols.reshape(-1, k * k * Cin).T @ gflat).reshape(w.shape), fresh=True)
-        if b is not None:
-            b._accumulate(gflat.sum(axis=0), fresh=True)
+        b._accumulate(gflat.sum(axis=0), fresh=True)
         gcols = (gflat @ wmat.T).reshape(B, Ho, Wo, k * k * Cin)
         gxp = np.zeros_like(xp)
         for di in range(k):

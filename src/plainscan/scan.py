@@ -1,21 +1,21 @@
 """Input-dependent state-space recurrences.
 
 ``selective_scan_ref`` is the literal per-step recurrence on the tape
-and serves as the oracle.  Every other scan is one graph node, ``_ssm``,
-that folds zero-order-hold discretization, the recurrence and the skip
-term together: a numpy loop forward over ``[S, m, d]`` state buffers
-(the wide channel axis contiguous) that forms ``B_bar x`` as
-``expm1(delta A)/A B x``, since ``phi(z) delta = expm1(z)/A``, and a
-reverse-time adjoint backward that recomputes the discretization per
-step.  The state history, which only that backward reads, is its only
-``[n, S, m, d]`` array; under ``no_grad`` the loop writes one rolling
-state instead.  ``selective_scan_fused`` is the node's one-path case.
-``direction_aware_scan_2d`` is the node with the four snake paths: it
-gathers the grid into each path's order as it builds its time-major
-inputs, adds a learnable per-direction vector to each step's B before
-discretization (ZOH is linear in B), and sums the un-permuted outputs
-on the grid.  Every path is a permutation, so the backward pass gathers
-instead of scattering: the adjoint of the gather is the un-permute.
+and serves as the oracle.  ``direction_aware_scan_2d`` is the model's
+scan: one graph node that folds zero-order-hold discretization, the
+recurrence and the skip term together over the four snake paths of a
+grid.  It gathers the grid into each path's order as it builds its
+time-major inputs and adds a learnable per-direction vector to each
+step's B before discretization (ZOH is linear in B).  Its forward is a
+numpy loop over ``[S, m, d]`` state buffers (the wide channel axis
+contiguous) that forms ``B_bar x`` as ``expm1(delta A)/A B x``, since
+``phi(z) delta = expm1(z)/A``, and it sums the un-permuted outputs on
+the grid.  Its backward is a reverse-time adjoint that recomputes the
+discretization per step.  The state history, which only that backward
+reads, is its only ``[n, S, m, d]`` array; under ``no_grad`` the loop
+writes one rolling state instead.  Every path is a permutation, so the
+backward pass gathers instead of scattering: the adjoint of the gather
+is the un-permute.
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ class SsmCore:
             raise ShapeError(f"Theta must be [5, {m}], got {self.Theta.shape}")
         if not (self.A.data < 0).all():
             raise NumericalError("state matrix A must be strictly negative")
-
-    @property
-    def d_inner(self):
-        return self.A.shape[0]
-
-    @property
-    def state_size(self):
-        return self.A.shape[1]
 
 
 @dataclass
@@ -122,27 +114,24 @@ def selective_scan_ref(inputs: ScanInputs, core: SsmCore) -> Tensor:
     return Tensor.stack(ys, axis=0)
 
 
-def _ssm(
-    delta: Tensor,
-    A: Tensor,
-    B: Tensor,
-    x: Tensor,
-    C: Tensor,
-    D: Tensor,
-    grid: tuple[PathSet, Tensor] | None = None,
+def direction_aware_scan_2d(
+    x_grid: Tensor,
+    b_grid: Tensor,
+    c_grid: Tensor,
+    delta_grid: Tensor,
+    core: SsmCore,
+    paths: PathSet,
 ) -> Tensor:
-    """ZOH discretization, the recurrence ``y_i = sum_m C_i h_i`` and the skip.
+    """Four direction-labeled snake scans, summed on the grid, as one node.
 
-    ``A`` is ``[d, m]``.  Without ``grid``, ``delta`` and ``x`` are
-    ``[..., n, d]``, ``B`` and ``C`` are ``[..., n, m]``, and each leading
-    index is one sequence; this is the one-path case, whose order is the
-    identity.  With ``grid = (paths, Theta)`` the inputs are grids
-    ``[..., H, W, k]`` and every leading index runs one sequence per path: sequence k reads the
-    grid in ``paths.paths[k].order``, adds ``Theta[direction]`` to each
-    step's B (ZOH is linear in B), and its outputs go back to the grid by
-    the inverse order, summed over the K paths.  The node adds the skip
-    term ``D x`` per path, which summed over the paths is ``K D x`` on the
-    grid.  The output has the shape of ``delta``.
+    Grids are ``[H, W, k]`` or ``[B, H, W, k]`` with k = d_inner for x and
+    delta and m for B and C.  Every image runs one sequence per path:
+    sequence k reads the grid in ``paths.paths[k].order`` and runs
+    ``h = A_bar h + (B_bar + Theta_bar_k) x``, where Theta_bar_k is the
+    step-direction row of the direction table pushed through the same ZOH
+    rule as B, so the node discretizes ``B + Theta[direction]`` once.  Its
+    outputs go back to the grid by the inverse order, summed over the K = 4
+    paths, and the per-path skip ``D x`` sums to ``K D x`` on the grid.
 
     The paths are permutations, so the forward gathers each input while it
     builds its time-major copy, and the backward gathers ``g`` by each order
@@ -151,45 +140,55 @@ def _ssm(
     direction label.
 
     Step i computes ``z = delta_i A``, ``h_i = exp(z) h_{i-1} +
-    expm1(z)/A B_i x_i`` and ``y_i`` in reused ``[S, m, d]`` buffers (S
-    sequences, d contiguous).  Taped, ``h_i`` goes into the ``[n, S, m, d]``
-    history the backward pass reads; under ``no_grad`` into one rolling
-    state.  The backward pass is the reverse-time adjoint ``lam_i = C_i g_i
-    + A_bar_{i+1} lam_{i+1}``; it recomputes ``exp(z)`` and ``expm1(z)`` per
-    step, and the A gradient's ``delta^2 phi'(z)`` takes phi's series where
+    expm1(z)/A B_i x_i`` and ``y_i = sum_m C_i h_i`` in reused
+    ``[S, m, d]`` buffers (S sequences, d contiguous).  Taped, ``h_i`` goes
+    into the ``[n, S, m, d]`` history the backward pass reads; under
+    ``no_grad`` into one rolling state.  The backward pass is the
+    reverse-time adjoint ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``; it
+    recomputes ``exp(z)`` and ``expm1(z)`` per step, and the A gradient's
+    ``delta^2 phi'(z)`` takes phi's series where
     ``(delta exp(z) - expm1(z)/A)/A`` would cancel.
     """
+    A, D, Theta = core.A, core.D, core.Theta
     d, m = A.shape
-    paths, Theta = grid if grid is not None else (None, None)
-    n = delta.shape[-2] if paths is None else paths.height * paths.width
-    K = 1 if paths is None else len(paths.paths)
-    L = delta.size // (n * d)  # sequences per path
+    if x_grid.data.ndim not in (3, 4):
+        raise ShapeError(f"grids must be [H,W,C] or [B,H,W,C], got {x_grid.shape}")
+    lead = x_grid.shape[:-1]
+    H, W = lead[-2:]
+    if (H, W) != (paths.height, paths.width):
+        raise ShapeError(
+            f"grid {H}x{W} does not match paths for {paths.height}x{paths.width}"
+        )
+    if x_grid.shape[-1] != d:
+        raise ShapeError(f"grid channels {x_grid.shape[-1]} != core d_inner {d}")
+    for name, t, k in (("B", b_grid, m), ("C", c_grid, m), ("Delta", delta_grid, d)):
+        if t.shape != (*lead, k):
+            raise ShapeError(f"{name} grid must be {(*lead, k)}, got {t.shape}")
+    n = H * W
+    K = len(paths.paths)
+    L = x_grid.size // (n * d)  # images
     S = K * L
-    if paths is not None:
-        order = np.stack([p.order for p in paths.paths], axis=1)  # [n, K]
-        labels = np.stack([p.directions for p in paths.paths], axis=1)
-        inverse = paths.inverse_orders
-        # row order[i, k] + n l of an input as [L n, k] is step i of path k in sequence l
-        rows = (order[:, :, None] + n * np.arange(L)).reshape(-1)
+    order = np.stack([p.order for p in paths.paths], axis=1)  # [n, K]
+    labels = np.stack([p.directions for p in paths.paths], axis=1)
+    inverse = paths.inverse_orders
+    # row order[i, k] + n l of an input as [L n, k] is step i of path k in image l
+    rows = (order[:, :, None] + n * np.arange(L)).reshape(-1)
 
-    def gather(a, k):  # [..., n, k] -> [n, S, k]: time first, then path, then lead
-        if paths is None:
-            return a.reshape(L, n, k).transpose(1, 0, 2)
+    def gather(a, k):  # [..., H, W, k] -> [n, S, k]: time first, then path, then image
         return np.take(a.reshape(L * n, k), rows, axis=0).reshape(n, S, k)
 
     def to_grid(a, shape):  # gather's adjoint: un-permute each path, sum over paths
-        if paths is None:
-            return a.transpose(1, 0, 2).reshape(shape)
         a = a.reshape(n, K, L, a.shape[-1])
         total = a[inverse[0], 0]
         for k in range(1, K):
             total += a[inverse[k], k]
         return total.transpose(1, 0, 2).reshape(shape)
 
-    ds, xs, bs, cs = (gather(t.data, k) for t, k in ((delta, d), (x, d), (B, m), (C, m)))
-    if paths is not None:
-        b_paths = bs.reshape(n, K, L, m)  # a view of the gathered copy
-        b_paths += Theta.data[labels][:, :, None, :]
+    ds, xs, bs, cs = (
+        gather(t.data, k) for t, k in ((delta_grid, d), (x_grid, d), (b_grid, m), (c_grid, m))
+    )
+    b_paths = bs.reshape(n, K, L, m)  # a view of the gathered copy
+    b_paths += Theta.data[labels][:, :, None, :]
     d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
     a_t = np.ascontiguousarray(A.data.T)  # [m, d]
     inv_a = 1.0 / a_t
@@ -215,14 +214,11 @@ def _ssm(
     if bad.any():
         step = int(bad.reshape(n, -1).any(axis=1).argmax())
         raise NumericalError(f"non-finite scan value at step {step}")
-    y = to_grid(ys, delta.shape)
+    y = to_grid(ys, delta_grid.shape)
     # one multiply on the grid, metered as the K per-path skips it sums
     _record(n * S * d)
-    y += x.data * (K * D.data)
-    parents = (delta, A, B, x, C, D)
-    if paths is not None:
-        parents += (Theta,)
-    out = Tensor(y, parents)
+    y += x_grid.data * (K * D.data)
+    out = Tensor(y, (delta_grid, A, b_grid, x_grid, c_grid, D, Theta))
 
     def bwd(g):
         gs = gather(g, d)
@@ -259,61 +255,18 @@ def _ssm(
             ga += k
             a_i, a_next = a_next, a_i
         gc = np.matmul(hs, gs[:, :, :, None])[..., 0]
-        gx = to_grid(gx, x.shape)
+        gx = to_grid(gx, x_grid.shape)
         gx += g * (K * D.data)
-        g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x.data.reshape(-1, d))
+        g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x_grid.data.reshape(-1, d))
         D._accumulate(K * g_d, fresh=True)
-        if paths is not None:
-            g_theta = np.zeros_like(Theta.data)
-            np.add.at(g_theta, labels, gb.reshape(n, K, L, m).sum(axis=2))
-            Theta._accumulate(g_theta, fresh=True)
-        delta._accumulate(to_grid(gd, delta.shape), fresh=True)
+        g_theta = np.zeros_like(Theta.data)
+        np.add.at(g_theta, labels, gb.reshape(n, K, L, m).sum(axis=2))
+        Theta._accumulate(g_theta, fresh=True)
+        delta_grid._accumulate(to_grid(gd, delta_grid.shape), fresh=True)
         A._accumulate(ga.sum(axis=0).T, fresh=True)
-        B._accumulate(to_grid(gb, B.shape), fresh=True)
-        x._accumulate(gx, fresh=True)
-        C._accumulate(to_grid(gc, C.shape), fresh=True)
+        b_grid._accumulate(to_grid(gb, b_grid.shape), fresh=True)
+        x_grid._accumulate(gx, fresh=True)
+        c_grid._accumulate(to_grid(gc, c_grid.shape), fresh=True)
 
     out._backward = bwd
     return out
-
-
-def selective_scan_fused(inputs: ScanInputs, core: SsmCore) -> Tensor:
-    """Equivalent scan: the scan node's one-path case, skip term included."""
-    d = core.d_inner
-    if inputs.x.shape[1] != d:
-        raise ShapeError(f"x channels {inputs.x.shape[1]} != core d_inner {d}")
-    return _ssm(inputs.Delta_seq, core.A, inputs.B_seq, inputs.x, inputs.C_seq, core.D)
-
-
-def direction_aware_scan_2d(
-    x_grid: Tensor,
-    b_grid: Tensor,
-    c_grid: Tensor,
-    delta_grid: Tensor,
-    core: SsmCore,
-    paths: PathSet,
-) -> Tensor:
-    """Four direction-labeled snake scans, summed on the grid, as one node.
-
-    Every scan k runs ``h = A_bar h + (B_bar + Theta_bar_k) x`` where
-    Theta_bar_k is the step-direction row of the direction table pushed
-    through the same ZOH rule as B, so the scan node discretizes
-    ``B + Theta_k`` once.  The output is the sum of the four un-permuted
-    scans, so the skip term is ``4 D x``.  Grids are ``[H, W, k]`` or
-    ``[B, H, W, k]`` with k = d_inner for x and delta and m for B and C.
-    """
-    d, m = core.A.shape
-    if x_grid.data.ndim not in (3, 4):
-        raise ShapeError(f"grids must be [H,W,C] or [B,H,W,C], got {x_grid.shape}")
-    lead = x_grid.shape[:-1]
-    H, W = lead[-2:]
-    if (H, W) != (paths.height, paths.width):
-        raise ShapeError(
-            f"grid {H}x{W} does not match paths for {paths.height}x{paths.width}"
-        )
-    if x_grid.shape[-1] != d:
-        raise ShapeError(f"grid channels {x_grid.shape[-1]} != core d_inner {d}")
-    for name, t, k in (("B", b_grid, m), ("C", c_grid, m), ("Delta", delta_grid, d)):
-        if t.shape != (*lead, k):
-            raise ShapeError(f"{name} grid must be {(*lead, k)}, got {t.shape}")
-    return _ssm(delta_grid, core.A, b_grid, x_grid, c_grid, core.D, (paths, core.Theta))

@@ -37,6 +37,8 @@ def toy_train(
     """
     if steps < 0:
         raise ConfigError(f"toy_train needs a step count >= 0, got {steps}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ConfigError(f"toy_train needs a finite learning rate > 0, got {lr}")
     if batch_size > 16:
         raise ConfigError(f"toy_train is capped at batch size 16, got {batch_size}")
     model = Model(cfg, seed=seed)

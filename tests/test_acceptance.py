@@ -137,43 +137,40 @@ def test_criterion_6_numerical_core(verdict):
         and abs(bb.data[0, 0] - (1 - np.exp(-1.0)) * 1.5) < 1e-10,
         "general scalar case",
     )
-    # fused vs reference over 200 random instances
+    # the 2D scan node vs four reference scans over 200 random instances
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(200):
-        n, d, m = int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        H, W, d, m = (int(v) for v in rng.integers(1, [4, 4, 5, 5]))
         core = ps.SsmCore(
             A=Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05),
             D=Tensor(rng.standard_normal(d)),
-            Theta=Tensor(np.zeros((5, m))),
+            Theta=Tensor(0.4 * rng.standard_normal((5, m))),
         )
-        inp = ps.ScanInputs(
-            x=Tensor(rng.standard_normal((n, d))),
-            B_seq=Tensor(rng.standard_normal((n, m))),
-            C_seq=Tensor(rng.standard_normal((n, m))),
-            Delta_seq=Tensor(rng.uniform(0.01, 1.5, (n, d))),
-        )
+        xg, bg, cg = (Tensor(rng.standard_normal((H, W, k))) for k in (d, m, m))
+        dg = Tensor(rng.uniform(0.01, 1.5, (H, W, d)))
+        pset = ps.generate_continuous_paths(H, W)
         diff = np.abs(
-            ps.selective_scan_ref(inp, core).data - ps.selective_scan_fused(inp, core).data
+            _four_reference_scans(xg, bg, cg, dg, core, pset)
+            - ps.direction_aware_scan_2d(xg, bg, cg, dg, core, pset).data
         ).max()
         worst = max(worst, diff)
-    verdict(worst < 1e-10, f"fused-vs-ref max deviation {worst:.2e}")
+    verdict(worst < 1e-10, f"2D-node-vs-ref max deviation {worst:.2e}")
     # linearity in x at fixed parameters
-    n, d, m = 10, 3, 4
+    H, W, d, m = 2, 5, 3, 4
+    pset = ps.generate_continuous_paths(H, W)
     core = ps.SsmCore(
         A=Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05),
         D=Tensor(rng.standard_normal(d)),
-        Theta=Tensor(np.zeros((5, m))),
+        Theta=Tensor(0.3 * rng.standard_normal((5, m))),
     )
-    b = Tensor(rng.standard_normal((n, m)))
-    c = Tensor(rng.standard_normal((n, m)))
-    delta = Tensor(rng.uniform(0.05, 1.0, (n, d)))
-    x1, x2 = rng.standard_normal((2, n, d))
+    bg = Tensor(rng.standard_normal((H, W, m)))
+    cg = Tensor(rng.standard_normal((H, W, m)))
+    dg = Tensor(rng.uniform(0.05, 1.0, (H, W, d)))
+    x1, x2 = rng.standard_normal((2, H, W, d))
 
     def run(x):
-        return ps.selective_scan_fused(
-            ps.ScanInputs(x=Tensor(x), B_seq=b, C_seq=c, Delta_seq=delta), core
-        ).data
+        return ps.direction_aware_scan_2d(Tensor(x), bg, cg, dg, core, pset).data
 
     lin = np.abs(run(x1 + 3.0 * x2) - run(x1) - 3.0 * run(x2)).max()
     verdict(lin < 1e-10, f"linearity deviation {lin:.2e}")
@@ -198,17 +195,23 @@ def test_criterion_6_numerical_core(verdict):
     bg = Tensor(rng.standard_normal((H, W, m)))
     cg = Tensor(rng.standard_normal((H, W, m)))
     out = ps.direction_aware_scan_2d(xg, bg, cg, dg, core3, pset)
-    total = np.zeros((H, W, d))
+    total = _four_reference_scans(xg, bg, cg, dg, core3, pset)
+    dev = np.abs(out.data - total).max()
+    verdict(dev < 1e-10, f"Theta==0 composition deviation {dev:.2e}")
+
+
+def _four_reference_scans(xg, bg, cg, dg, core, pset):
+    """Sum on the grid of one ``selective_scan_ref`` per path over ``B + Theta[direction]``."""
+    total = np.zeros(xg.shape)
     for p, inv in zip(pset.paths, pset.inverse_orders):
         inp = ps.ScanInputs(
             x=Tensor(ps.apply_path(xg.data, p)),
-            B_seq=Tensor(ps.apply_path(bg.data, p)),
+            B_seq=Tensor(ps.apply_path(bg.data, p) + core.Theta.data[p.directions]),
             C_seq=Tensor(ps.apply_path(cg.data, p)),
             Delta_seq=Tensor(ps.apply_path(dg.data, p)),
         )
-        total += ps.invert_path(ps.selective_scan_fused(inp, core3).data, p, inv)
-    dev = np.abs(out.data - total).max()
-    verdict(dev < 1e-10, f"Theta==0 composition deviation {dev:.2e}")
+        total += ps.invert_path(ps.selective_scan_ref(inp, core).data, p, inv)
+    return total
 
 
 def _sum_of_squares(t):

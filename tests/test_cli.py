@@ -140,6 +140,20 @@ def test_non_positive_resolution_exits_1(capsys, argv):
     assert "must be positive" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("entry", ["abc", "16.5"])
+def test_non_integer_resolution_exits_1_naming_the_entry(capsys, entry):
+    assert main(["curve", "--resolutions", f"224,{entry}"]) == 1
+    captured = capsys.readouterr()
+    assert f"'{entry}'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("lr", ["nan", "-0.05"])
+def test_toy_train_rejects_a_bad_learning_rate_before_training(capsys, lr):
+    assert main(["toy-train", "--steps", "2", "--lr", lr]) == 1
+    captured = capsys.readouterr()
+    assert "learning rate" in captured.err and "accuracy" not in captured.out
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code = main(["infer", "--config", "toy", "--weights", str(tmp_path / "nope.pmwb"),
                  "--image", str(tmp_path / "nope.ppm")])

@@ -1,6 +1,7 @@
 """Recurrence correctness: closed forms, oracle equivalence, and the
 direction-aware 2D composition properties."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -15,14 +16,12 @@ from plainscan import (
     generate_continuous_paths,
     get_config,
     invert_path,
-    selective_scan_fused,
     selective_scan_ref,
     zoh_discretize,
 )
 from plainscan.errors import NumericalError, ShapeError
 from plainscan.ops import grad_check
 from plainscan.paths import apply_path
-from plainscan.scan import _ssm
 from plainscan.tensor import Tensor, count_macs, no_grad
 
 
@@ -34,13 +33,34 @@ def _rand_core(rng, d, m, theta_scale=0.0):
     )
 
 
-def _rand_inputs(rng, n, d, m):
-    return ScanInputs(
-        x=Tensor(rng.standard_normal((n, d))),
-        B_seq=Tensor(rng.standard_normal((n, m))),
-        C_seq=Tensor(rng.standard_normal((n, m))),
-        Delta_seq=Tensor(rng.uniform(0.01, 1.5, (n, d))),
+def _rand_grids(rng, H, W, d, m):
+    return (
+        Tensor(rng.standard_normal((H, W, d))),
+        Tensor(rng.standard_normal((H, W, m))),
+        Tensor(rng.standard_normal((H, W, m))),
+        Tensor(rng.uniform(0.05, 1.0, (H, W, d))),
     )
+
+
+def _per_path_reference(x, b, c, delta, core, ps):
+    """Four ``selective_scan_ref`` runs over ``B + Theta[direction]``, un-permuted
+    and summed on the tape; batched grids run one image at a time."""
+    if x.data.ndim == 4:
+        return Tensor.stack([
+            _per_path_reference(x[i], b[i], c[i], delta[i], core, ps)
+            for i in range(x.shape[0])
+        ])
+    total = None
+    for p, inv in zip(ps.paths, ps.inverse_orders):
+        inp = ScanInputs(
+            x=apply_path(x, p),
+            B_seq=apply_path(b, p) + core.Theta.take(p.directions, axis=0),
+            C_seq=apply_path(c, p),
+            Delta_seq=apply_path(delta, p),
+        )
+        back = invert_path(selective_scan_ref(inp, core), p, inv)
+        total = back if total is None else total + back
+    return total
 
 
 # -- discretization -----------------------------------------------------
@@ -91,7 +111,7 @@ def test_zoh_validation():
         zoh_discretize(A, Tensor(np.array([1.0, 2.0])), Tensor(np.array([1.0])))
 
 
-# -- 1D scans -----------------------------------------------------------
+# -- the reference scan -------------------------------------------------
 
 
 def test_reference_scan_hand_recurrence():
@@ -124,58 +144,7 @@ def test_skip_term():
         C_seq=Tensor(np.zeros((2, 1))),  # emission silenced
         Delta_seq=Tensor(np.full((2, 1), 0.3)),
     )
-    for scan in (selective_scan_ref, selective_scan_fused):
-        assert np.abs(scan(inp, core).data - 2.0).max() < 1e-14
-
-
-def test_fused_equals_reference_random():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        n, d, m = rng.integers(1, 9), rng.integers(1, 5), rng.integers(1, 5)
-        core = _rand_core(rng, int(d), int(m))
-        inp = _rand_inputs(rng, int(n), int(d), int(m))
-        yr = selective_scan_ref(inp, core)
-        yf = selective_scan_fused(inp, core)
-        assert np.abs(yr.data - yf.data).max() < 1e-10
-
-
-def test_fused_gradients_match_reference():
-    # the fused scan's hand-written adjoint against the taped oracle
-    rng = np.random.default_rng(10)
-    n, d, m = 9, 3, 4
-    core = _rand_core(rng, d, m)
-    inp = _rand_inputs(rng, n, d, m)
-    weight = Tensor(rng.standard_normal((n, d)))
-    leaves = [inp.x, inp.B_seq, inp.C_seq, inp.Delta_seq, core.A, core.D]
-    grads = []
-    for scan in (selective_scan_ref, selective_scan_fused):
-        for t in leaves:
-            t.grad = None
-        (scan(inp, core) * weight).sum().backward()
-        grads.append([t.grad for t in leaves])
-    for ref, fused in zip(*grads):
-        assert np.abs(ref - fused).max() < 1e-10 * max(1.0, np.abs(ref).max())
-
-
-def test_scan_linearity_in_x():
-    # with B, C, Delta held fixed the scan is linear in x
-    rng = np.random.default_rng(2)
-    n, d, m = 12, 3, 4
-    core = _rand_core(rng, d, m)
-    b = Tensor(rng.standard_normal((n, m)))
-    c = Tensor(rng.standard_normal((n, m)))
-    delta = Tensor(rng.uniform(0.05, 1.0, (n, d)))
-    x1 = rng.standard_normal((n, d))
-    x2 = rng.standard_normal((n, d))
-
-    def run(x):
-        return selective_scan_fused(
-            ScanInputs(x=Tensor(x), B_seq=b, C_seq=c, Delta_seq=delta), core
-        ).data
-
-    lhs = run(x1 + 2.5 * x2)
-    rhs = run(x1) + 2.5 * run(x2)
-    assert np.abs(lhs - rhs).max() < 1e-10
+    assert np.abs(selective_scan_ref(inp, core).data - 2.0).max() < 1e-14
 
 
 def test_scan_flags_nonfinite():
@@ -220,13 +189,34 @@ def test_core_validation():
 # -- 2D direction-aware scan -------------------------------------------
 
 
-def _rand_grids(rng, H, W, d, m):
-    return (
-        Tensor(rng.standard_normal((H, W, d))),
-        Tensor(rng.standard_normal((H, W, m))),
-        Tensor(rng.standard_normal((H, W, m))),
-        Tensor(rng.uniform(0.05, 1.0, (H, W, d))),
-    )
+def test_fused_equals_reference_random():
+    rng = np.random.default_rng(1)
+    for _ in range(25):
+        H, W, d, m = (int(v) for v in rng.integers(1, [4, 4, 5, 5]))
+        core = _rand_core(rng, d, m, theta_scale=0.4)
+        x, b, c, delta = _rand_grids(rng, H, W, d, m)
+        ps = generate_continuous_paths(H, W)
+        yr = _per_path_reference(x, b, c, delta, core, ps)
+        yf = direction_aware_scan_2d(x, b, c, delta, core, ps)
+        assert np.abs(yr.data - yf.data).max() < 1e-10
+
+
+def test_scan_linearity_in_x():
+    # with B, C, Delta and Theta held fixed the scan is linear in x
+    rng = np.random.default_rng(2)
+    H, W, d, m = 3, 4, 3, 4
+    core = _rand_core(rng, d, m, theta_scale=0.4)
+    _, b, c, delta = _rand_grids(rng, H, W, d, m)
+    x1 = rng.standard_normal((H, W, d))
+    x2 = rng.standard_normal((H, W, d))
+    ps = generate_continuous_paths(H, W)
+
+    def run(x):
+        return direction_aware_scan_2d(Tensor(x), b, c, delta, core, ps).data
+
+    lhs = run(x1 + 2.5 * x2)
+    rhs = run(x1) + 2.5 * run(x2)
+    assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_2d_scan_matches_per_path_reference():
@@ -257,16 +247,8 @@ def test_2d_scan_zero_theta_equals_sum_of_plain_scans():
     x, b, c, delta = _rand_grids(rng, H, W, d, m)
     ps = generate_continuous_paths(H, W)
     out = direction_aware_scan_2d(x, b, c, delta, core, ps)
-    total = np.zeros((H, W, d))
-    for p, inv in zip(ps.paths, ps.inverse_orders):
-        inp = ScanInputs(
-            x=Tensor(apply_path(x.data, p)),
-            B_seq=Tensor(apply_path(b.data, p)),
-            C_seq=Tensor(apply_path(c.data, p)),
-            Delta_seq=Tensor(apply_path(delta.data, p)),
-        )
-        total += invert_path(selective_scan_fused(inp, core).data, p, inv)
-    assert np.abs(out.data - total).max() < 1e-10
+    total = _per_path_reference(x, b, c, delta, core, ps)
+    assert np.abs(out.data - total.data).max() < 1e-10
 
 
 def test_2d_scan_zero_c_reduces_to_skips():
@@ -359,27 +341,6 @@ def test_2d_scan_graph_size_is_independent_of_length():
     assert sizes[0] <= 8, f"{sizes[0]} nodes"
 
 
-def _per_path_reference(x, b, c, delta, core, ps):
-    """Four ``selective_scan_ref`` runs over ``B + Theta[direction]``, un-permuted
-    and summed on the tape; batched grids run one image at a time."""
-    if x.data.ndim == 4:
-        return Tensor.stack([
-            _per_path_reference(x[i], b[i], c[i], delta[i], core, ps)
-            for i in range(x.shape[0])
-        ])
-    total = None
-    for p, inv in zip(ps.paths, ps.inverse_orders):
-        inp = ScanInputs(
-            x=apply_path(x, p),
-            B_seq=apply_path(b, p) + core.Theta.take(p.directions, axis=0),
-            C_seq=apply_path(c, p),
-            Delta_seq=apply_path(delta, p),
-        )
-        back = invert_path(selective_scan_ref(inp, core), p, inv)
-        total = back if total is None else total + back
-    return total
-
-
 @pytest.mark.parametrize("lead", [(2, 3, 5), (5, 3)], ids=["batched-3x5", "unbatched-5x3"])
 def test_2d_scan_node_output_and_all_gradients_match_per_path_reference(lead):
     rng = np.random.default_rng(16)
@@ -454,26 +415,26 @@ def test_2d_scan_forward_peak_is_bounded_by_state_history():
 
 
 def test_ssm_no_grad_forward_peak_is_a_fraction_of_the_state_history():
-    # without a tape the node keeps one rolling state instead of the history
+    # without a tape the node keeps one rolling state instead of the history;
+    # what remains is the gathered [n, K B, .] copies of its inputs
     rng = np.random.default_rng(13)
     side, d, m = 14, 96, 16
-    lead = (1, 4, side * side)
-    delta = Tensor(rng.uniform(0.01, 1.5, (*lead, d)))
-    x = Tensor(rng.standard_normal((*lead, d)))
-    bt, c = (Tensor(rng.standard_normal((*lead, m))) for _ in range(2))
-    A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05)
-    D = Tensor(np.zeros(d))
+    core = _rand_core(rng, d, m, theta_scale=0.3)
+    x, b, c, delta = _rand_grids(rng, side, side, d, m)
+    ps = generate_continuous_paths(side, side)
     history = 8 * 4 * side * side * d * m
-    taped = _ssm(delta, A, bt, x, c, D).data
-    tracemalloc.start()
-    try:
-        with no_grad():
-            y = _ssm(delta, A, bt, x, c, D)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * history, f"peak {peak / history:.2f}x the state history"
-    assert np.array_equal(y.data, taped)
+    outs, peaks = [], []
+    for grad in (True, False):
+        tracemalloc.start()
+        try:
+            with no_grad() if not grad else contextlib.nullcontext():
+                outs.append(direction_aware_scan_2d(x, b, c, delta, core, ps).data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(outs[1], outs[0])
+    saved = (peaks[0] - peaks[1]) / history
+    assert saved >= 0.9, f"no_grad saves {saved:.3f}x the state history"
 
 
 @pytest.mark.parametrize("cfg", [
@@ -492,35 +453,6 @@ def test_no_grad_forward_is_bit_identical_to_the_taped_one(cfg):
     assert free._parents == () and taped._parents
 
 
-def test_ssm_node_gradients_match_reference_batched():
-    # _ssm with lead shape [B, K] against selective_scan_ref per sequence
-    rng = np.random.default_rng(14)
-    Bn, K, n, d, m = 2, 3, 7, 3, 4
-    delta = Tensor(rng.uniform(0.01, 1.5, (Bn, K, n, d)))
-    A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05)
-    bt = Tensor(rng.standard_normal((Bn, K, n, m)))
-    x = Tensor(rng.standard_normal((Bn, K, n, d)))
-    c = Tensor(rng.standard_normal((Bn, K, n, m)))
-    weight = rng.standard_normal((Bn, K, n, d))
-    leaves = [delta, A, bt, x, c]
-    core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(np.zeros((5, m))))
-
-    (_ssm(delta, A, bt, x, c, core.D) * Tensor(weight)).sum().backward()
-    fused = [t.grad for t in leaves]
-
-    for t in leaves:
-        t.grad = None
-    total = None
-    for i in range(Bn):
-        for k in range(K):
-            inp = ScanInputs(x=x[i, k], B_seq=bt[i, k], C_seq=c[i, k], Delta_seq=delta[i, k])
-            term = (selective_scan_ref(inp, core) * Tensor(weight[i, k])).sum()
-            total = term if total is None else total + term
-    total.backward()
-    for ref, got in zip([t.grad for t in leaves], fused):
-        assert np.abs(ref - got).max() < 1e-10 * max(1.0, np.abs(ref).max())
-
-
 @pytest.mark.parametrize(
     "d, m, mixed", [(3, 4, False), (1, 4, False), (3, 1, False), (3, 4, True)],
     ids=["small-z", "d=1", "m=1", "mixed"],
@@ -530,25 +462,24 @@ def test_ssm_matches_reference_at_small_z(d, m, mixed):
     # phi and phi' take their series and the A gradient's closed form would
     # cancel.  The mixed case scales every other state's A to ~ -1e5, so each
     # step also holds |z| ~ 0.1, well clear of the switch (just above it the
-    # reference's closed-form phi' keeps only ~8 digits).
+    # reference's closed-form phi' keeps only ~8 digits).  D = 0 keeps the
+    # skip from swamping the tiny scan output.
     rng = np.random.default_rng(15)
-    n = 6
-    delta = Tensor(rng.uniform(1e-6, 2e-6, (n, d)))
+    H, W = 2, 3
+    delta = Tensor(rng.uniform(1e-6, 2e-6, (H, W, d)))
     A = Tensor(-rng.uniform(5e-4, 2e-3, (d, m)))
     if mixed:
         A.data[:, ::2] *= 1e8
-    bt, x, c = (Tensor(rng.standard_normal(s)) for s in ((n, m), (n, d), (n, m)))
-    weight = Tensor(rng.standard_normal((n, d)))
-    leaves = [delta, A, bt, x, c]
-    core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(np.zeros((5, m))))
+    b, x, c = (Tensor(rng.standard_normal((H, W, k))) for k in (m, d, m))
+    weight = Tensor(rng.standard_normal((H, W, d)))
+    core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(0.4 * rng.standard_normal((5, m))))
+    leaves = [x, b, c, delta, A, core.D, core.Theta]
+    ps = generate_continuous_paths(H, W)
     outs, grads = [], []
-    for run in (
-        lambda: _ssm(delta, A, bt, x, c, core.D),
-        lambda: selective_scan_ref(ScanInputs(x=x, B_seq=bt, C_seq=c, Delta_seq=delta), core),
-    ):
+    for scan in (direction_aware_scan_2d, _per_path_reference):
         for t in leaves:
             t.grad = None
-        y = run()
+        y = scan(x, b, c, delta, core, ps)
         (y * weight).sum().backward()
         outs.append(y.data)
         grads.append([t.grad for t in leaves])

@@ -65,6 +65,12 @@ def test_toy_train_rejects_negative_steps():
     assert curve == []
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -0.05])
+def test_toy_train_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ConfigError, match="learning rate"):
+        toy_train(get_config("toy"), make_stripes(n=4), steps=1, lr=lr, batch_size=4)
+
+
 def test_divergence_is_reported_with_step():
     cfg = get_config("toy")
     ds = make_stripes(n=32, seed=0)
