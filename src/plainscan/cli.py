@@ -242,6 +242,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         args.func(args)
     except PlainScanError as e:
         sys.stderr.write(f"error: {e}\n")

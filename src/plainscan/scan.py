@@ -195,17 +195,20 @@ def direction_aware_scan_2d(
     # the backward pass reads every state; without a tape one rolling
     # state is enough, and step i writes hs[i % len(hs)] either way
     hs = np.empty((n if grad_enabled() else 1, S, m, d))
-    z, u = np.empty((S, m, d)), np.empty((S, m, d))
+    e, p = np.empty((S, m, d)), np.empty((S, m, d))
     ys = np.empty((n, S, d))
     for i in range(n):
-        np.multiply(d_row[i], a_t, out=z)
-        np.expm1(z, out=u)
-        u *= inv_a
-        u *= x_row[i]
-        u *= b_col[i]
+        np.multiply(d_row[i], a_t, out=e)
+        np.expm1(e, out=e)
+        # p = h_{i-1} + B x / A, and h_i = h_{i-1} + expm1(z) p
+        np.multiply(b_col[i], x_row[i], out=p)
+        p *= inv_a
+        h_prev = hs[(i - 1) % len(hs)] if i else 0.0
+        if i:
+            p += h_prev
+        p *= e
         h = hs[i % len(hs)]
-        np.multiply(np.exp(z, out=z), hs[(i - 1) % len(hs)] if i else 0.0, out=h)
-        h += u
+        np.add(h_prev, p, out=h)
         ys[i] = np.matmul(cs[i][:, None, :], h)[:, 0]
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
@@ -223,36 +226,39 @@ def direction_aware_scan_2d(
     def bwd(g):
         gs = gather(g, d)
         gd, gx, gb = np.empty((n, S, d)), np.empty((n, S, d)), np.empty((n, S, m))
-        ga, lam, w, q, k, a_i, a_next = (np.zeros((S, m, d)) for _ in range(7))
+        ga, lam, w, z, q, v, r, a_i, a_next = (np.zeros((S, m, d)) for _ in range(9))
         near0 = (ds * -a_t.max(axis=0)).min(axis=(1, 2)) < 1e-4  # steps with |z| < 1e-4
         for i in range(n - 1, -1, -1):
             lam *= a_next
             lam += np.multiply(cs[i][:, :, None], gs[i][:, None, :], out=w)
             np.multiply(d_row[i], a_t, out=z)
-            np.exp(z, out=a_i)
-            np.multiply(np.expm1(z, out=q), inv_a, out=q)  # du/d(B x)
+            np.expm1(z, out=q)
+            np.add(q, 1.0, out=a_i)  # exp(z)
+            q *= inv_a  # du/d(B x)
             np.multiply(q, lam, out=w)
             gx[i] = np.matmul(bs[i][:, None, :], w)[:, 0]
             gb[i] = np.matmul(w, xs[i][:, :, None])[:, :, 0]
-            # du/d delta = exp(z) B x and d A_bar/d delta = A exp(z)
-            np.multiply(lam, a_i, out=w)
-            gd[i] = xs[i] * np.matmul(bs[i][:, None, :], w)[:, 0]
-            # du/dA = delta^2 phi'(z) B x = (delta exp(z) - expm1(z)/A)/A B x,
-            # which cancels near z = 0, where phi' takes its series
-            np.multiply(d_row[i], a_i, out=k)
-            k -= q
-            k *= inv_a
+            np.multiply(b_col[i], x_row[i], out=v)
             if near0[i]:
                 small = np.abs(z) < 1e-4
-                k[small] = _phi_prime(z[small]) * np.broadcast_to(d_row[i] ** 2, z.shape)[small]
-            k *= lam
-            k *= b_col[i]
-            k *= x_row[i]
-            w *= hs[i - 1] if i else 0.0  # exp(z) lam h_{i-1}
-            gd[i] += np.einsum("lmd,md->ld", w, a_t)
-            w *= d_row[i]
-            k += w
-            ga += k
+                dz = np.broadcast_to(d_row[i], z.shape)[small]
+                series = _phi_prime(z[small]) * dz * dz * v[small]
+            v *= inv_a
+            h_prev = hs[i - 1] if i else 0.0
+            # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
+            np.add(h_prev, v, out=r)
+            r *= a_i
+            r *= lam
+            gd[i] = np.einsum("lmd,md->ld", r, a_t)
+            # dh_i/dA = delta exp(z) p - expm1(z)/A B x / A, which cancels
+            # near z = 0: there it is delta exp(z) h_{i-1} + delta^2 phi'(z) B x
+            r *= d_row[i]
+            w *= v
+            r -= w
+            if near0[i]:
+                hp = h_prev[small] if i else 0.0
+                r[small] = lam[small] * (dz * a_i[small] * hp + series)
+            ga += r
             a_i, a_next = a_next, a_i
         gc = np.matmul(hs, gs[:, :, :, None])[..., 0]
         gx = to_grid(gx, x_grid.shape)

@@ -360,11 +360,23 @@ class Tensor:
         return out
 
     def __getitem__(self, idx):
+        """Basic indexing only: ints, slices, ``...`` and ``None``.
+
+        A basic index never repeats an element, so the gradient is one
+        assignment; gathers with index arrays go through :meth:`take`.
+        """
+        for part in idx if isinstance(idx, tuple) else (idx,):
+            if not (part is None or part is Ellipsis or isinstance(part, slice)
+                    or isinstance(part, (int, np.integer)) and not isinstance(part, bool)):
+                raise ShapeError(
+                    f"Tensor indexing takes ints, slices, ... and None, got "
+                    f"{type(part).__name__}; gather with Tensor.take"
+                )
         out = Tensor(np.ascontiguousarray(self.data[idx]), (self,))
 
         def bwd(g):
             full = np.zeros_like(self.data)
-            full[idx] += g
+            full[idx] = g
             self._accumulate(full, fresh=True)
 
         out._backward = bwd

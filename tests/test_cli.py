@@ -154,6 +154,17 @@ def test_toy_train_rejects_a_bad_learning_rate_before_training(capsys, lr):
     assert "learning rate" in captured.err and "accuracy" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["toy-train", "--steps", "2", "--seed", "-1"],
+    ["grad-check", "--scope", "ops", "--seed", "-5"],
+], ids=["toy-train", "grad-check"])
+def test_negative_seed_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code = main(["infer", "--config", "toy", "--weights", str(tmp_path / "nope.pmwb"),
                  "--image", str(tmp_path / "nope.ppm")])

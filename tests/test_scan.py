@@ -473,8 +473,30 @@ def test_ssm_matches_reference_at_small_z(d, m, mixed):
     b, x, c = (Tensor(rng.standard_normal((H, W, k))) for k in (m, d, m))
     weight = Tensor(rng.standard_normal((H, W, d)))
     core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(0.4 * rng.standard_normal((5, m))))
-    leaves = [x, b, c, delta, A, core.D, core.Theta]
-    ps = generate_continuous_paths(H, W)
+    _assert_node_matches_reference(x, b, c, delta, core, weight)
+
+
+def test_ssm_matches_reference_at_slow_decay():
+    # A ~ -1e-5 with delta in [20, 200] puts every |z| in [2e-4, 2e-3]: just
+    # above the series switch, so the A gradient's closed form
+    # delta exp(z) p - expm1(z)/A B x / A runs unaided where it cancels most,
+    # with B x / A ~ 1e5 B x on both sides of the difference.
+    rng = np.random.default_rng(16)
+    H, W, d, m = 2, 3, 3, 4
+    delta = Tensor(rng.uniform(20.0, 190.0, (H, W, d)))
+    A = Tensor(-1e-5 * rng.uniform(1.0, 1.05, (d, m)))
+    z = np.abs(delta.data[..., None] * A.data)
+    assert z.min() >= 2e-4 and z.max() <= 2e-3
+    b, x, c = (Tensor(rng.standard_normal((H, W, k))) for k in (m, d, m))
+    weight = Tensor(rng.standard_normal((H, W, d)))
+    core = SsmCore(A=A, D=Tensor(np.zeros(d)), Theta=Tensor(0.4 * rng.standard_normal((5, m))))
+    _assert_node_matches_reference(x, b, c, delta, core, weight)
+
+
+def _assert_node_matches_reference(x, b, c, delta, core, weight):
+    """Output and all seven gradients against ``_per_path_reference``."""
+    leaves = [x, b, c, delta, core.A, core.D, core.Theta]
+    ps = generate_continuous_paths(*x.shape[:2])
     outs, grads = [], []
     for scan in (direction_aware_scan_2d, _per_path_reference):
         for t in leaves:

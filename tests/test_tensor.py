@@ -185,6 +185,25 @@ def test_getitem_gradient():
     assert np.allclose(x.grad, [[0, 0, 0], [1, 1, 1]])
 
 
+def test_getitem_slice_gradient():
+    x = Tensor(np.arange(12.0).reshape(3, 4))
+    w = np.arange(4.0).reshape(2, 2)
+    (x[1:, None, ..., ::2][:, 0] * Tensor(w)).sum().backward()
+    assert np.array_equal(x.grad, [[0, 0, 0, 0], [0, 0, 1, 0], [2, 0, 3, 0]])
+
+
+@pytest.mark.parametrize("idx", [
+    np.array([0, 0, 2]), [0, 0, 2], (slice(None), np.array([1])), np.array([True, False, True]),
+    True,
+], ids=["int-array", "list", "array-in-tuple", "mask", "bool"])
+def test_getitem_rejects_advanced_indices(idx):
+    # a repeated index would drop gradient (full[idx] += g does not
+    # accumulate repeats); gathers go through take, which scatter-adds
+    x = Tensor(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ShapeError, match="take"):
+        x[idx]
+
+
 def test_stack_requires_identical_shapes():
     with pytest.raises(ShapeError, match="stack"):
         Tensor.stack([Tensor(np.zeros(2)), Tensor(np.zeros(3))])
