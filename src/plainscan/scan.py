@@ -8,14 +8,16 @@ grid.  It gathers the grid into each path's order as it builds its
 time-major inputs and adds a learnable per-direction vector to each
 step's B before discretization (ZOH is linear in B).  Its forward is a
 numpy loop over ``[S, m, d]`` state buffers (the wide channel axis
-contiguous) that forms ``B_bar x`` as ``expm1(delta A)/A B x``, since
-``phi(z) delta = expm1(z)/A``, and it sums the un-permuted outputs on
-the grid.  Its backward is a reverse-time adjoint that recomputes the
-discretization per step.  The state history, which only that backward
-reads, is its only ``[n, S, m, d]`` array; under ``no_grad`` the loop
-writes one rolling state instead.  Every path is a permutation, so the
-backward pass gathers instead of scattering: the adjoint of the gather
-is the un-permute.
+contiguous) with one transcendental per step, ``e = expm1(delta A)``:
+with ``p = h_{i-1} + B x / A`` it writes ``h_i = h_{i-1} + e p``, which
+is the ZOH update ``exp(delta A) h_{i-1} + expm1(delta A)/A B x`` (since
+``phi(z) delta = expm1(z)/A``), and it sums the un-permuted outputs on
+the grid.  Its backward is a reverse-time adjoint that recomputes
+``expm1`` per step and takes ``exp`` as ``1 + expm1``.  The state
+history, which only that backward reads, is its only ``[n, S, m, d]``
+array; under ``no_grad`` the loop writes one rolling state instead.
+Every path is a permutation, so the backward pass gathers instead of
+scattering: the adjoint of the gather is the un-permute.
 """
 
 from __future__ import annotations
@@ -139,15 +141,18 @@ def direction_aware_scan_2d(
     sum over K; no scatter-add.  Theta's gradient is B's, summed per
     direction label.
 
-    Step i computes ``z = delta_i A``, ``h_i = exp(z) h_{i-1} +
-    expm1(z)/A B_i x_i`` and ``y_i = sum_m C_i h_i`` in reused
+    Step i computes ``e = expm1(delta_i A)``, ``p_i = h_{i-1} + B_i x_i / A``,
+    ``h_i = h_{i-1} + e p_i`` (that is, ``exp(z) h_{i-1} + expm1(z)/A B_i
+    x_i`` with ``z = delta_i A``) and ``y_i = sum_m C_i h_i`` in reused
     ``[S, m, d]`` buffers (S sequences, d contiguous).  Taped, ``h_i`` goes
     into the ``[n, S, m, d]`` history the backward pass reads; under
     ``no_grad`` into one rolling state.  The backward pass is the
     reverse-time adjoint ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``; it
-    recomputes ``exp(z)`` and ``expm1(z)`` per step, and the A gradient's
-    ``delta^2 phi'(z)`` takes phi's series where
-    ``(delta exp(z) - expm1(z)/A)/A`` would cancel.
+    recomputes ``e`` per step and takes ``A_bar = 1 + e``.  With
+    ``r = lam A_bar p_i``, delta's gradient is ``sum_m A r`` and A's is
+    ``delta r - (e/A lam)(B_i x_i / A)``; where some ``|z| < 1e-4`` that
+    difference cancels, and those entries take
+    ``lam (delta A_bar h_{i-1} + delta^2 phi'(z) B_i x_i)`` with phi's series.
     """
     A, D, Theta = core.A, core.D, core.Theta
     d, m = A.shape

@@ -183,9 +183,6 @@ def test_getitem_gradient():
     y = x[1].sum()
     y.backward()
     assert np.allclose(x.grad, [[0, 0, 0], [1, 1, 1]])
-
-
-def test_getitem_slice_gradient():
     x = Tensor(np.arange(12.0).reshape(3, 4))
     w = np.arange(4.0).reshape(2, 2)
     (x[1:, None, ..., ::2][:, 0] * Tensor(w)).sum().backward()
@@ -197,8 +194,8 @@ def test_getitem_slice_gradient():
     True,
 ], ids=["int-array", "list", "array-in-tuple", "mask", "bool"])
 def test_getitem_rejects_advanced_indices(idx):
-    # a repeated index would drop gradient (full[idx] += g does not
-    # accumulate repeats); gathers go through take, which scatter-adds
+    # an index array may repeat an element, and a gradient written back
+    # through it keeps one copy; gathers go through take, which accumulates
     x = Tensor(np.arange(6.0).reshape(3, 2))
     with pytest.raises(ShapeError, match="take"):
         x[idx]
