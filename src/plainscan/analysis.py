@@ -137,8 +137,8 @@ def count_flops_attention(cfg: AttentionBaselineConfig, resolution) -> FlopsRepo
     )
 
 
-def peak_activation_bytes(cfg, resolution, dtype_bytes=8) -> int:
-    """Footprint of the widest live operation for one image, taped.
+def peak_activation_bytes(cfg, resolution) -> int:
+    """Footprint in float64 bytes of the widest live operation for one image, taped.
 
     For this model that is the 2D scan, costed at twice its state history
     (``2 * 4 * n * d_inner * m`` values): the taped scan node keeps the
@@ -155,12 +155,12 @@ def peak_activation_bytes(cfg, resolution, dtype_bytes=8) -> int:
         n = _check_resolution(resolution, cfg.patch)
         attn = 2 * cfg.num_heads * n * n + 2 * n * cfg.d_model
         embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
-        return dtype_bytes * max(attn, embed)
+        return 8 * max(attn, embed)
     n = _check_resolution(resolution, cfg.patch)
     scan = 2 * 4 * n * cfg.d_inner * cfg.state_size
     proj = n * cfg.d_model + n * 2 * cfg.d_inner
     embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
-    return dtype_bytes * max(scan, proj, embed)
+    return 8 * max(scan, proj, embed)
 
 
 def scaling_curve(configs, resolutions):

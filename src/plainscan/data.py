@@ -17,15 +17,15 @@ class SyntheticDataset:
     seed: int
 
 
-def make_stripes(n: int = 64, seed: int = 0, size: int = 32, period: int = 8,
-                 noise: float = 0.2) -> SyntheticDataset:
+def make_stripes(n: int = 64, seed: int = 0) -> SyntheticDataset:
+    """``n`` 32x32 images of 4-pixel bands (period 8) plus uniform noise in [-0.2, 0.2]."""
     rng = np.random.default_rng(seed)
-    images = np.empty((n, size, size, 3))
+    images = np.empty((n, 32, 32, 3))
     labels = np.arange(n) % 2  # balanced by construction
-    bands = (np.arange(size) // (period // 2)) % 2
-    horizontal = np.broadcast_to(bands[:, None, None], (size, size, 3)).astype(float)
-    vertical = np.broadcast_to(bands[None, :, None], (size, size, 3)).astype(float)
+    bands = (np.arange(32) // 4) % 2
+    horizontal = np.broadcast_to(bands[:, None, None], (32, 32, 3)).astype(float)
+    vertical = np.broadcast_to(bands[None, :, None], (32, 32, 3)).astype(float)
     for i in range(n):
         base = vertical if labels[i] else horizontal
-        images[i] = base + rng.uniform(-noise, noise, base.shape)
+        images[i] = base + rng.uniform(-0.2, 0.2, base.shape)
     return SyntheticDataset(images=images, labels=labels, seed=seed)

@@ -182,32 +182,24 @@ def check_params(cfg: ModelConfig, params: dict) -> None:
         raise ManifestError("parameters do not match the config — " + " | ".join(parts))
 
 
+def _interp_1d(dst, src):
+    """[dst, src] linear interpolation between aligned end points of one axis."""
+    mat = np.zeros((dst, src))
+    if dst == 1 or src == 1:
+        mat[:, 0] = 1.0
+        return mat
+    rows = np.arange(dst)
+    t = rows * (src - 1) / (dst - 1)
+    lo = np.minimum(np.floor(t).astype(int), src - 2)
+    mat[rows, lo] = 1.0 - (t - lo)
+    mat[rows, lo + 1] = t - lo
+    return mat
+
+
 def bilinear_resample_matrix(src_hw, dst_hw):
     """Dense [dst_n, src_n] map carrying grid values between resolutions."""
-    sh, sw = src_hw
-    dh, dw = dst_hw
-    mat = np.zeros((dh * dw, sh * sw))
-
-    def axis_weights(dst, src):
-        if dst == 1 or src == 1:
-            return [(0, 0, 1.0, 0.0)] * dst
-        out = []
-        for i in range(dst):
-            t = i * (src - 1) / (dst - 1)
-            lo = min(int(np.floor(t)), src - 2)
-            out.append((lo, lo + 1, 1.0 - (t - lo), t - lo))
-        return out
-
-    rows = axis_weights(dh, sh)
-    cols = axis_weights(dw, sw)
-    for i, (r0, r1, wr0, wr1) in enumerate(rows):
-        for j, (c0, c1, wc0, wc1) in enumerate(cols):
-            dst = i * dw + j
-            mat[dst, r0 * sw + c0] += wr0 * wc0
-            mat[dst, r0 * sw + c1] += wr0 * wc1
-            mat[dst, r1 * sw + c0] += wr1 * wc0
-            mat[dst, r1 * sw + c1] += wr1 * wc1
-    return mat
+    (sh, sw), (dh, dw) = src_hw, dst_hw
+    return np.kron(_interp_1d(dh, sh), _interp_1d(dw, sw))
 
 
 def _require_finite(t: Tensor, message: str) -> None:

@@ -2,7 +2,8 @@
 
 Each function here is a single graph node with a hand-written backward
 rule; compositions of :class:`~plainscan.tensor.Tensor` arithmetic live
-with their callers.
+with their callers.  Both convolutions see their input, forward and
+backward, through ``_windows``: one strided view of its padded k x k windows.
 """
 
 from __future__ import annotations
@@ -21,18 +22,16 @@ def activation(x: Tensor, kind: str) -> Tensor:
     raise ConfigError(f"unknown activation kind {kind!r} (want 'silu' or 'softplus')")
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layernorm affine params must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    if eps <= 0:
-        raise ConfigError(f"layernorm eps must be positive, got {eps}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = (x.data - mu) * inv
     _record(4 * x.size)
     out = Tensor(xhat * gamma.data + beta.data, (x, gamma, beta))
@@ -50,11 +49,19 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     return out
 
 
+def _windows(x, k, stride, pad):
+    """Strided [B,Ho,Wo,C,k,k] view of the k x k windows of [B,H,W,C] zero-padded by
+    ``pad``; writeable where its base is, and overlapping only when ``stride < k``."""
+    if pad:
+        x = np.pad(x, [(0, 0), (pad, pad), (pad, pad), (0, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2), writeable=True)
+    return win[:, ::stride, ::stride]
+
+
 def _depthwise_same(x, kernel):
     """'Same' per-channel correlation of [B,H,W,C] with [k,k,C]; returns (out, windows)."""
-    p = (kernel.shape[0] - 1) // 2
-    xp = np.pad(x, [(0, 0), (p, p), (p, p), (0, 0)])
-    win = np.lib.stride_tricks.sliding_window_view(xp, kernel.shape[:2], axis=(1, 2))
+    k = kernel.shape[0]
+    win = _windows(x, k, 1, (k - 1) // 2)
     return np.einsum("bhwcij,ijc->bhwc", win, kernel), win
 
 
@@ -93,7 +100,13 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Tensor:
-    """Dense strided conv, input [B,H,W,Cin], weight [k,k,Cin,Cout]."""
+    """Dense strided conv, input [B,H,W,Cin], weight [k,k,Cin,Cout].
+
+    The forward copies the ``_windows`` view once into (k, k, Cin)-ordered
+    im2col columns for one GEMM.  The backward adds the column gradient into
+    the view of a zero buffer one stride x stride block of taps at a time;
+    taps in a block never share an input cell, so each add is exact.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be [B,H,W,C], got {x.shape}")
     if w.data.ndim != 4 or w.shape[0] != w.shape[1]:
@@ -102,40 +115,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Te
         raise ShapeError(f"channel mismatch: input {x.shape} vs weight {w.shape}")
     B, H, W, Cin = x.shape
     k, _, _, Cout = w.shape
-    if padding:
-        xp = np.pad(x.data, [(0, 0), (padding, padding), (padding, padding), (0, 0)])
-    else:
-        xp = x.data
-    Hp, Wp = xp.shape[1:3]
-    Ho = (Hp - k) // stride + 1
-    Wo = (Wp - k) // stride + 1
-    cols = np.empty((B, Ho, Wo, k * k * Cin), dtype=x.dtype)
-    for di in range(k):
-        for dj in range(k):
-            sl = xp[:, di : di + stride * (Ho - 1) + 1 : stride,
-                    dj : dj + stride * (Wo - 1) + 1 : stride, :]
-            cols[..., (di * k + dj) * Cin : (di * k + dj + 1) * Cin] = sl
+    win = _windows(x.data, k, stride, padding)
+    Ho, Wo = win.shape[1:3]
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * Cin)
     wmat = w.data.reshape(k * k * Cin, Cout)
-    out_data = cols.reshape(-1, k * k * Cin) @ wmat
-    out_data = out_data.reshape(B, Ho, Wo, Cout) + b.data
+    out_data = (cols @ wmat).reshape(B, Ho, Wo, Cout)
+    out_data += b.data
     _record(B * Ho * Wo * k * k * Cin * Cout)
     out = Tensor(out_data, (x, w, b))
 
     def bwd(g):
         gflat = g.reshape(-1, Cout)
-        w._accumulate((cols.reshape(-1, k * k * Cin).T @ gflat).reshape(w.shape), fresh=True)
+        w._accumulate((cols.T @ gflat).reshape(w.shape), fresh=True)
         b._accumulate(gflat.sum(axis=0), fresh=True)
-        gcols = (gflat @ wmat.T).reshape(B, Ho, Wo, k * k * Cin)
-        gxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                gxp[:, di : di + stride * (Ho - 1) + 1 : stride,
-                    dj : dj + stride * (Wo - 1) + 1 : stride, :] += gcols[
-                    ..., (di * k + dj) * Cin : (di * k + dj + 1) * Cin
-                ]
-        if padding:
-            gxp = gxp[:, padding : padding + H, padding : padding + W, :]
-        x._accumulate(gxp, fresh=True)
+        gcols = (gflat @ wmat.T).reshape(B, Ho, Wo, k, k, Cin).transpose(0, 1, 2, 5, 3, 4)
+        gxp = np.zeros((B, H + 2 * padding, W + 2 * padding, Cin), x.dtype)
+        gwin = _windows(gxp, k, stride, 0)
+        for i in range(0, k, stride):
+            for j in range(0, k, stride):
+                block = (..., slice(i, i + stride), slice(j, j + stride))
+                gwin[block] += gcols[block]
+        x._accumulate(gxp[:, padding : padding + H, padding : padding + W], fresh=True)
 
     out._backward = bwd
     return out
@@ -155,9 +155,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     labels = np.asarray(labels)
     B, K = logits.shape
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = z - lse
     _record(3 * B * K)
-    out = Tensor(-logp[np.arange(B), labels].mean(), (logits,))
+    # lse - z, not -logp: a zero loss is +0.0 rather than -0.0
+    out = Tensor((lse[:, 0] - z[np.arange(B), labels]).mean(), (logits,))
 
     def bwd(g):
         probs = np.exp(logp)
@@ -168,12 +170,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def grad_check(f, inputs, h=1e-5, max_coords_per_input=None, seed=0):
+def grad_check(f, inputs, max_coords_per_input=None, seed=0):
     """Max relative error between tape gradients and central differences.
 
     ``f`` maps the given leaf tensors to a scalar Tensor.  The analytic
     pass is taped; the finite-difference probes run under ``no_grad``.
-    Each probed coordinate is perturbed by ``h * max(1, |x|)``.  With
+    Each probed coordinate is perturbed by ``1e-5 * max(1, |x|)``.  With
     ``max_coords_per_input`` set, a deterministic subsample of coordinates
     is probed per input (needed for whole-model checks).
     """
@@ -196,7 +198,7 @@ def grad_check(f, inputs, h=1e-5, max_coords_per_input=None, seed=0):
             coords = rng.choice(flat.size, size=max_coords_per_input, replace=False)
         for i in coords:
             x0 = flat[i]
-            step = h * max(1.0, abs(x0))
+            step = 1e-5 * max(1.0, abs(x0))
             with no_grad():
                 flat[i] = x0 + step
                 yp = float(f(*inputs).data)

@@ -401,28 +401,28 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+    def sum(self, axis=None):
+        out = Tensor(self.data.sum(axis=axis), (self,))
         shape = self.shape
 
         def bwd(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, shape))
 
         out._backward = bwd
         return out
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         """The sum times 1/n in one node, metered as one MAC per output."""
         scale = 1.0 / (self.size if axis is None else self.shape[axis])
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims) * scale, (self,))
+        out = Tensor(self.data.sum(axis=axis) * scale, (self,))
         _record(out.size)
         shape = self.shape
 
         def bwd(g):
             g = g * scale
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, shape))
 

@@ -179,6 +179,36 @@ def test_bilinear_resample_matrix_properties():
     assert np.abs(up.sum(axis=1) - 1.0).max() < 1e-12  # partition of unity
     # constant fields are preserved exactly
     assert np.abs(up @ np.full(16, 3.25) - 3.25).max() < 1e-12
+    for src, dst in [((4, 4), (7, 7)), ((14, 14), (28, 28)), ((3, 5), (1, 6)),
+                     ((1, 4), (5, 1)), ((1, 1), (3, 2)), ((6, 2), (4, 9))]:
+        got = bilinear_resample_matrix(src, dst)
+        assert got.tobytes() == _bilinear_loop(src, dst).tobytes()
+
+
+def _bilinear_loop(src_hw, dst_hw):
+    """The resample matrix as a scatter of four corner weights per output cell."""
+    sh, sw = src_hw
+    dh, dw = dst_hw
+    mat = np.zeros((dh * dw, sh * sw))
+
+    def axis_weights(dst, src):
+        if dst == 1 or src == 1:
+            return [(0, 0, 1.0, 0.0)] * dst
+        out = []
+        for i in range(dst):
+            t = i * (src - 1) / (dst - 1)
+            lo = min(int(np.floor(t)), src - 2)
+            out.append((lo, lo + 1, 1.0 - (t - lo), t - lo))
+        return out
+
+    for i, (r0, r1, wr0, wr1) in enumerate(axis_weights(dh, sh)):
+        for j, (c0, c1, wc0, wc1) in enumerate(axis_weights(dw, sw)):
+            dst = i * dw + j
+            mat[dst, r0 * sw + c0] += wr0 * wc0
+            mat[dst, r0 * sw + c1] += wr0 * wc1
+            mat[dst, r1 * sw + c0] += wr1 * wc0
+            mat[dst, r1 * sw + c1] += wr1 * wc1
+    return mat
 
 
 def test_parameters_ordering_matches_spec():

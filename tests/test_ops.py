@@ -32,8 +32,6 @@ def test_layernorm_affine_and_shapes():
     assert np.allclose(out, -1.0)  # constant rows normalize to zero
     with pytest.raises(ShapeError):
         ops.layernorm(x, Tensor(np.ones(3)), b)
-    with pytest.raises(ConfigError):
-        ops.layernorm(x, g, b, eps=0.0)
 
 
 def _sum_of_squares(t):
@@ -137,19 +135,30 @@ def test_depthwise_conv_validation():
         ops.depthwise_conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((3, 3, 4))))
 
 
-def _conv_oracle(x, w, b, stride, padding):
+def _conv_oracle(x, w, b, stride, padding, g=None):
+    """Loop-written conv output; given an output weighting ``g``, also the
+    gradients of sum(g * conv(x, w, b)) with respect to x, w and b."""
     B, H, W, Cin = x.shape
     k, _, _, Cout = w.shape
     xp = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)])
     Ho = (xp.shape[1] - k) // stride + 1
     Wo = (xp.shape[2] - k) // stride + 1
     out = np.zeros((B, Ho, Wo, Cout))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
     for n in range(B):
         for i in range(Ho):
             for j in range(Wo):
-                patch = xp[n, i * stride : i * stride + k, j * stride : j * stride + k]
-                out[n, i, j] = np.tensordot(patch, w, axes=3)
-    return out + (0 if b is None else b)
+                rows = slice(i * stride, i * stride + k)
+                cols = slice(j * stride, j * stride + k)
+                out[n, i, j] = np.tensordot(xp[n, rows, cols], w, axes=3)
+                if g is not None:
+                    gxp[n, rows, cols] += np.tensordot(w, g[n, i, j], axes=([3], [0]))
+                    gw += np.multiply.outer(xp[n, rows, cols], g[n, i, j])
+    out = out + (0 if b is None else b)
+    if g is None:
+        return out
+    gx = gxp[:, padding : padding + H, padding : padding + W]
+    return out, gx, gw, g.sum(axis=(0, 1, 2))
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (4, 0)])
@@ -160,6 +169,26 @@ def test_conv2d_matches_loop_oracle(stride, padding):
     b = rng.standard_normal(5)
     out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
     assert np.abs(out - _conv_oracle(x, w, b, stride, padding)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (8, 8, 0), (2, 3, 0), (5, 2, 2),
+                                              (3, 1, 1), (4, 2, 0)])
+def test_conv2d_exact_output_and_gradients(k, stride, padding):
+    # 18 x 13 leaves trailing input rows or columns that no window reaches
+    # for every stride above 1; those cells must get a zero gradient
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((2, 18, 13, 3))
+    w = rng.standard_normal((k, k, 3, 4))
+    b = rng.standard_normal(4)
+    xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+    out = ops.conv2d(xt, wt, bt, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape)  # a random weighting of the output, not .sum()
+    out.backward(g)
+    want_out, want_gx, want_gw, want_gb = _conv_oracle(x, w, b, stride, padding, g)
+    assert _rel_err(out.data, want_out) < 1e-12
+    assert _rel_err(xt.grad, want_gx) < 1e-12
+    assert _rel_err(wt.grad, want_gw) < 1e-12
+    assert _rel_err(bt.grad, want_gb) < 1e-12
 
 
 def test_conv2d_grad():
@@ -202,6 +231,12 @@ def test_cross_entropy_is_shift_invariant_and_stable():
     logits = np.array([[1000.0, 999.0]])
     loss = ops.cross_entropy(Tensor(logits), np.array([0]))
     assert float(loss.data) == pytest.approx(np.log1p(np.exp(-1.0)), abs=1e-12)
+
+
+def test_cross_entropy_zero_loss_is_positive_zero():
+    loss = ops.cross_entropy(Tensor(np.array([[1000.0, 0.0]])), [0])
+    assert loss.data == 0.0
+    assert not np.signbit(loss.data)
 
 
 def test_grad_check_reports_worst_coordinate():

@@ -110,7 +110,7 @@ def test_zoh_phi_gradient_in_series_regime():
     # finite differences on the stable forward value validate phi' where
     # the closed form cannot
     z = Tensor(np.array([1e-6, -3e-7, 5e-5]), name="z")
-    assert grad_check(lambda z: z.zoh_phi().sum(), [z], h=1e-6) < 1e-3
+    assert grad_check(lambda z: z.zoh_phi().sum(), [z]) < 1e-3
 
 
 def test_diamond_graph_accumulates_both_branches():
@@ -219,8 +219,7 @@ def test_mean_and_sum_axes():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     assert np.allclose(x.sum(axis=0).data, [3.0, 5.0, 7.0])
     assert np.allclose(x.mean(axis=1).data, [1.0, 4.0])
-    y = x.sum(axis=1, keepdims=True)
-    assert y.shape == (2, 1)
+    assert x.sum(axis=1).shape == (2,)
 
 
 @pytest.mark.parametrize(
