@@ -4,6 +4,9 @@ Each function here is a single graph node with a hand-written backward
 rule; compositions of :class:`~plainscan.tensor.Tensor` arithmetic live
 with their callers.  Both convolutions see their input, forward and
 backward, through ``_windows``: one strided view of its padded k x k windows.
+``conv2d`` copies that view into im2col columns one block of output rows at
+a time, so its forward holds at most ``_COLS_BYTES`` of columns, and its
+backward keeps the input instead of the columns.
 """
 
 from __future__ import annotations
@@ -47,6 +50,12 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     out._backward = bwd
     return out
+
+
+# The most im2col columns, in bytes, that conv2d's forward forms at once.
+# 4 MiB keeps the stem at 224 as fast as one whole GEMM and a toy batch of
+# 64 8x8 patchified images in one block.
+_COLS_BYTES = 4 << 20
 
 
 def _windows(x, k, stride, pad):
@@ -102,10 +111,23 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Tensor:
     """Dense strided conv, input [B,H,W,Cin], weight [k,k,Cin,Cout].
 
-    The forward copies the ``_windows`` view once into (k, k, Cin)-ordered
-    im2col columns for one GEMM.  The backward adds the column gradient into
-    the view of a zero buffer one stride x stride block of taps at a time;
-    taps in a block never share an input cell, so each add is exact.
+    The forward never holds the whole im2col matrix.  It copies the
+    ``_windows`` view, in (k, k, Cin) order, into one column buffer of at
+    most ``_COLS_BYTES`` a block of output rows at a time, and GEMMs each
+    block into its slice of the output; a block holds whole images when they
+    fit.  OpenBLAS sums each output element of a GEMM in the same order
+    whatever its number of rows, so the blocks reproduce one whole GEMM bit
+    for bit (``test_conv2d_row_blocks_match_one_gemm_bit_for_bit``).  That
+    holds while each block takes the blocked GEMM kernel: a one-row GEMM
+    goes to gemv and a very small one to a small-matrix kernel, which may
+    round differently.
+
+    The backward keeps the input, not the columns, and re-forms the columns
+    once for the weight gradient as one whole GEMM.  Mutating ``x.data`` in
+    place between the forward and the backward therefore changes the weight
+    gradient.  The input gradient adds the column gradient into the view of
+    a zero buffer one stride x stride block of taps at a time; taps in a
+    block never share an input cell, so each add is exact.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be [B,H,W,C], got {x.shape}")
@@ -115,18 +137,31 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Te
         raise ShapeError(f"channel mismatch: input {x.shape} vs weight {w.shape}")
     B, H, W, Cin = x.shape
     k, _, _, Cout = w.shape
-    win = _windows(x.data, k, stride, padding)
+    K = k * k * Cin
+    # [B, Ho, Wo, k, k, Cin]: the column order of the weight matrix
+    win = _windows(x.data, k, stride, padding).transpose(0, 1, 2, 4, 5, 3)
     Ho, Wo = win.shape[1:3]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * Cin)
-    wmat = w.data.reshape(k * k * Cin, Cout)
-    out_data = (cols @ wmat).reshape(B, Ho, Wo, Cout)
-    out_data += b.data
-    _record(B * Ho * Wo * k * k * Cin * Cout)
+    wmat = w.data.reshape(K, Cout)
+    out_data = np.empty((B, Ho, Wo, Cout), x.dtype)
+    rows = max(1, _COLS_BYTES // (Wo * K * x.dtype.itemsize))
+    imgs, rows = max(1, rows // Ho), min(rows, Ho)  # whole images per block when they fit
+    blocks = [(slice(n, n + imgs), slice(r, r + rows))
+              for n in range(0, B, imgs) for r in range(0, Ho, rows)]
+    buf = np.empty(win[blocks[0]].size, x.dtype)  # the first block is the largest
+    for blk in blocks:
+        src, dst = win[blk], out_data[blk]
+        cols = buf[: src.size].reshape(src.shape)
+        np.copyto(cols, src)
+        np.matmul(cols.reshape(-1, K), wmat, out=dst.reshape(-1, Cout))
+        dst += b.data
+    _record(B * Ho * Wo * K * Cout)
     out = Tensor(out_data, (x, w, b))
 
     def bwd(g):
         gflat = g.reshape(-1, Cout)
+        cols = _windows(x.data, k, stride, padding).transpose(0, 1, 2, 4, 5, 3).reshape(-1, K)
         w._accumulate((cols.T @ gflat).reshape(w.shape), fresh=True)
+        del cols
         b._accumulate(gflat.sum(axis=0), fresh=True)
         gcols = (gflat @ wmat.T).reshape(B, Ho, Wo, k, k, Cin).transpose(0, 1, 2, 5, 3, 4)
         gxp = np.zeros((B, H + 2 * padding, W + 2 * padding, Cin), x.dtype)

@@ -108,18 +108,23 @@ def _phi_prime(z):
 
 
 def _softplus(x):
-    # For x > 20, log1p(exp(x)) == x to double precision headroom; the
-    # rewritten branch keeps exp() off large arguments.
+    # For x > 20, log1p(exp(x)) == x to double precision headroom; the clamp
+    # keeps exp() off large arguments and those entries are redone as
+    # x + log1p(exp(-x)), only where they exist.
+    out = np.log1p(np.exp(np.minimum(x, 20.0)))
     big = x > 20.0
-    xs = np.where(big, 0.0, x)
-    return np.where(big, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(xs)))
+    if big.any():
+        xb = x[big]
+        out[big] = xb + np.log1p(np.exp(-xb))
+    return out
 
 
 def _sigmoid(x):
     # exp(-|x|) cannot overflow: it is exp(-x) for x >= 0 and exp(x) below
-    # (minimum rather than -abs keeps a NaN's sign, bit for bit)
+    # (minimum rather than -abs keeps a NaN's sign, bit for bit).  As e <= 1,
+    # max(e, x >= 0) is 1 for x >= 0 and e below, a NaN passing through.
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0)
     out /= np.add(e, 1.0, out=e)
     return out
 

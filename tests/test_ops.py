@@ -1,11 +1,13 @@
 """Layer primitives against brute-force numpy oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from plainscan import ops
 from plainscan.errors import ConfigError, ShapeError
-from plainscan.tensor import Tensor, count_macs
+from plainscan.tensor import Tensor, count_macs, no_grad
 
 
 def test_activation_dispatch():
@@ -200,6 +202,65 @@ def test_conv2d_grad():
         lambda x, w, b: _sum_of_squares(ops.conv2d(x, w, b, stride=2, padding=1)), [x, w, b]
     )
     assert err < 1e-3
+
+
+def _whole_gemm_conv(x, w, b, stride, padding):
+    """conv2d's forward as one im2col GEMM over every output pixel at once."""
+    k, _, cin, cout = w.shape
+    win = ops._windows(x, k, stride, padding).transpose(0, 1, 2, 4, 5, 3)
+    out = (win.reshape(-1, k * k * cin) @ w.reshape(-1, cout)).reshape(*win.shape[:3], cout)
+    out += b
+    return out
+
+
+@pytest.mark.parametrize("shape,k,stride,padding,cout", [
+    ((2, 18, 26, 3), 3, 2, 1, 4),
+    ((2, 18, 26, 3), 8, 8, 0, 4),
+    ((2, 18, 26, 3), 3, 1, 1, 4),
+    ((1, 56, 56, 96), 3, 2, 1, 192),  # the second L1 stem conv at 224
+])
+@pytest.mark.parametrize("rows", [0.5, 2, "image-1", "image"])
+def test_conv2d_row_blocks_match_one_gemm_bit_for_bit(monkeypatch, shape, k, stride, padding,
+                                                     cout, rows):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((k, k, shape[3], cout))
+    b = rng.standard_normal(cout)
+    want = _whole_gemm_conv(x, w, b, stride, padding)
+    ho, wo = want.shape[1:3]
+    rows = {"image-1": ho - 1, "image": ho}.get(rows, rows)  # image-1 ends a block mid-image
+    monkeypatch.setattr(ops, "_COLS_BYTES", int(rows * wo * k * k * shape[3] * 8))
+    out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
+    assert np.array_equal(out.view(np.int64), want.view(np.int64)), (
+        "conv2d's row blocks differ from one whole GEMM: either a block misses rows, or this "
+        "BLAS sums a GEMM's output rows in an order that depends on how many rows it gets"
+    )
+
+
+def test_conv2d_keeps_no_columns_after_its_forward():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal((1, 56, 56, 96)))
+    w = Tensor(rng.standard_normal((3, 3, 96, 192)))
+    b = Tensor(rng.standard_normal(192))
+    out_bytes = 28 * 28 * 192 * 8
+    padded_bytes = 58 * 58 * 96 * 8
+    slack = 64 << 10
+    assert ops._COLS_BYTES < 28 * 28 * 864 * 8  # the whole columns exceed one block
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ops.conv2d(x, w, b, stride=2, padding=1)  # taped
+        kept = tracemalloc.get_traced_memory()[0] - before
+        del out
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with no_grad():
+            out = ops.conv2d(x, w, b, stride=2, padding=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= out_bytes + slack
+    assert peak <= out_bytes + padded_bytes + ops._COLS_BYTES + slack
 
 
 def test_linear_matches_manual():

@@ -88,6 +88,20 @@ def test_sigmoid_matches_two_branch_formula_bit_for_bit():
     assert np.array_equal(_sigmoid(x).view(np.int64), two_branch(x).view(np.int64))
 
 
+def test_softplus_matches_two_branch_formula_bit_for_bit():
+    def two_branch(x):
+        big = x > 20.0
+        xs = np.where(big, 0.0, x)
+        return np.where(big, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(xs)))
+
+    edge = [20.0, np.nextafter(20.0, 0.0), np.nextafter(20.0, 40.0), 19.0, 21.0, 5e-324]
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0]
+    x = np.concatenate([edge, special, np.random.default_rng(17).standard_normal(100_000) * 15])
+    assert np.array_equal(_softplus(x).view(np.int64), two_branch(x).view(np.int64))
+    small = np.array([-3.0, 0.5, 20.0])  # no entry above 20: the fix-up is skipped
+    assert np.array_equal(_softplus(small).view(np.int64), two_branch(small).view(np.int64))
+
+
 def test_phi_series_matches_exact_across_the_switch():
     # the series branch engages below |z| = 1e-4; both sides must agree
     z = np.array([-2e-4, -1.0000001e-4, -0.9999999e-4, -1e-6, 1e-6, 2e-4])

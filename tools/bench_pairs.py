@@ -3,8 +3,10 @@
 Runs ``perfbench/run.py`` from two checkouts, a parent and a change, one
 pair per seed, and alternates which side runs first.  For each workload,
 side and metric it records the median, the quartiles ``[q1, q3]``, every
-value, the seeds and the machine line that ``run.py`` prints, plus how
-many pairs the change won.  With ``--trace-seed`` it adds one traced run
+value, the seeds and the machine line that ``run.py`` prints.  For each
+end-to-end metric it adds how many pairs the change won, the gap between
+the medians, whether that gap is wider than the parent's IQR, and whether
+both make the bar a claimed gain must clear.  With ``--trace-seed`` it adds one traced run
 (``--trace 1``) per side and workload with the per-layer metrics.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
@@ -56,6 +58,41 @@ def summary(values):
     return {"median": statistics.median(values), "quartiles": [q1, q3], "values": values}
 
 
+def summarise(runs, better):
+    """One workload's summary from its ``run.py`` results, listed per side in pair order.
+
+    Besides each side's metrics it holds, for each end-to-end metric, the
+    pairs the change won, the gap between the medians (positive when the
+    change is better) and whether that gap is wider than the parent's IQR,
+    ``q3 - q1``.  ``claim_bar_met`` is the bar a claimed gain must clear:
+    at least nine tenths of the pairs won and a gap wider than that IQR.
+    """
+    out = {}
+    for side, results in runs.items():
+        metrics = {name: summary([r["metrics"][name]["value"] for r in results])
+                   for name in results[0]["metrics"]}
+        for name, m in metrics.items():
+            m["unit"] = results[0]["metrics"][name]["unit"]
+        out[side] = {"metrics": metrics, "correct": all(r["correct"] for r in results),
+                     "attempted": sum(r["attempted"] for r in results),
+                     "failed": sum(r["failed"] for r in results)}
+    wins, gaps, wider, met = {}, {}, {}, {}
+    for name, direction in better.items():
+        parent, change = out["parent"]["metrics"][name], out["change"]["metrics"][name]
+        sign = 1 if direction == "lower" else -1
+        pairs = list(zip(parent["values"], change["values"]))
+        wins[name] = sum(sign * (p - c) > 0 for p, c in pairs)
+        gaps[name] = sign * (parent["median"] - change["median"])
+        q1, q3 = parent["quartiles"]
+        wider[name] = gaps[name] > q3 - q1
+        met[name] = wider[name] and wins[name] >= 0.9 * len(pairs)
+    out["change_won_pairs"] = wins
+    out["change_median_gap"] = gaps
+    out["gap_wider_than_parent_iqr"] = wider
+    out["claim_bar_met"] = met
+    return out
+
+
 def bench_workload(args, workload, seconds, better):
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
@@ -73,20 +110,7 @@ def bench_workload(args, workload, seconds, better):
                   f"failed {result['failed']}/{result['attempted']}", flush=True)
     out = {"seeds": [args.first_seed + i for i in range(args.pairs)], "first": order,
            "machine": sorted(machine)}
-    for side, results in runs.items():
-        metrics = {name: summary([r["metrics"][name]["value"] for r in results])
-                   for name in results[0]["metrics"]}
-        for name, m in metrics.items():
-            m["unit"] = results[0]["metrics"][name]["unit"]
-        out[side] = {"metrics": metrics, "correct": all(r["correct"] for r in results),
-                     "attempted": sum(r["attempted"] for r in results),
-                     "failed": sum(r["failed"] for r in results)}
-    wins = {}
-    for name, direction in better.items():
-        pairs = zip(out["parent"]["metrics"][name]["values"],
-                    out["change"]["metrics"][name]["values"])
-        wins[name] = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
-    out["change_won_pairs"] = wins
+    out.update(summarise(runs, better))
     return out
 
 
