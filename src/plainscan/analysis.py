@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import _STEM_WIDTHS, ModelConfig, param_spec
+from .scan import checkpoint_segments
 
 
 @dataclass(frozen=True)
@@ -140,16 +141,22 @@ def count_flops_attention(cfg: AttentionBaselineConfig, resolution) -> FlopsRepo
 def peak_activation_bytes(cfg, resolution) -> int:
     """Footprint in float64 bytes of the widest live operation for one image, taped.
 
-    For this model that is the 2D scan, costed at twice its state history
-    (``2 * 4 * n * d_inner * m`` values): the taped scan node keeps the
-    ``[n, K, d_inner, m]`` history and otherwise only per-token and
-    per-step arrays.  A taped forward measures the scan's peak at about
-    1.25x the history at ``m = 16`` (14x14 grid, d_inner 96 and 384),
-    inside this figure; each ``[n, d_inner]`` array adds ``1/m`` of the
-    history, so at small ``m`` the per-token arrays can take the peak past
-    it.  This bounds the taped forward only: under ``no_grad`` the scan
-    keeps no history and peaks at about 0.275x of it (taped: 1.270x) at
-    14x14, d_inner 96, m 16, most of it the gathered copies of its inputs.
+    For this model that is the 2D scan's taped forward, and the figure is
+    an account of the arrays the node holds at its peak rather than a
+    proven bound.  The node holds the gathered ``[n, K, k]`` copies of
+    delta, x, B and C and its outputs (``4 n (3 d_inner + 2 m)`` values),
+    its checkpoints (``scan.checkpoint_segments``: the whole
+    ``[n, K, m, d_inner]`` history while it fits in
+    ``scan._HISTORY_BYTES``, else ``ceil(sqrt(n))`` states) and three
+    working states, and up to four ``[n, d_inner]`` arrays while it puts
+    the outputs on the grid and adds the skip.  Measured with tracemalloc
+    for one image, the figure is 1.02-1.09x the node's taped peak at 7x7,
+    14x14 and 28x28 grids, m 4 and 16, d_inner 96 and 384.  A batch of
+    images can cross the history budget together where one image does
+    not, so the figure times the batch can be far above the node's peak
+    (3.9x at four 14x14 images, d_inner 96).  Under ``no_grad`` the node keeps no
+    checkpoints, and its backward adds per-step gradient arrays and up to
+    ``ceil(sqrt(n)) - 1`` recomputed states of its own.
     """
     if isinstance(cfg, AttentionBaselineConfig):
         n = _check_resolution(resolution, cfg.patch)
@@ -157,7 +164,10 @@ def peak_activation_bytes(cfg, resolution) -> int:
         embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
         return 8 * max(attn, embed)
     n = _check_resolution(resolution, cfg.patch)
-    scan = 2 * 4 * n * cfg.d_inner * cfg.state_size
+    d, m = cfg.d_inner, cfg.state_size
+    state = 4 * m * d
+    _, checkpoints = checkpoint_segments(n, 8 * state)
+    scan = 4 * n * (3 * d + 2 * m) + (checkpoints + 3) * state + 4 * n * d
     proj = n * cfg.d_model + n * 2 * cfg.d_inner
     embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
     return 8 * max(scan, proj, embed)

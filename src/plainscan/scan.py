@@ -12,16 +12,20 @@ contiguous) with one transcendental per step, ``e = expm1(delta A)``:
 with ``p = h_{i-1} + B x / A`` it writes ``h_i = h_{i-1} + e p``, which
 is the ZOH update ``exp(delta A) h_{i-1} + expm1(delta A)/A B x`` (since
 ``phi(z) delta = expm1(z)/A``), and it sums the un-permuted outputs on
-the grid.  Its backward is a reverse-time adjoint that recomputes
-``expm1`` per step and takes ``exp`` as ``1 + expm1``.  The state
-history, which only that backward reads, is its only ``[n, S, m, d]``
-array; under ``no_grad`` the loop writes one rolling state instead.
-Every path is a permutation, so the backward pass gathers instead of
-scattering: the adjoint of the gather is the un-permute.
+the grid.  Taped, it keeps its whole state history while that fits in
+``_HISTORY_BYTES``; a longer history is kept as ``ceil(sqrt(n))``
+checkpoints, the last state of each segment of steps; under ``no_grad``
+the loop writes one rolling state.  Its backward is a reverse-time
+adjoint that recomputes ``expm1`` per step and takes ``exp`` as
+``1 + expm1``; on reaching a segment it first recomputes that segment's
+other states from the checkpoint before it.  Every path is a
+permutation, so the backward pass gathers instead of scattering: the
+adjoint of the gather is the un-permute.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,17 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 from .paths import PathSet
 from .tensor import Tensor, _phi_prime, _record, grad_enabled
+
+# The taped 2D scan keeps its whole state history while it fits in this
+# many bytes, and otherwise ceil(sqrt(n)) checkpoints.
+_HISTORY_BYTES = 16 << 20
+
+
+def checkpoint_segments(n, state_bytes):
+    """(steps per segment, segments) of a taped 2D scan of n steps over states
+    of this many bytes; the last state of each segment is kept."""
+    seg = 1 if n * state_bytes <= _HISTORY_BYTES else math.isqrt(n - 1) + 1
+    return seg, -(-n // seg)
 
 
 @dataclass
@@ -144,12 +159,17 @@ def direction_aware_scan_2d(
     Step i computes ``e = expm1(delta_i A)``, ``p_i = h_{i-1} + B_i x_i / A``,
     ``h_i = h_{i-1} + e p_i`` (that is, ``exp(z) h_{i-1} + expm1(z)/A B_i
     x_i`` with ``z = delta_i A``) and ``y_i = sum_m C_i h_i`` in reused
-    ``[S, m, d]`` buffers (S sequences, d contiguous).  Taped, ``h_i`` goes
-    into the ``[n, S, m, d]`` history the backward pass reads; under
-    ``no_grad`` into one rolling state.  The backward pass is the
-    reverse-time adjoint ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``; it
-    recomputes ``e`` per step and takes ``A_bar = 1 + e``.  With
-    ``r = lam A_bar p_i``, delta's gradient is ``sum_m A r`` and A's is
+    ``[S, m, d]`` buffers (S sequences, d contiguous).  Under ``no_grad``
+    ``h_i`` goes into one rolling state.  Taped, the steps fall into
+    segments (``checkpoint_segments``) and the last state of each goes into
+    a ``[segments, S, m, d]`` array of checkpoints; while the whole history
+    fits in ``_HISTORY_BYTES`` every segment is one step, so that array is
+    the history.  The backward pass is the reverse-time adjoint
+    ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``; it recomputes ``e`` per step
+    and takes ``A_bar = 1 + e``.  At the last step of a longer segment it
+    first recomputes the segment's other states from the checkpoint before
+    it, with the forward's arithmetic, into a ``[seg - 1, S, m, d]`` buffer.
+    With ``r = lam A_bar p_i``, delta's gradient is ``sum_m A r`` and A's is
     ``delta r - (e/A lam)(B_i x_i / A)``; where some ``|z| < 1e-4`` that
     difference cancels, and those entries take
     ``lam (delta A_bar h_{i-1} + delta^2 phi'(z) B_i x_i)`` with phi's series.
@@ -197,24 +217,34 @@ def direction_aware_scan_2d(
     d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
     a_t = np.ascontiguousarray(A.data.T)  # [m, d]
     inv_a = 1.0 / a_t
-    # the backward pass reads every state; without a tape one rolling
-    # state is enough, and step i writes hs[i % len(hs)] either way
-    hs = np.empty((n if grad_enabled() else 1, S, m, d))
-    e, p = np.empty((S, m, d)), np.empty((S, m, d))
+
+    def run(h_prev, steps, state, ys=None):
+        # the given steps from h_prev; step i writes its state into state(i)
+        e, p = np.empty((S, m, d)), np.empty((S, m, d))
+        for i in steps:
+            np.multiply(d_row[i], a_t, out=e)
+            np.expm1(e, out=e)
+            # p = h_{i-1} + B x / A, and h_i = h_{i-1} + expm1(z) p
+            np.multiply(b_col[i], x_row[i], out=p)
+            p *= inv_a
+            if i:
+                p += h_prev
+            p *= e
+            h = state(i)
+            np.add(h_prev, p, out=h)
+            if ys is not None:
+                ys[i] = np.matmul(cs[i][:, None, :], h)[:, 0]
+            h_prev = h
+
+    taped = grad_enabled()
+    seg, count = checkpoint_segments(n, 8 * S * m * d)
+    ends = np.minimum(np.arange(1, count + 1) * seg, n) - 1  # each segment's last step
+    # step i writes checkpoint i // seg when it ends a segment, and otherwise
+    # the rolling state h
+    ck = np.empty((count, S, m, d)) if taped else None
+    h = np.empty((S, m, d))
     ys = np.empty((n, S, d))
-    for i in range(n):
-        np.multiply(d_row[i], a_t, out=e)
-        np.expm1(e, out=e)
-        # p = h_{i-1} + B x / A, and h_i = h_{i-1} + expm1(z) p
-        np.multiply(b_col[i], x_row[i], out=p)
-        p *= inv_a
-        h_prev = hs[(i - 1) % len(hs)] if i else 0.0
-        if i:
-            p += h_prev
-        p *= e
-        h = hs[i % len(hs)]
-        np.add(h_prev, p, out=h)
-        ys[i] = np.matmul(cs[i][:, None, :], h)[:, 0]
+    run(0.0, range(n), lambda i: ck[i // seg] if taped and i == ends[i // seg] else h, ys)
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
     _record(10 * n * S * m * d)
@@ -230,10 +260,18 @@ def direction_aware_scan_2d(
 
     def bwd(g):
         gs = gather(g, d)
-        gd, gx, gb = np.empty((n, S, d)), np.empty((n, S, d)), np.empty((n, S, m))
+        gd, gx = np.empty((n, S, d)), np.empty((n, S, d))
+        gb, gc = np.empty((n, S, m)), np.empty((n, S, m))
         ga, lam, w, z, q, v, r, a_i, a_next = (np.zeros((S, m, d)) for _ in range(9))
+        hs = np.empty((seg - 1, S, m, d))  # the states a segment recomputes
         near0 = (ds * -a_t.max(axis=0)).min(axis=(1, 2)) < 1e-4  # steps with |z| < 1e-4
         for i in range(n - 1, -1, -1):
+            k, t = divmod(i, seg)
+            h_in = ck[k - 1] if k else 0.0
+            if t and i == ends[k]:  # a segment's last step: recompute the others
+                s0 = i - t
+                run(h_in, range(s0, i), lambda j: hs[j - s0])
+                gc[s0:i] = np.matmul(hs[:t], gs[s0:i, :, :, None])[..., 0]
             lam *= a_next
             lam += np.multiply(cs[i][:, :, None], gs[i][:, None, :], out=w)
             np.multiply(d_row[i], a_t, out=z)
@@ -249,7 +287,7 @@ def direction_aware_scan_2d(
                 dz = np.broadcast_to(d_row[i], z.shape)[small]
                 series = _phi_prime(z[small]) * dz * dz * v[small]
             v *= inv_a
-            h_prev = hs[i - 1] if i else 0.0
+            h_prev = hs[t - 1] if t else h_in
             # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
             np.add(h_prev, v, out=r)
             r *= a_i
@@ -265,7 +303,7 @@ def direction_aware_scan_2d(
                 r[small] = lam[small] * (dz * a_i[small] * hp + series)
             ga += r
             a_i, a_next = a_next, a_i
-        gc = np.matmul(hs, gs[:, :, :, None])[..., 0]
+        gc[ends] = np.matmul(ck, gs[ends, :, :, None])[..., 0]
         gx = to_grid(gx, x_grid.shape)
         gx += g * (K * D.data)
         g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x_grid.data.reshape(-1, d))

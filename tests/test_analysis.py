@@ -1,15 +1,21 @@
 """MAC accounting: instrumented agreement, bucket bands, asymptotics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from plainscan import (
     DEIT_C224,
     Model,
+    ModelConfig,
+    SsmCore,
     count_flops,
     count_flops_attention,
     count_macs,
     count_params,
+    direction_aware_scan_2d,
+    generate_continuous_paths,
     get_config,
     scaling_curve,
 )
@@ -135,3 +141,31 @@ def test_peak_bytes_monotone_in_resolution():
     assert peak_activation_bytes(DEIT_C224, (4096, 4096)) > peak_activation_bytes(
         DEIT_C224, (128, 128)
     )
+
+
+@pytest.mark.parametrize("d_inner", [96, 384])
+def test_peak_bytes_bound_the_taped_scan_node(d_inner):
+    # a 14x14 grid with m = 16, one image: the figure accounts for the arrays
+    # the taped node holds at its peak, so it sits only a few percent above
+    # the measured peak (1.02x at d_inner 96, 1.09x at 384).  An array the
+    # node gains and the figure does not count fails the lower side, and one
+    # the figure counts but the node no longer keeps, such as the whole
+    # history at d_inner 384, fails the upper side.
+    side, m = 14, 16
+    cfg = ModelConfig(depth=1, d_model=d_inner // 2, state_size=m, patch=16,
+                      img_size=16 * side, stem="single")
+    rng = np.random.default_rng(21)
+    core = SsmCore(A=Tensor(-np.abs(rng.standard_normal((d_inner, m))) - 0.05),
+                   D=Tensor(rng.standard_normal(d_inner)),
+                   Theta=Tensor(0.3 * rng.standard_normal((5, m))))
+    x, b, c = (Tensor(rng.standard_normal((side, side, k))) for k in (d_inner, m, m))
+    delta = Tensor(rng.uniform(0.05, 1.0, (side, side, d_inner)))
+    ps = generate_continuous_paths(side, side)
+    tracemalloc.start()
+    try:
+        direction_aware_scan_2d(x, b, c, delta, core, ps)
+        measured = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    figure = peak_activation_bytes(cfg, (16 * side, 16 * side))
+    assert measured <= figure <= 2 * measured, f"figure {figure / measured:.3f}x the peak"

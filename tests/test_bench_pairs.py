@@ -59,3 +59,33 @@ def test_summarise_gap_is_negative_when_the_change_is_worse():
     assert out["change_median_gap"] == {"lat": -1.0}
     assert out["gap_wider_than_parent_iqr"] == {"lat": False}
     assert out["claim_bar_met"] == {"lat": False}
+
+
+def test_summarise_records_the_relative_gap_and_the_report_the_bounds():
+    # the change is better on lat by 10% and worse on rate by 20%
+    out = bench_pairs.summarise(
+        {"parent": _results({"lat": [10.0] * 3, "rate": [5.0] * 3}),
+         "change": _results({"lat": [9.0] * 3, "rate": [4.0] * 3})},
+        {"lat": "lower", "rate": "higher"})
+    assert out["change_relative_gap"] == pytest.approx({"lat": 0.1, "rate": -0.2})
+    spec = {"end_to_end": [{"name": "lat", "better": "lower", "bound": 0.25},
+                           {"name": "rss", "better": "lower", "bound": 0.1}]}
+    assert bench_pairs.end_to_end(spec) == ({"lat": "lower", "rss": "lower"},
+                                            {"lat": 0.25, "rss": 0.1})
+
+
+def test_summarise_says_whether_the_change_median_is_inside_the_parent_iqr():
+    # the parent's quartiles are [11.5, 13.25] for lat and [4.75, 6.25] for rate
+    parent = {"lat": [10.0, 12, 13, 14], "rate": [4.0, 5, 6, 7]}
+    out = bench_pairs.summarise(
+        {"parent": _results(parent),
+         "change": _results({"lat": [13.25] * 4, "rate": [4.7] * 4})},
+        {"lat": "lower", "rate": "higher"})
+    assert out["parent"]["metrics"]["lat"]["quartiles"] == [11.5, 13.25]
+    assert out["parent"]["metrics"]["rate"]["quartiles"] == [4.75, 6.25]
+    assert out["no_worse_than_parent_iqr"] == {"lat": True, "rate": False}
+    out = bench_pairs.summarise(
+        {"parent": _results(parent),
+         "change": _results({"lat": [13.3] * 4, "rate": [9.0] * 4})},
+        {"lat": "lower", "rate": "higher"})
+    assert out["no_worse_than_parent_iqr"] == {"lat": False, "rate": True}

@@ -2,6 +2,7 @@
 direction-aware 2D composition properties."""
 
 import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from plainscan import (
     selective_scan_ref,
     zoh_discretize,
 )
+from plainscan import scan as scan_module
 from plainscan.errors import NumericalError, ShapeError
 from plainscan.ops import grad_check
 from plainscan.paths import apply_path
@@ -435,6 +437,95 @@ def test_ssm_no_grad_forward_peak_is_a_fraction_of_the_state_history():
     assert np.array_equal(outs[1], outs[0])
     saved = (peaks[0] - peaks[1]) / history
     assert saved >= 0.9, f"no_grad saves {saved:.3f}x the state history"
+
+
+def test_taped_forward_past_the_budget_keeps_only_its_checkpoints(monkeypatch):
+    # with no history budget the taped node keeps ceil(sqrt(n)) states, and
+    # besides them it peaks where the no_grad forward does
+    monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
+    rng = np.random.default_rng(13)
+    side, d, m = 14, 96, 16
+    core = _rand_core(rng, d, m, theta_scale=0.3)
+    x, b, c, delta = _rand_grids(rng, side, side, d, m)
+    ps = generate_continuous_paths(side, side)
+    n, state = side * side, 8 * 4 * d * m
+    seg, count = scan_module.checkpoint_segments(n, state)
+    assert (seg, count) == (14, 14)
+    outs, peaks = [], []
+    for grad in (True, False):
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if grad else no_grad():
+                outs.append(direction_aware_scan_2d(x, b, c, delta, core, ps).data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(outs[1], outs[0])
+    assert peaks[1] <= 0.3 * n * state, f"no_grad peak {peaks[1] / (n * state):.3f}x the history"
+    kept = peaks[0] - peaks[1]
+    checkpoints = count * state
+    assert kept <= checkpoints + 64 * 1024, f"taped keeps {kept} B, checkpoints {checkpoints} B"
+
+
+def _checkpoint_case(rng, lead, kind, d=3, m=4):
+    """Grids, core and output weight; near-zero kinds put every |z| below 1e-4,
+    "mixed" moves every other state's A well clear of that switch, and
+    "signed-zero" sets half of x and of B to -0.0."""
+    x, b, c = (Tensor(rng.standard_normal((*lead, k))) for k in (d, m, m))
+    if kind == "signed-zero":
+        x.data[..., ::2] = -0.0
+        b.data[..., 1::2] = -0.0
+    if kind in ("random", "signed-zero"):
+        delta = Tensor(rng.uniform(0.01, 1.5, (*lead, d)))
+        A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05)
+        D = Tensor(rng.standard_normal(d))
+    else:
+        delta = Tensor(rng.uniform(1e-6, 2e-6, (*lead, d)))
+        A = Tensor(-rng.uniform(5e-4, 2e-3, (d, m)))
+        if kind == "mixed":
+            A.data[:, ::2] *= 1e8
+        D = Tensor(np.zeros(d))
+    core = SsmCore(A=A, D=D, Theta=Tensor(0.4 * rng.standard_normal((5, m))))
+    return x, b, c, delta, core, Tensor(rng.standard_normal((*lead, d)))
+
+
+@pytest.mark.parametrize("lead, kind", [
+    ((3, 5), "near-zero"), ((3, 5), "mixed"), ((1, 1), "random"), ((4, 4), "random"),
+    ((5, 7), "random"), ((2, 3, 5), "random"), ((3, 5), "signed-zero"),
+], ids=["near-zero-z", "mixed-A", "n=1", "square-4x4", "rect-5x7", "batch-2", "signed-zero"])
+def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind, monkeypatch):
+    # the whole history, and ceil(sqrt(n)) checkpoints with no budget: 4 steps
+    # a segment at n = 15 and 16, 6 at n = 35, so the last segment is shorter
+    # except at 4x4
+    x, b, c, delta, core, weight = _checkpoint_case(np.random.default_rng(18), lead, kind)
+    leaves = [x, b, c, delta, core.A, core.D, core.Theta]
+    ps = generate_continuous_paths(*lead[-2:])
+    n, d, m = lead[-2] * lead[-1], *core.A.shape
+    state = 8 * 4 * math.prod(lead[:-2]) * m * d
+    runs = {}
+    for budget in (1 << 40, 0):
+        monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
+        for t in leaves:
+            t.grad = None
+        y = direction_aware_scan_2d(x, b, c, delta, core, ps)
+        (y * weight).sum().backward()
+        runs[scan_module.checkpoint_segments(n, state)[0]] = [y.data] + [t.grad for t in leaves]
+    assert sorted(runs) == sorted({1, math.isqrt(n - 1) + 1})
+    for seg, arrays in runs.items():
+        for got, want in zip(arrays, runs[1]):
+            assert np.array_equal(got, want), f"{seg} steps per segment"
+            assert np.array_equal(np.signbit(got), np.signbit(want)), f"{seg} steps: zero signs"
+
+
+@pytest.mark.parametrize("lead, kind", [
+    ((3, 5), "near-zero"), ((3, 5), "mixed"), ((5, 7), "random"),
+], ids=["near-zero-z", "mixed-A", "rect-5x7"])
+def test_checkpointed_node_matches_reference(lead, kind, monkeypatch):
+    # no history budget: ceil(sqrt(n)) segments, the last one shorter
+    monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
+    n = lead[0] * lead[1]
+    assert n % scan_module.checkpoint_segments(n, 1)[0] != 0
+    _assert_node_matches_reference(*_checkpoint_case(np.random.default_rng(19), lead, kind))
 
 
 @pytest.mark.parametrize("cfg", [

@@ -5,9 +5,14 @@ pair per seed, and alternates which side runs first.  For each workload,
 side and metric it records the median, the quartiles ``[q1, q3]``, every
 value, the seeds and the machine line that ``run.py`` prints.  For each
 end-to-end metric it adds how many pairs the change won, the gap between
-the medians, whether that gap is wider than the parent's IQR, and whether
-both make the bar a claimed gain must clear.  With ``--trace-seed`` it adds one traced run
-(``--trace 1``) per side and workload with the per-layer metrics.
+the medians and that gap relative to the parent's median, whether the
+change's median is no worse than the parent's worse quartile, whether the
+gap is wider than the parent's IQR, and whether both make the bar a claimed
+gain must clear.  The report also holds each end-to-end metric's bound, the
+relative worsening the benchmark allows, so that a workload running none of
+the changed code can be read beside the claimed one.  With ``--trace-seed``
+it adds one traced run (``--trace 1``) per side and workload with the
+per-layer metrics.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs 10 --first-seed 301 --out BENCH.json
@@ -63,9 +68,12 @@ def summarise(runs, better):
 
     Besides each side's metrics it holds, for each end-to-end metric, the
     pairs the change won, the gap between the medians (positive when the
-    change is better) and whether that gap is wider than the parent's IQR,
-    ``q3 - q1``.  ``claim_bar_met`` is the bar a claimed gain must clear:
-    at least nine tenths of the pairs won and a gap wider than that IQR.
+    change is better), that gap over the parent's median, whether the
+    change's median is no worse than the parent's worse quartile (inside the
+    parent's IQR or better), and whether the gap is wider than that IQR,
+    ``q3 - q1``.  ``claim_bar_met`` is
+    the bar a claimed gain must clear: at least nine tenths of the pairs
+    won and a gap wider than that IQR.
     """
     out = {}
     for side, results in runs.items():
@@ -76,18 +84,22 @@ def summarise(runs, better):
         out[side] = {"metrics": metrics, "correct": all(r["correct"] for r in results),
                      "attempted": sum(r["attempted"] for r in results),
                      "failed": sum(r["failed"] for r in results)}
-    wins, gaps, wider, met = {}, {}, {}, {}
+    wins, gaps, relative, inside, wider, met = {}, {}, {}, {}, {}, {}
     for name, direction in better.items():
         parent, change = out["parent"]["metrics"][name], out["change"]["metrics"][name]
         sign = 1 if direction == "lower" else -1
         pairs = list(zip(parent["values"], change["values"]))
         wins[name] = sum(sign * (p - c) > 0 for p, c in pairs)
         gaps[name] = sign * (parent["median"] - change["median"])
+        relative[name] = gaps[name] / parent["median"] if parent["median"] else None
         q1, q3 = parent["quartiles"]
+        inside[name] = sign * ((q3 if sign > 0 else q1) - change["median"]) >= 0
         wider[name] = gaps[name] > q3 - q1
         met[name] = wider[name] and wins[name] >= 0.9 * len(pairs)
     out["change_won_pairs"] = wins
     out["change_median_gap"] = gaps
+    out["change_relative_gap"] = relative
+    out["no_worse_than_parent_iqr"] = inside
     out["gap_wider_than_parent_iqr"] = wider
     out["claim_bar_met"] = met
     return out
@@ -114,16 +126,23 @@ def bench_workload(args, workload, seconds, better):
     return out
 
 
+def end_to_end(spec):
+    """``({metric: better direction}, {metric: bound})`` from a BENCHMARK.json spec."""
+    return ({m["name"]: m["better"] for m in spec["end_to_end"]},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
+
+
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better, bounds = end_to_end(spec)
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
         "pairs": args.pairs,
+        "bounds": bounds,
         "host": f"{platform.machine()} {platform.processor() or ''}".strip(),
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
