@@ -113,10 +113,13 @@ def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
         + n * di               # gating multiply
     )
     head_and_pool = 4 * n * d + d + d * cfg.num_classes
+    # off the native grid the forward resamples pos_embed with one matmul
+    resample = n * cfg.grid**2 * d if n != cfg.grid**2 else 0
     return FlopsReport(
         token_mixing=cfg.depth * scan_per_block,
         channel_mixing=cfg.depth * proj_per_block,
-        other=cfg.depth * other_per_block + _stem_macs(cfg, resolution) + head_and_pool,
+        other=(cfg.depth * other_per_block + _stem_macs(cfg, resolution) + head_and_pool
+               + resample),
         resolution=tuple(resolution),
         model_id=f"d{cfg.depth}w{cfg.d_model}",
     )
@@ -155,8 +158,10 @@ def peak_activation_bytes(cfg, resolution) -> int:
     images can cross the history budget together where one image does
     not, so the figure times the batch can be far above the node's peak
     (3.9x at four 14x14 images, d_inner 96).  Under ``no_grad`` the node keeps no
-    checkpoints, and its backward adds per-step gradient arrays and up to
-    ``ceil(sqrt(n)) - 1`` recomputed states of its own.
+    checkpoints.  Taped, it keeps only its checkpoints once the forward ends:
+    the backward re-forms the gathered copies from the node's inputs, and
+    adds per-step gradient arrays and up to ``ceil(sqrt(n)) - 1``
+    recomputed states of its own.
     """
     if isinstance(cfg, AttentionBaselineConfig):
         n = _check_resolution(resolution, cfg.patch)

@@ -25,21 +25,32 @@ def activation(x: Tensor, kind: str) -> Tensor:
     raise ConfigError(f"unknown activation kind {kind!r} (want 'silu' or 'softplus')")
 
 
+def _normalize(x):
+    """(x - mean) / sqrt(var + 1e-6) over the last axis, and that inverse root."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-6)
+    return (x - mu) * inv, inv
+
+
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
+    """Normalize over the last axis to zero mean / unit variance, then affine.
+
+    The backward recomputes the normalized input from ``x.data``.
+    """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layernorm affine params must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-6)
-    xhat = (x.data - mu) * inv
+    y = _normalize(x.data)[0]
+    y *= gamma.data
+    y += beta.data
     _record(4 * x.size)
-    out = Tensor(xhat * gamma.data + beta.data, (x, gamma, beta))
+    out = Tensor(y, (x, gamma, beta))
 
     def bwd(g):
+        xhat, inv = _normalize(x.data)
         lead = tuple(range(g.ndim - 1))
         gamma._accumulate((g * xhat).sum(axis=lead), fresh=True)
         beta._accumulate(g.sum(axis=lead), fresh=True)
@@ -68,10 +79,9 @@ def _windows(x, k, stride, pad):
 
 
 def _depthwise_same(x, kernel):
-    """'Same' per-channel correlation of [B,H,W,C] with [k,k,C]; returns (out, windows)."""
+    """'Same' per-channel correlation of [B,H,W,C] with [k,k,C]."""
     k = kernel.shape[0]
-    win = _windows(x, k, 1, (k - 1) // 2)
-    return np.einsum("bhwcij,ijc->bhwc", win, kernel), win
+    return np.einsum("bhwcij,ijc->bhwc", _windows(x, k, 1, (k - 1) // 2), kernel)
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -80,7 +90,8 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     One einsum over a strided view of the zero-padded k x k windows. For odd
     k the adjoint of a 'same' correlation is the same correlation with the
     kernel flipped, so the input gradient is the forward applied to ``g``;
-    the kernel gradient is one einsum of ``g`` against the same windows.
+    the kernel gradient is one einsum of ``g`` against the same windows,
+    which the backward re-forms from ``x.data``.
     """
     if kernel.data.ndim != 3 or kernel.shape[0] != kernel.shape[1]:
         raise ShapeError(f"depthwise kernel must be [k,k,C], got {kernel.shape}")
@@ -93,15 +104,17 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     if x.shape[-1] != kernel.shape[-1]:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     xb = x.data if batched else x.data[None]
-    out_data, win = _depthwise_same(xb, kernel.data)
+    out_data = _depthwise_same(xb, kernel.data)
     nb, H, W, C = xb.shape
     _record(nb * H * W * k * k * C)
     out = Tensor(out_data if batched else out_data[0], (x, kernel))
 
     def bwd(g):
         gb = g if batched else g[None]
+        win = _windows(xb, k, 1, (k - 1) // 2)
         kernel._accumulate(np.einsum("bhwc,bhwcij->ijc", gb, win), fresh=True)
-        gx = _depthwise_same(gb, kernel.data[::-1, ::-1])[0]
+        del win  # before the input gradient pads g
+        gx = _depthwise_same(gb, kernel.data[::-1, ::-1])
         x._accumulate(gx if batched else gx[0], fresh=True)
 
     out._backward = bwd
@@ -123,9 +136,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Te
     round differently.
 
     The backward keeps the input, not the columns, and re-forms the columns
-    once for the weight gradient as one whole GEMM.  Mutating ``x.data`` in
-    place between the forward and the backward therefore changes the weight
-    gradient.  The input gradient adds the column gradient into the view of
+    once for the weight gradient as one whole GEMM, by the tape's rule that
+    a closure reads only its parents' data (see :mod:`plainscan.tensor`).
+    The input gradient adds the column gradient into the view of
     a zero buffer one stride x stride block of taps at a time; taps in a
     block never share an input cell, so each add is exact.
     """
@@ -185,19 +198,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out.reshape(*lead, w.shape[1])
 
 
+def _shifted_logsumexp(a):
+    """Rows of [B,K] shifted by their max, and the log-sum-exp of each shifted row."""
+    z = a - a.max(axis=1, keepdims=True)
+    return z, np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy; logits [B,K], integer labels [B]."""
     labels = np.asarray(labels)
     B, K = logits.shape
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
+    z, lse = _shifted_logsumexp(logits.data)
     _record(3 * B * K)
     # lse - z, not -logp: a zero loss is +0.0 rather than -0.0
     out = Tensor((lse[:, 0] - z[np.arange(B), labels]).mean(), (logits,))
 
     def bwd(g):
-        probs = np.exp(logp)
+        z, lse = _shifted_logsumexp(logits.data)
+        probs = np.exp(z - lse)
         probs[np.arange(B), labels] -= 1.0
         logits._accumulate(g * probs / B, fresh=True)
 

@@ -15,12 +15,14 @@ is the ZOH update ``exp(delta A) h_{i-1} + expm1(delta A)/A B x`` (since
 the grid.  Taped, it keeps its whole state history while that fits in
 ``_HISTORY_BYTES``; a longer history is kept as ``ceil(sqrt(n))``
 checkpoints, the last state of each segment of steps; under ``no_grad``
-the loop writes one rolling state.  Its backward is a reverse-time
-adjoint that recomputes ``expm1`` per step and takes ``exp`` as
-``1 + expm1``; on reaching a segment it first recomputes that segment's
-other states from the checkpoint before it.  Every path is a
-permutation, so the backward pass gathers instead of scattering: the
-adjoint of the gather is the un-permute.
+the loop writes one rolling state.  The checkpoints are all the node
+keeps: its backward gathers the time-major inputs again from the
+node's inputs.  The backward is a reverse-time adjoint that recomputes
+``expm1`` per step and takes ``exp`` as ``1 + expm1``; on reaching a
+segment it first recomputes that segment's other states from the
+checkpoint before it.  Every path is a permutation, so the backward
+pass gathers instead of scattering: the adjoint of the gather is the
+un-permute.
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ def direction_aware_scan_2d(
     The paths are permutations, so the forward gathers each input while it
     builds its time-major copy, and the backward gathers ``g`` by each order
     and returns the input gradients to the grid by the inverse orders and a
-    sum over K; no scatter-add.  Theta's gradient is B's, summed per
-    direction label.
+    sum over K; no scatter-add.  The forward drops its time-major copies
+    when its loop ends, and the backward gathers them again from the
+    grids.  Theta's gradient is B's, summed per direction label.
 
     Step i computes ``e = expm1(delta_i A)``, ``p_i = h_{i-1} + B_i x_i / A``,
     ``h_i = h_{i-1} + e p_i`` (that is, ``exp(z) h_{i-1} + expm1(z)/A B_i
@@ -209,17 +212,22 @@ def direction_aware_scan_2d(
             total += a[inverse[k], k]
         return total.transpose(1, 0, 2).reshape(shape)
 
-    ds, xs, bs, cs = (
-        gather(t.data, k) for t, k in ((delta_grid, d), (x_grid, d), (b_grid, m), (c_grid, m))
-    )
-    b_paths = bs.reshape(n, K, L, m)  # a view of the gathered copy
-    b_paths += Theta.data[labels][:, :, None, :]
-    d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
-    a_t = np.ascontiguousarray(A.data.T)  # [m, d]
-    inv_a = 1.0 / a_t
+    def step_inputs():
+        # what the step loop reads, derived from the parents' data: the
+        # time-major rows of delta, x, B + Theta[direction] and C, and A^T
+        # and 1 / A^T, each [m, d]
+        ds, xs, bs, cs = (
+            gather(t.data, k) for t, k in ((delta_grid, d), (x_grid, d), (b_grid, m), (c_grid, m))
+        )
+        b_paths = bs.reshape(n, K, L, m)  # a view of the gathered copy
+        b_paths += Theta.data[labels][:, :, None, :]
+        a_t = np.ascontiguousarray(A.data.T)
+        return ds, xs, bs, cs, a_t, 1.0 / a_t
 
-    def run(h_prev, steps, state, ys=None):
+    def run(inputs, h_prev, steps, state, ys=None):
         # the given steps from h_prev; step i writes its state into state(i)
+        ds, xs, bs, cs, a_t, inv_a = inputs
+        d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
         e, p = np.empty((S, m, d)), np.empty((S, m, d))
         for i in steps:
             np.multiply(d_row[i], a_t, out=e)
@@ -244,7 +252,9 @@ def direction_aware_scan_2d(
     ck = np.empty((count, S, m, d)) if taped else None
     h = np.empty((S, m, d))
     ys = np.empty((n, S, d))
-    run(0.0, range(n), lambda i: ck[i // seg] if taped and i == ends[i // seg] else h, ys)
+    # the inputs die with this call; the backward gathers its own
+    run(step_inputs(), 0.0, range(n),
+        lambda i: ck[i // seg] if taped and i == ends[i // seg] else h, ys)
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
     _record(10 * n * S * m * d)
@@ -259,6 +269,8 @@ def direction_aware_scan_2d(
     out = Tensor(y, (delta_grid, A, b_grid, x_grid, c_grid, D, Theta))
 
     def bwd(g):
+        ds, xs, bs, cs, a_t, inv_a = inputs = step_inputs()
+        d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
         gs = gather(g, d)
         gd, gx = np.empty((n, S, d)), np.empty((n, S, d))
         gb, gc = np.empty((n, S, m)), np.empty((n, S, m))
@@ -270,7 +282,7 @@ def direction_aware_scan_2d(
             h_in = ck[k - 1] if k else 0.0
             if t and i == ends[k]:  # a segment's last step: recompute the others
                 s0 = i - t
-                run(h_in, range(s0, i), lambda j: hs[j - s0])
+                run(inputs, h_in, range(s0, i), lambda j: hs[j - s0])
                 gc[s0:i] = np.matmul(hs[:t], gs[s0:i, :, :, None])[..., 0]
             lam *= a_next
             lam += np.multiply(cs[i][:, :, None], gs[i][:, None, :], out=w)

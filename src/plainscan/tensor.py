@@ -8,7 +8,15 @@ and anything else goes through an explicit ``expand``, which gives a
 read-only broadcast view rather than a copy.  Shape violations raise
 :class:`~plainscan.errors.ShapeError` naming both operands.
 
-The tape keeps only what a later ``backward()`` reads.  Inside
+The tape keeps only what a later ``backward()`` reads, and no copy of
+it.  A backward closure reads the ``.data`` of its node and of the
+node's parents, and re-derives every other intermediate of the forward
+from them; besides those it keeps only small constants of the op, such
+as indices and shapes, and the 2D scan its state checkpoints
+(:mod:`plainscan.scan`).  No op writes into a Tensor's data after
+building it, which is what makes this exact: code that changes a
+parent's ``.data`` between a forward and its backward changes the
+gradients.  Inside
 :func:`no_grad` operations record neither parents nor closures, so each
 intermediate is freed as soon as its last reference goes.
 ``backward()`` releases the graph as it runs: once a node's closure has
@@ -311,10 +319,13 @@ class Tensor:
     def silu(self):
         _record(2 * self.size)
         s = _sigmoid(self.data)
-        out = Tensor(self.data * s, (self,))
-        out._backward = lambda g: self._accumulate(
-            g * s * (1.0 + self.data * (1.0 - s)), fresh=True
-        )
+        out = Tensor(np.multiply(self.data, s, out=s), (self,))  # the product replaces s
+
+        def bwd(g):
+            s = _sigmoid(self.data)
+            self._accumulate(g * s * (1.0 + self.data * (1.0 - s)), fresh=True)
+
+        out._backward = bwd
         return out
 
     def softplus(self):

@@ -39,14 +39,11 @@ def test_analytic_equals_instrumented_toy():
 
 
 def test_analytic_tracks_instrumented_off_grid_resolution():
-    # off the native grid the forward adds one pos-embed resample matmul
-    # of exactly dst_tokens * src_tokens * d_model MACs; the closed-form
-    # counter covers everything else
+    # off the native grid the forward adds one pos-embed resample matmul of
+    # dst_tokens * src_tokens * d_model MACs, which count_flops counts too
     cfg = get_config("toy")
-    analytic = count_flops(cfg, (16, 16)).total
-    measured = _instrumented_macs(cfg, 16)
-    resample = (16 // cfg.patch) ** 2 * cfg.grid**2 * cfg.d_model
-    assert measured == analytic + resample
+    for side in (16, 40):  # 2x2 and 5x5 token grids against the native 4x4
+        assert count_flops(cfg, (side, side)).total == _instrumented_macs(cfg, side)
 
 
 def test_instrumented_scales_with_batch():

@@ -1,5 +1,7 @@
 """Backbone assembly: config validation, init, shapes, and block oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from plainscan.model import (
     check_params,
     param_spec,
 )
+from plainscan.scan import checkpoint_segments
 from plainscan.tensor import Tensor
 
 
@@ -216,3 +219,49 @@ def test_parameters_ordering_matches_spec():
     model = Model(cfg, seed=0)
     names = [n for n, _ in param_spec(cfg)]
     assert [t.name for t in model.parameters()] == names
+
+
+def _owner(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("cfg, side, batch", [
+    (get_config("toy"), 32, 16),
+    (get_config("L1", depth=1, img_size=64), 64, 2),
+], ids=["toy", "L1-width-depth-1"])
+def test_taped_forward_keeps_only_node_data_and_scan_checkpoints(cfg, side, batch):
+    # A closure reads its node's and its parents' .data and re-derives the
+    # rest, so what a taped forward leaves allocated is the data of the
+    # graph's nodes plus each scan's checkpoints.  Only numpy's buffers are counted, not the
+    # Python objects of the graph; the slack covers the scan's small index
+    # arrays.
+    model = Model(cfg, seed=0)
+    images = Tensor(np.random.default_rng(1).uniform(-1, 1, (batch, side, side, 3)))
+    model.forward(images)  # fills the path cache
+    existing = {id(_owner(t.data)) for t in [images, *model.parameters()]}
+    tracemalloc.start()
+    try:
+        root = model.forward(images)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    retained = sum(t.size for t in snapshot.filter_traces(numpy_only).traces)
+    buffers, seen, stack = {}, set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+            base = _owner(t.data)
+            if id(base) not in existing:
+                buffers[id(base)] = base.nbytes
+    n = cfg.grid ** 2
+    state = 8 * 4 * batch * cfg.state_size * cfg.d_inner
+    checkpoints = cfg.depth * checkpoint_segments(n, state)[1] * state
+    node_data = sum(buffers.values())
+    assert node_data <= retained <= node_data + checkpoints + (32 << 10), (
+        f"kept {retained - node_data - checkpoints} B beyond node data and checkpoints"
+    )

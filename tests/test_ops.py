@@ -49,6 +49,63 @@ def test_layernorm_grad():
     assert err < 1e-3
 
 
+def _same_bits(got, want):
+    """Equal values, NaNs and zero signs included."""
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(4, 9), (2, 3, 5, 16)])
+def test_layernorm_gradients_match_the_closed_form_bit_for_bit(shape):
+    # the closed form from xhat and 1/sigma saved at forward time; the
+    # backward recomputes them from the input; one row holds a NaN
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(shape) * 10
+    flat = x.reshape(-1, shape[-1])
+    flat[0, :4] = [0.0, -0.0, 40.0, -40.0]
+    flat[1] = 0.0
+    flat[2, 1] = np.nan
+    gamma, beta = rng.standard_normal((2, shape[-1]))
+    g = rng.standard_normal(shape)
+    g.reshape(-1, shape[-1])[0, :2] = [0.0, -0.0]
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    lead = tuple(range(len(shape) - 1))
+    gx = g * gamma
+    want_gx = (gx - gx.mean(axis=-1, keepdims=True)
+               - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv
+    xt, gt, bt = Tensor(x.copy()), Tensor(gamma), Tensor(beta)
+    out = ops.layernorm(xt, gt, bt)
+    out.backward(g)
+    assert _same_bits(out.data, xhat * gamma + beta)
+    assert _same_bits(gt.grad, (g * xhat).sum(axis=lead))
+    assert _same_bits(bt.grad, g.sum(axis=lead))
+    assert _same_bits(xt.grad, want_gx)
+
+
+@pytest.mark.parametrize("shape,ks", [((2, 5, 6, 3), 3), ((6, 5, 4), 7)])
+def test_depthwise_conv_gradients_match_the_closed_form_bit_for_bit(shape, ks):
+    # the kernel gradient against the windows saved at forward time, the
+    # input gradient as the flipped-kernel correlation; the backward re-forms
+    # the windows from the input
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(shape)
+    x.reshape(-1)[:5] = [0.0, -0.0, 40.0, -40.0, np.nan]
+    k = rng.standard_normal((ks, ks, shape[-1]))
+    g = rng.standard_normal(shape)
+    g.reshape(-1)[:2] = [0.0, -0.0]
+    xb, gb = (x, g) if x.ndim == 4 else (x[None], g[None])
+    win = ops._windows(xb, ks, 1, (ks - 1) // 2).copy()
+    want_gk = np.einsum("bhwc,bhwcij->ijc", gb, win)
+    want_gx = ops._depthwise_same(gb, k[::-1, ::-1]).reshape(shape)
+    want_out = np.einsum("bhwcij,ijc->bhwc", win, k).reshape(shape)
+    xt, kt = Tensor(x.copy()), Tensor(k)
+    out = ops.depthwise_conv2d(xt, kt)
+    out.backward(g)
+    assert _same_bits(out.data, want_out)
+    assert _same_bits(kt.grad, want_gk)
+    assert _same_bits(xt.grad, want_gx)
+
+
 def _depthwise_oracle(x, k):
     H, W, C = x.shape
     ks = k.shape[0]

@@ -496,8 +496,15 @@ def _checkpoint_case(rng, lead, kind, d=3, m=4):
 def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind, monkeypatch):
     # the whole history, and ceil(sqrt(n)) checkpoints with no budget: 4 steps
     # a segment at n = 15 and 16, 6 at n = 35, so the last segment is shorter
-    # except at 4x4
+    # except at 4x4.  The backward gathers its inputs again from the parents'
+    # data.  Past the budget it recomputes states from those rows, where the
+    # whole-history run keeps the states the forward computed from its own
+    # gather, so equal gradients show that the two gathers agree.  Each
+    # budget runs twice, once with another node's forward and backward on
+    # other data between the forward and its backward: the backward must
+    # gather from its own parents, not reuse rows from the last forward.
     x, b, c, delta, core, weight = _checkpoint_case(np.random.default_rng(18), lead, kind)
+    other = _checkpoint_case(np.random.default_rng(20), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
     ps = generate_continuous_paths(*lead[-2:])
     n, d, m = lead[-2] * lead[-1], *core.A.shape
@@ -505,16 +512,20 @@ def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind
     runs = {}
     for budget in (1 << 40, 0):
         monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
-        for t in leaves:
-            t.grad = None
-        y = direction_aware_scan_2d(x, b, c, delta, core, ps)
-        (y * weight).sum().backward()
-        runs[scan_module.checkpoint_segments(n, state)[0]] = [y.data] + [t.grad for t in leaves]
-    assert sorted(runs) == sorted({1, math.isqrt(n - 1) + 1})
-    for seg, arrays in runs.items():
-        for got, want in zip(arrays, runs[1]):
-            assert np.array_equal(got, want), f"{seg} steps per segment"
-            assert np.array_equal(np.signbit(got), np.signbit(want)), f"{seg} steps: zero signs"
+        seg = scan_module.checkpoint_segments(n, state)[0]
+        for between in (False, True):
+            for t in leaves:
+                t.grad = None
+            y = direction_aware_scan_2d(x, b, c, delta, core, ps)
+            if between:
+                (direction_aware_scan_2d(*other[:5], ps) * other[5]).sum().backward()
+            (y * weight).sum().backward()
+            runs[seg, between] = [y.data] + [t.grad for t in leaves]
+    assert sorted({seg for seg, _ in runs}) == sorted({1, math.isqrt(n - 1) + 1})
+    for key, arrays in runs.items():
+        for got, want in zip(arrays, runs[1, False]):
+            assert np.array_equal(got, want), f"(steps per segment, other node between) {key}"
+            assert np.array_equal(np.signbit(got), np.signbit(want)), f"{key}: zero signs"
 
 
 @pytest.mark.parametrize("lead, kind", [

@@ -88,6 +88,24 @@ def test_sigmoid_matches_two_branch_formula_bit_for_bit():
     assert np.array_equal(_sigmoid(x).view(np.int64), two_branch(x).view(np.int64))
 
 
+def test_silu_output_and_gradient_match_the_closed_form_bit_for_bit():
+    # the closed form from the sigmoid saved at forward time; the backward
+    # recomputes it from the input instead of keeping it
+    special = [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0]
+    rng = np.random.default_rng(18)
+    x = np.concatenate([special, rng.standard_normal(10_000) * 10]).reshape(10, -1)
+    g = rng.standard_normal(x.shape)
+    g[:, :3] = [1.0, -0.0, 0.0]
+    s = _sigmoid(x)
+    xt = Tensor(x.copy())
+    with np.errstate(invalid="ignore"):  # -inf * 0 at x = -inf
+        out = xt.silu()
+        out.backward(g)
+        want_out, want = x * s, g * s * (1.0 + x * (1.0 - s))
+    assert np.array_equal(out.data.view(np.int64), want_out.view(np.int64))
+    assert np.array_equal(xt.grad.view(np.int64), want.view(np.int64))
+
+
 def test_softplus_matches_two_branch_formula_bit_for_bit():
     def two_branch(x):
         big = x > 20.0
