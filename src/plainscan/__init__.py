@@ -25,6 +25,7 @@ from .scan import (
     ScanInputs,
     SsmCore,
     direction_aware_scan_2d,
+    direction_aware_scan_2d_ref,
     selective_scan_ref,
     zoh_discretize,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "count_params",
     "depthwise_conv2d",
     "direction_aware_scan_2d",
+    "direction_aware_scan_2d_ref",
     "generate_continuous_paths",
     "generate_raster_paths",
     "get_config",

@@ -17,7 +17,7 @@ from .data import make_stripes
 from .errors import ConfigError, PlainScanError
 from .model import Model, get_config, init_params, param_spec
 from .netpbm import load_image, normalize
-from .scan import SsmCore, direction_aware_scan_2d
+from .scan import SsmCore, direction_aware_scan_2d, direction_aware_scan_2d_ref
 from .tensor import Tensor, no_grad
 from .train import toy_train
 from .weights import load_weights, save_weights
@@ -147,7 +147,7 @@ def cmd_grad_check(args):
         results.append(("silu", ops.grad_check(lambda v: v.silu().sum(), [v])))
         results.append(("softplus", ops.grad_check(lambda v: v.softplus().sum(), [v])))
     if args.scope in ("scan", "all"):
-        results.append(("direction_aware_scan_2d", _scan_grad_check(rng)))
+        results.extend(_scan_grad_check(rng))
     if args.scope in ("model", "all"):
         results.append(("toy_model_loss", _model_grad_check(args.seed)))
     for name, err in results:
@@ -170,7 +170,21 @@ def _scan_grad_check(rng):
         core = SsmCore(A=A, D=D, Theta=theta)
         return direction_aware_scan_2d(x, b, c, delta, core, pathset).sum()
 
-    return ops.grad_check(f, [x, A, theta])
+    fd = ops.grad_check(f, [x, A, theta])
+    # the output and all seven gradients against the oracle, under a random
+    # output weight so that each grid cell gets its own output gradient
+    weight = Tensor(rng.standard_normal((H, W, d)))
+    core = SsmCore(A=A, D=D, Theta=theta)
+    leaves = [x, b, c, delta, A, D, theta]
+    runs = []
+    for scan in (direction_aware_scan_2d, direction_aware_scan_2d_ref):
+        for t in leaves:
+            t.grad = None
+        y = scan(x, b, c, delta, core, pathset)
+        (y * weight).sum().backward()
+        runs.append([y.data] + [t.grad for t in leaves])
+    ref = max(np.abs(got - want).max() / np.abs(want).max() for got, want in zip(*runs))
+    return [("direction_aware_scan_2d", fd), ("direction_aware_scan_2d vs reference", ref)]
 
 
 def _model_grad_check(seed, max_coords=4):

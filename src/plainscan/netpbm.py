@@ -44,6 +44,8 @@ def load_image(path):
             raise FormatError(f"non-numeric header token {tok!r} at byte {pos - len(tok)}")
         fields.append(int(tok))
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise FormatError(f"image extents must be at least 1x1, got {width}x{height}")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval} (only 255)")
     pos += 1  # single whitespace byte separates header from raster

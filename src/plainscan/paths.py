@@ -148,43 +148,24 @@ def generate_raster_paths(H: int, W: int) -> PathSet:
 
 
 def apply_path(grid, path: ScanPath):
-    """Flatten [H,W,...] (or [B,H,W,...]) grid values into scan order."""
-    from .tensor import Tensor
-
-    batched = _grid_is_batched(grid, path)
-    if batched:
-        B = grid.shape[0]
-        flat = grid.reshape(B, path.height * path.width, *grid.shape[3:])
-        return flat.take(path.order, axis=1)
+    """Flatten [H,W,...] grid values into scan order."""
+    if grid.shape[:2] != (path.height, path.width):
+        raise ShapeError(
+            f"grid shape {grid.shape} does not match {path.height}x{path.width} path"
+        )
     flat = grid.reshape(path.height * path.width, *grid.shape[2:])
     return flat.take(path.order, axis=0)
 
 
-def invert_path(seq, path: ScanPath, inverse_order=None, batched=False):
-    """Un-permute a scanned sequence back onto the grid."""
-    inv = np.argsort(path.order) if inverse_order is None else inverse_order
+def invert_path(seq, path: ScanPath, inverse_order):
+    """Un-permute a scanned [H*W,...] sequence back onto the [H,W,...] grid."""
     n = path.height * path.width
-    axis = 1 if batched else 0
-    if seq.shape[axis] != n:
+    if seq.shape[0] != n:
         raise ShapeError(
-            f"sequence length {seq.shape[axis]} does not match {path.height}x{path.width} path"
+            f"sequence length {seq.shape[0]} does not match {path.height}x{path.width} path"
         )
-    back = seq.take(inv, axis=axis)
-    if batched:
-        return back.reshape(seq.shape[0], path.height, path.width, *seq.shape[2:])
+    back = seq.take(inverse_order, axis=0)
     return back.reshape(path.height, path.width, *seq.shape[1:])
-
-
-def _grid_is_batched(grid, path):
-    # check the batched layout first: a 4-D [B,H,W,C] grid with B == H
-    # would otherwise be mistaken for an unbatched [H,W,...] one
-    if len(grid.shape) >= 4 and grid.shape[1:3] == (path.height, path.width):
-        return True
-    if grid.shape[:2] == (path.height, path.width):
-        return False
-    raise ShapeError(
-        f"grid shape {grid.shape} does not match {path.height}x{path.width} path"
-    )
 
 
 def render_ascii(path: ScanPath) -> str:

@@ -23,6 +23,9 @@ segment it first recomputes that segment's other states from the
 checkpoint before it.  Every path is a permutation, so the backward
 pass gathers instead of scattering: the adjoint of the gather is the
 un-permute.
+
+``direction_aware_scan_2d_ref`` runs ``selective_scan_ref`` once per path
+on the tape and sums the results on the grid: the oracle for the 2D scan.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .paths import PathSet
+from .paths import PathSet, apply_path, invert_path
 from .tensor import Tensor, _phi_prime, _record, grad_enabled
 
 # The taped 2D scan keeps its whole state history while it fits in this
@@ -131,6 +134,38 @@ def selective_scan_ref(inputs: ScanInputs, core: SsmCore) -> Tensor:
             raise NumericalError(f"non-finite scan value at step {i}")
         ys.append(y_i)
     return Tensor.stack(ys, axis=0)
+
+
+def direction_aware_scan_2d_ref(
+    x_grid: Tensor,
+    b_grid: Tensor,
+    c_grid: Tensor,
+    delta_grid: Tensor,
+    core: SsmCore,
+    paths: PathSet,
+) -> Tensor:
+    """Oracle for ``direction_aware_scan_2d``, on the tape.
+
+    One ``selective_scan_ref`` per path over ``B + Theta[direction]`` (exact,
+    since ZOH is linear in B), un-permuted and summed on the grid; batched
+    ``[B, H, W, k]`` grids run one image at a time.
+    """
+    if x_grid.data.ndim == 4:
+        return Tensor.stack([
+            direction_aware_scan_2d_ref(x_grid[i], b_grid[i], c_grid[i], delta_grid[i], core, paths)
+            for i in range(x_grid.shape[0])
+        ])
+    total = None
+    for p, inv in zip(paths.paths, paths.inverse_orders):
+        inputs = ScanInputs(
+            x=apply_path(x_grid, p),
+            B_seq=apply_path(b_grid, p) + core.Theta.take(p.directions, axis=0),
+            C_seq=apply_path(c_grid, p),
+            Delta_seq=apply_path(delta_grid, p),
+        )
+        back = invert_path(selective_scan_ref(inputs, core), p, inv)
+        total = back if total is None else total + back
+    return total
 
 
 def direction_aware_scan_2d(

@@ -38,7 +38,7 @@ def save_weights(params: dict, path) -> None:
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
         for t in params.values():
-            f.write(np.ascontiguousarray(t.data).astype(t.dtype, copy=False).tobytes())
+            f.write(t.data.tobytes())
 
 
 def _parse_manifest(header: str):

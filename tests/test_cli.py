@@ -67,6 +67,15 @@ def test_grad_check_command(capsys):
     assert "matmul" in out and "max relative error" in out
 
 
+def test_grad_check_scan_scope_compares_with_the_oracle(capsys):
+    assert main(["grad-check", "--scope", "scan"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
+        "direction_aware_scan_2d", "direction_aware_scan_2d vs reference",
+    ]
+    assert float(lines[1].rsplit(" ", 1)[1]) <= 1e-12
+
+
 def test_toy_train_short_run(capsys, tmp_path):
     loss_csv = tmp_path / "loss.csv"
     weights = tmp_path / "toy.pmwb"
@@ -169,6 +178,17 @@ def test_missing_file_exits_2(capsys, tmp_path):
     code = main(["infer", "--config", "toy", "--weights", str(tmp_path / "nope.pmwb"),
                  "--image", str(tmp_path / "nope.ppm")])
     assert code == 2
+
+
+@pytest.mark.parametrize("extents", [b"0 32", b"32 0"], ids=["width-0", "height-0"])
+def test_zero_extent_image_exits_2(capsys, tmp_path, extents):
+    weights, image = _toy_fixture(tmp_path)
+    image.write_bytes(b"P6\n" + extents + b"\n255\n")
+    code = main(["infer", "--config", "toy", "--weights", str(weights), "--image", str(image)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "at least 1x1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_corrupt_weights_exit_2(capsys, tmp_path):

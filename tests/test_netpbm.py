@@ -62,6 +62,16 @@ def test_format_errors_report_byte_offsets(tmp_path):
         load_image(path)
 
 
+@pytest.mark.parametrize("extents", [b"0 32", b"32 0", b"0 0"],
+                         ids=["width-0", "height-0", "both-0"])
+def test_zero_extent_image_is_format_error(tmp_path, extents):
+    path = tmp_path / "empty.ppm"
+    path.write_bytes(b"P6\n" + extents + b"\n255\n")
+    width, height = extents.decode().split()
+    with pytest.raises(FormatError, match=f"at least 1x1, got {width}x{height}"):
+        load_image(path)
+
+
 def test_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     raw = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)

@@ -129,19 +129,8 @@ def test_apply_invert_roundtrip_ndarray_and_tensor():
         assert np.array_equal(back, grid)
         # same through the gradient tape
         t_seq = P.apply_path(Tensor(grid.copy()), p)
-        t_back = P.invert_path(t_seq, p)
+        t_back = P.invert_path(t_seq, p, inv)
         assert np.array_equal(t_back.data, grid)
-
-
-def test_apply_invert_roundtrip_batched():
-    rng = np.random.default_rng(1)
-    grid = rng.standard_normal((2, 4, 3, 5))
-    ps = P.generate_continuous_paths(4, 3)
-    p = ps.paths[1]
-    seq = P.apply_path(grid, p)
-    assert seq.shape == (2, 12, 5)
-    back = P.invert_path(seq, p, batched=True)
-    assert np.array_equal(back, grid)
 
 
 def test_apply_path_scan_order_semantics():
@@ -157,7 +146,7 @@ def test_shape_mismatches():
     with pytest.raises(ShapeError):
         P.apply_path(np.zeros((3, 3, 1)), ps.paths[0])
     with pytest.raises(ShapeError, match="length"):
-        P.invert_path(np.zeros((5, 1)), ps.paths[0])
+        P.invert_path(np.zeros((5, 1)), ps.paths[0], ps.inverse_orders[0])
 
 
 def test_render_ascii_and_csv_rows():

@@ -14,16 +14,15 @@ from plainscan import (
     ScanInputs,
     SsmCore,
     direction_aware_scan_2d,
+    direction_aware_scan_2d_ref,
     generate_continuous_paths,
     get_config,
-    invert_path,
     selective_scan_ref,
     zoh_discretize,
 )
 from plainscan import scan as scan_module
 from plainscan.errors import NumericalError, ShapeError
 from plainscan.ops import grad_check
-from plainscan.paths import apply_path
 from plainscan.tensor import Tensor, count_macs, no_grad
 
 
@@ -42,27 +41,6 @@ def _rand_grids(rng, H, W, d, m):
         Tensor(rng.standard_normal((H, W, m))),
         Tensor(rng.uniform(0.05, 1.0, (H, W, d))),
     )
-
-
-def _per_path_reference(x, b, c, delta, core, ps):
-    """Four ``selective_scan_ref`` runs over ``B + Theta[direction]``, un-permuted
-    and summed on the tape; batched grids run one image at a time."""
-    if x.data.ndim == 4:
-        return Tensor.stack([
-            _per_path_reference(x[i], b[i], c[i], delta[i], core, ps)
-            for i in range(x.shape[0])
-        ])
-    total = None
-    for p, inv in zip(ps.paths, ps.inverse_orders):
-        inp = ScanInputs(
-            x=apply_path(x, p),
-            B_seq=apply_path(b, p) + core.Theta.take(p.directions, axis=0),
-            C_seq=apply_path(c, p),
-            Delta_seq=apply_path(delta, p),
-        )
-        back = invert_path(selective_scan_ref(inp, core), p, inv)
-        total = back if total is None else total + back
-    return total
 
 
 # -- discretization -----------------------------------------------------
@@ -198,7 +176,7 @@ def test_fused_equals_reference_random():
         core = _rand_core(rng, d, m, theta_scale=0.4)
         x, b, c, delta = _rand_grids(rng, H, W, d, m)
         ps = generate_continuous_paths(H, W)
-        yr = _per_path_reference(x, b, c, delta, core, ps)
+        yr = direction_aware_scan_2d_ref(x, b, c, delta, core, ps)
         yf = direction_aware_scan_2d(x, b, c, delta, core, ps)
         assert np.abs(yr.data - yf.data).max() < 1e-10
 
@@ -221,27 +199,6 @@ def test_scan_linearity_in_x():
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
-def test_2d_scan_matches_per_path_reference():
-    # oracle: B_bar + Theta_bar collapse to a plain scan over B + theta[dir]
-    rng = np.random.default_rng(3)
-    H, W, d, m = 3, 4, 2, 3
-    core = _rand_core(rng, d, m, theta_scale=0.4)
-    x, b, c, delta = _rand_grids(rng, H, W, d, m)
-    ps = generate_continuous_paths(H, W)
-    out = direction_aware_scan_2d(x, b, c, delta, core, ps)
-    total = np.zeros((H, W, d))
-    for p, inv in zip(ps.paths, ps.inverse_orders):
-        b_aug = apply_path(b.data, p) + core.Theta.data[p.directions]
-        inp = ScanInputs(
-            x=Tensor(apply_path(x.data, p)),
-            B_seq=Tensor(b_aug),
-            C_seq=Tensor(apply_path(c.data, p)),
-            Delta_seq=Tensor(apply_path(delta.data, p)),
-        )
-        total += invert_path(selective_scan_ref(inp, core).data, p, inv)
-    assert np.abs(out.data - total).max() < 1e-10
-
-
 def test_2d_scan_zero_theta_equals_sum_of_plain_scans():
     rng = np.random.default_rng(4)
     H, W, d, m = 4, 3, 3, 2
@@ -249,7 +206,7 @@ def test_2d_scan_zero_theta_equals_sum_of_plain_scans():
     x, b, c, delta = _rand_grids(rng, H, W, d, m)
     ps = generate_continuous_paths(H, W)
     out = direction_aware_scan_2d(x, b, c, delta, core, ps)
-    total = _per_path_reference(x, b, c, delta, core, ps)
+    total = direction_aware_scan_2d_ref(x, b, c, delta, core, ps)
     assert np.abs(out.data - total.data).max() < 1e-10
 
 
@@ -351,19 +308,7 @@ def test_2d_scan_node_output_and_all_gradients_match_per_path_reference(lead):
     x, b, c = (Tensor(rng.standard_normal((*lead, k))) for k in (d, m, m))
     delta = Tensor(rng.uniform(0.01, 1.5, (*lead, d)))
     weight = Tensor(rng.standard_normal((*lead, d)))
-    ps = generate_continuous_paths(*lead[-2:])
-    leaves = [x, b, c, delta, core.A, core.D, core.Theta]
-    outs, grads = [], []
-    for scan in (direction_aware_scan_2d, _per_path_reference):
-        for t in leaves:
-            t.grad = None
-        y = scan(x, b, c, delta, core, ps)
-        (y * weight).sum().backward()
-        outs.append(y.data)
-        grads.append([t.grad for t in leaves])
-    for got, ref in zip([outs[0], *grads[0]], [outs[1], *grads[1]]):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    _assert_node_matches_reference(x, b, c, delta, core, weight)
 
 
 def test_2d_scan_meters_the_recurrence_and_one_skip_per_path():
@@ -596,11 +541,11 @@ def test_ssm_matches_reference_at_slow_decay():
 
 
 def _assert_node_matches_reference(x, b, c, delta, core, weight):
-    """Output and all seven gradients against ``_per_path_reference``."""
+    """Output and all seven gradients against ``direction_aware_scan_2d_ref``."""
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
-    ps = generate_continuous_paths(*x.shape[:2])
+    ps = generate_continuous_paths(*x.shape[-3:-1])
     outs, grads = [], []
-    for scan in (direction_aware_scan_2d, _per_path_reference):
+    for scan in (direction_aware_scan_2d, direction_aware_scan_2d_ref):
         for t in leaves:
             t.grad = None
         y = scan(x, b, c, delta, core, ps)
@@ -608,4 +553,5 @@ def _assert_node_matches_reference(x, b, c, delta, core, weight):
         outs.append(y.data)
         grads.append([t.grad for t in leaves])
     for got, ref in zip([outs[0], *grads[0]], [outs[1], *grads[1]]):
+        assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
