@@ -6,7 +6,7 @@ weight file that `plainscan infer` can load.  Run with:
 
     python3 demos/04_train_toy.py
 
-Takes a couple of minutes on a laptop CPU.
+Takes a few seconds on a laptop CPU.
 """
 
 import numpy as np

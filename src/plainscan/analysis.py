@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import _STEM_WIDTHS, ModelConfig, param_spec
+from .model import _CONV_K, _STEM_WIDTHS, ModelConfig, param_spec
 from .scan import checkpoint_segments
 
 
@@ -98,7 +98,7 @@ def _stem_macs(cfg: ModelConfig, resolution):
 def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
     """MAC counts for one forward pass at the given input resolution."""
     n = _check_resolution(resolution, cfg.patch)
-    d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, cfg.conv_k
+    d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
 
     scan_per_block = 4 * n * (10 * di * m + di)
     proj_per_block = n * d * 2 * di + n * di * d

@@ -15,7 +15,7 @@ import numpy as np
 from . import analysis, ops, paths
 from .data import make_stripes
 from .errors import ConfigError, PlainScanError
-from .model import Model, get_config, init_params, param_spec
+from .model import PRESETS, Model, get_config, init_params, param_spec
 from .netpbm import load_image, normalize
 from .scan import SsmCore, direction_aware_scan_2d, direction_aware_scan_2d_ref
 from .tensor import Tensor, no_grad
@@ -215,11 +215,11 @@ def build_parser():
     p.set_defaults(func=cmd_scan_viz)
 
     p = sub.add_parser("params", help="per-tensor parameter table")
-    p.add_argument("--config", required=True, choices=["L1", "L2", "L3", "toy"])
+    p.add_argument("--config", required=True, choices=sorted(PRESETS))
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("flops", help="MAC count report")
-    p.add_argument("--config", default="L1", choices=["L1", "L2", "L3", "toy"])
+    p.add_argument("--config", default="L1", choices=sorted(PRESETS))
     p.add_argument("--resolution", type=int, nargs=2, required=True, metavar=("H", "W"))
     p.add_argument("--attention-baseline", action="store_true")
     p.add_argument("--csv")
@@ -231,7 +231,7 @@ def build_parser():
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("infer", help="classify one PPM/PGM image")
-    p.add_argument("--config", required=True, choices=["L1", "L2", "L3", "toy"])
+    p.add_argument("--config", required=True, choices=sorted(PRESETS))
     p.add_argument("--weights", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--top-k", type=int, default=5)

@@ -7,7 +7,7 @@ there is no CLS token anywhere, classification pools the token grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,30 +22,27 @@ from .tensor import Tensor
 # width.
 _STEM_WIDTHS = (96, 192, 192)
 
+# Blocks keep Mamba's internals at every size (arXiv 2312.00752): a 7x7
+# depthwise conv, d_inner = 2 * d_model and Delta rank ceil(d_model / 16).
+_CONV_K = 7
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     depth: int
     d_model: int
-    expand: int = 2
     state_size: int = 16
-    dt_rank: int | None = None
     patch: int = 16
-    conv_k: int = 7
     img_size: int = 224
     num_classes: int = 1000
     stem: str = "stacked"  # "stacked" or "single"
-    dtype: str = "float64"
 
     def __post_init__(self):
-        if self.depth < 1 or self.d_model < 1:
-            raise ConfigError(f"bad depth/width: {self.depth}/{self.d_model}")
-        if self.conv_k % 2 == 0:
-            raise ConfigError(f"conv_k must be odd, got {self.conv_k}")
+        for name in ("depth", "d_model", "state_size", "patch", "img_size", "num_classes"):
+            if (value := getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.stem not in ("stacked", "single"):
             raise ConfigError(f"unknown stem kind {self.stem!r}")
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigError(f"unknown dtype {self.dtype!r} (want 'float64' or 'float32')")
         if self.stem == "stacked" and self.patch != 16:
             raise ConfigError("the stacked stem downsamples by 16; use stem='single'")
         if self.img_size % self.patch:
@@ -55,19 +52,15 @@ class ModelConfig:
 
     @property
     def d_inner(self):
-        return self.expand * self.d_model
+        return 2 * self.d_model
 
     @property
     def rank(self):
-        return self.dt_rank if self.dt_rank is not None else math.ceil(self.d_model / 16)
+        return math.ceil(self.d_model / 16)
 
     @property
     def grid(self):
         return self.img_size // self.patch
-
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
 
 
 PRESETS = {
@@ -84,13 +77,15 @@ PRESETS = {
 def get_config(name: str, **overrides) -> ModelConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    cfg = PRESETS[name]
-    return replace(cfg, **overrides) if overrides else cfg
+    unknown = sorted(set(overrides) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config fields {unknown}")
+    return replace(PRESETS[name], **overrides)
 
 
 def param_spec(cfg: ModelConfig):
     """Ordered (name, shape) for every learnable tensor in the model."""
-    d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, cfg.conv_k
+    d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
     spec = []
     if cfg.stem == "single":
         spec += [("patch_embed.weight", (cfg.patch, cfg.patch, 3, d)),
@@ -139,7 +134,6 @@ def _trunc_normal(rng, shape, std=0.02):
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Deterministic initialization keyed by seed."""
     rng = np.random.default_rng(seed)
-    dt = cfg.np_dtype
     params = {}
     for name, shape in param_spec(cfg):
         leaf = name.rsplit(".", 1)[-1]
@@ -157,7 +151,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
             val = np.log(np.expm1(u))
         else:
             val = _trunc_normal(rng, shape)
-        params[name] = Tensor(val.astype(dt), name=name)
+        params[name] = Tensor(val, name=name)
     return params
 
 

@@ -67,6 +67,8 @@ def save_ppm(path, image) -> None:
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise FormatError(f"expected [H, W, 3], got shape {arr.shape}")
+    if 0 in arr.shape:
+        raise FormatError(f"image extents must be at least 1x1, got {arr.shape[1]}x{arr.shape[0]}")
     if arr.dtype != np.uint8:
         arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:

@@ -98,24 +98,21 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     k = kernel.shape[0]
     if k % 2 == 0:
         raise ConfigError(f"depthwise kernel extent must be odd, got {k}")
-    batched = x.data.ndim == 4
-    if not batched and x.data.ndim != 3:
+    if x.data.ndim not in (3, 4):
         raise ShapeError(f"depthwise_conv2d input must be [H,W,C] or [B,H,W,C], got {x.shape}")
     if x.shape[-1] != kernel.shape[-1]:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    xb = x.data if batched else x.data[None]
-    out_data = _depthwise_same(xb, kernel.data)
-    nb, H, W, C = xb.shape
-    _record(nb * H * W * k * k * C)
-    out = Tensor(out_data if batched else out_data[0], (x, kernel))
+    hwc = x.shape[-3:]  # an [H,W,C] input runs as a batch of one
+    _record(x.size * k * k)
+    out = Tensor(_depthwise_same(x.data.reshape(-1, *hwc), kernel.data).reshape(x.shape),
+                 (x, kernel))
 
     def bwd(g):
-        gb = g if batched else g[None]
-        win = _windows(xb, k, 1, (k - 1) // 2)
+        gb = g.reshape(-1, *hwc)
+        win = _windows(x.data.reshape(-1, *hwc), k, 1, (k - 1) // 2)
         kernel._accumulate(np.einsum("bhwc,bhwcij->ijc", gb, win), fresh=True)
         del win  # before the input gradient pads g
-        gx = _depthwise_same(gb, kernel.data[::-1, ::-1])
-        x._accumulate(gx if batched else gx[0], fresh=True)
+        x._accumulate(_depthwise_same(gb, kernel.data[::-1, ::-1]).reshape(x.shape), fresh=True)
 
     out._backward = bwd
     return out

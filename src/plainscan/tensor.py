@@ -322,8 +322,14 @@ class Tensor:
         out = Tensor(np.multiply(self.data, s, out=s), (self,))  # the product replaces s
 
         def bwd(g):
+            # g * s * (1 + x (1 - s)), in the same order, in two buffers
             s = _sigmoid(self.data)
-            self._accumulate(g * s * (1.0 + self.data * (1.0 - s)), fresh=True)
+            t = np.subtract(1.0, s)
+            np.multiply(self.data, t, out=t)
+            np.add(1.0, t, out=t)
+            np.multiply(g, s, out=s)
+            s *= t
+            self._accumulate(s, fresh=True)
 
         out._backward = bwd
         return out

@@ -30,18 +30,24 @@ def test_preset_shapes():
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(depth=0, d_model=64)
-    with pytest.raises(ConfigError, match="odd"):
-        ModelConfig(depth=1, d_model=64, conv_k=4)
     with pytest.raises(ConfigError, match="multiple"):
         ModelConfig(depth=1, d_model=64, img_size=100)
     with pytest.raises(ConfigError, match="stacked"):
         ModelConfig(depth=1, d_model=64, patch=8)  # stacked stem fixes patch=16
     with pytest.raises(ConfigError, match="stem"):
         ModelConfig(depth=1, d_model=64, stem="resnet")
-    for bad in ("banana", "float16", "f8"):
-        with pytest.raises(ConfigError, match="dtype"):
-            ModelConfig(depth=1, d_model=64, dtype=bad)
-    assert ModelConfig(depth=1, d_model=64, dtype="float32").np_dtype == np.float32
+
+
+@pytest.mark.parametrize("override,message", [
+    *[({name: 0}, f"{name} must be at least 1, got 0")
+      for name in ("depth", "d_model", "state_size", "patch", "img_size", "num_classes")],
+    ({"state_size": -3}, "state_size must be at least 1, got -3"),
+    ({"dtype": "float32"}, r"unknown config fields \['dtype'\]"),
+    ({"conv_k": 5, "expand": 3, "depth": 3}, r"unknown config fields \['conv_k', 'expand'\]"),
+])
+def test_get_config_rejects_bad_values_and_unknown_fields(override, message):
+    with pytest.raises(ConfigError, match=message):
+        get_config("toy", **override)
 
 
 def test_get_config_overrides():

@@ -72,6 +72,14 @@ def test_zero_extent_image_is_format_error(tmp_path, extents):
         load_image(path)
 
 
+@pytest.mark.parametrize("shape", [(0, 32, 3), (32, 0, 3)], ids=["height-0", "width-0"])
+def test_save_ppm_refuses_zero_extent_images(tmp_path, shape):
+    path = tmp_path / "empty.ppm"
+    with pytest.raises(FormatError, match=f"at least 1x1, got {shape[1]}x{shape[0]}"):
+        save_ppm(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     raw = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
