@@ -15,7 +15,7 @@ import numpy as np
 from . import analysis, ops, paths
 from .data import make_stripes
 from .errors import ConfigError, PlainScanError
-from .model import PRESETS, Model, get_config, init_params, param_spec
+from .model import PRESETS, Model, get_config
 from .netpbm import load_image, normalize
 from .scan import SsmCore, direction_aware_scan_2d, direction_aware_scan_2d_ref
 from .tensor import Tensor, no_grad

@@ -39,7 +39,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("depth", "d_model", "state_size", "patch", "img_size", "num_classes"):
-            if (value := getattr(self, name)) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.stem not in ("stacked", "single"):
             raise ConfigError(f"unknown stem kind {self.stem!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
-from .tensor import Tensor, _record, _sigmoid, no_grad
+from .tensor import Tensor, _record, no_grad
 
 
 def activation(x: Tensor, kind: str) -> Tensor:

@@ -80,56 +80,42 @@ def _check_extents(H, W):
         raise ConfigError(f"grid extents must be at least 1x1, got {H}x{W}")
 
 
-def _directions_from_order(order, H, W, wrap_label=None):
-    rows, cols = np.divmod(order, W)
-    dirs = np.empty(len(order), dtype=np.int64)
-    dirs[0] = Direction.BEGIN
-    for i in range(1, len(order)):
-        delta = (int(rows[i] - rows[i - 1]), int(cols[i] - cols[i - 1]))
-        if delta in _DELTAS:
-            dirs[i] = _DELTAS[delta]
-        elif wrap_label is not None:
-            dirs[i] = wrap_label
-        else:
-            raise ConfigError(f"non-adjacent step at position {i} in a continuous path")
-    return dirs
-
-
-def _snake_order(H, W, by_rows):
-    rows = []
-    if by_rows:
-        for r in range(H):
-            cols = range(W) if r % 2 == 0 else range(W - 1, -1, -1)
-            rows.extend(r * W + c for c in cols)
-    else:
-        for c in range(W):
-            rr = range(H) if c % 2 == 0 else range(H - 1, -1, -1)
-            rows.extend(r * W + c for r in rr)
-    return np.array(rows, dtype=np.int64)
-
-
-def _make_path(order, H, W, wrap_label=None):
-    return ScanPath(order, _directions_from_order(order, H, W, wrap_label), H, W)
-
-
 def _pathset(orders, H, W, wrap_labels=None):
-    paths = tuple(
-        _make_path(o, H, W, None if wrap_labels is None else wrap_labels[i])
-        for i, o in enumerate(orders)
-    )
-    inverses = tuple(np.argsort(p.order) for p in paths)
-    return PathSet(paths, inverses)
+    """Label every step of the 4 orders by its (row, col) move.
+
+    A step that matches no `_DELTAS` move takes its path's wrap label; on
+    a continuous path (no wrap labels) it is a ConfigError.
+    """
+    rows, cols = np.divmod(np.stack(orders), W)
+    d_row, d_col = np.diff(rows), np.diff(cols)
+    dirs = np.full(rows.shape, -1, dtype=np.int64)
+    dirs[:, 0] = Direction.BEGIN
+    for (dr, dc), label in _DELTAS.items():
+        dirs[:, 1:][(d_row == dr) & (d_col == dc)] = label
+    unlabelled = dirs < 0
+    if wrap_labels is not None:
+        dirs = np.where(unlabelled, np.array(wrap_labels, dtype=np.int64)[:, None], dirs)
+    elif unlabelled.any():
+        step = np.argwhere(unlabelled)[0, 1]
+        raise ConfigError(f"non-adjacent step at position {step} in a continuous path")
+    paths = tuple(ScanPath(o, d, H, W) for o, d in zip(orders, dirs))
+    return PathSet(paths, tuple(np.argsort(o) for o in orders))
 
 
 def generate_continuous_paths(H: int, W: int) -> PathSet:
     """Row-snake, column-snake, and their exact reversals, all from (0,0).
 
-    Reversed paths recompute their direction labels from the reversed
-    order, so their first step is BEGIN like any other path.
+    A snake is the row-major (or column-major) grid of flat indices with
+    every other row reversed.  Reversed paths recompute their direction
+    labels from the reversed order, so their first step is BEGIN like any
+    other path.
     """
     _check_extents(H, W)
-    row = _snake_order(H, W, by_rows=True)
-    col = _snake_order(H, W, by_rows=False)
+    cells = np.arange(H * W, dtype=np.int64).reshape(H, W)
+    row, col = cells.copy(), cells.T.copy()
+    for snake in (row, col):
+        snake[1::2] = snake[1::2, ::-1]
+    row, col = row.reshape(-1), col.reshape(-1)
     return _pathset([row, col, row[::-1].copy(), col[::-1].copy()], H, W)
 
 
@@ -141,7 +127,7 @@ def generate_raster_paths(H: int, W: int) -> PathSet:
     """
     _check_extents(H, W)
     row = np.arange(H * W, dtype=np.int64)
-    col = (np.arange(H * W, dtype=np.int64).reshape(H, W).T).reshape(-1)
+    col = row.reshape(H, W).T.reshape(-1)
     orders = [row, col, row[::-1].copy(), col[::-1].copy()]
     wrap_labels = [Direction.RIGHT, Direction.DOWN, Direction.LEFT, Direction.UP]
     return _pathset(orders, H, W, wrap_labels)

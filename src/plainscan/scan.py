@@ -51,6 +51,11 @@ def checkpoint_segments(n, state_bytes):
     return seg, -(-n // seg)
 
 
+def decay_rates_valid(A):
+    """Elementwise: an entry of a state matrix A must be strictly negative."""
+    return A < 0
+
+
 @dataclass
 class SsmCore:
     """Per-block state-space parameters."""
@@ -67,7 +72,7 @@ class SsmCore:
             raise ShapeError(f"D must be [{d}], got {self.D.shape}")
         if self.Theta.shape != (5, m):
             raise ShapeError(f"Theta must be [5, {m}], got {self.Theta.shape}")
-        if not (self.A.data < 0).all():
+        if not decay_rates_valid(self.A.data).all():
             raise NumericalError("state matrix A must be strictly negative")
 
 

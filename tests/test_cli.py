@@ -252,3 +252,11 @@ def test_nonfinite_weight_exits_3_naming_the_stage(capsys, tmp_path, tensor, sta
     assert code == 3
     assert stage in capsys.readouterr().err
     assert grad_enabled()  # infer's no_grad is undone on the way out
+
+
+def test_toy_train_divergence_exits_3_naming_the_step_and_parameter(capsys):
+    assert main(["toy-train", "--steps", "20", "--lr", "1e6", "--seed", "0"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: training diverged at step 1")
+    assert "blocks.0.A" in lines[0] and "Traceback" not in captured.err

@@ -44,6 +44,10 @@ def test_config_validation():
     ({"state_size": -3}, "state_size must be at least 1, got -3"),
     ({"dtype": "float32"}, r"unknown config fields \['dtype'\]"),
     ({"conv_k": 5, "expand": 3, "depth": 3}, r"unknown config fields \['conv_k', 'expand'\]"),
+    ({"depth": 1.5}, "depth must be an integer, got 1.5"),
+    ({"state_size": 2.0}, "state_size must be an integer, got 2.0"),
+    ({"num_classes": True}, "num_classes must be an integer, got True"),
+    ({"d_model": "32"}, "d_model must be an integer, got '32'"),
 ])
 def test_get_config_rejects_bad_values_and_unknown_fields(override, message):
     with pytest.raises(ConfigError, match=message):

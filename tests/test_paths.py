@@ -80,6 +80,25 @@ def test_continuous_invariants_property(H, W):
     _check_invariants(P.generate_continuous_paths(H, W), H, W)
 
 
+def _snake_loop(H, W, by_rows):
+    """A snake order step by step: the reference for the array form."""
+    order = []
+    for outer in range(H if by_rows else W):
+        inner = range(W if by_rows else H)
+        for i in inner if outer % 2 == 0 else reversed(inner):
+            order.append(outer * W + i if by_rows else i * W + outer)
+    return order
+
+
+@pytest.mark.parametrize("H,W", [(1, 1), (1, 6), (4, 1), (3, 4), (6, 5)])
+def test_snake_orders_match_the_loop_reference(H, W):
+    ps = P.generate_continuous_paths(H, W)
+    assert ps.paths[0].order.tolist() == _snake_loop(H, W, by_rows=True)
+    assert ps.paths[1].order.tolist() == _snake_loop(H, W, by_rows=False)
+    for p, inv in zip(ps.paths, ps.inverse_orders):
+        assert p.order.dtype == p.directions.dtype == inv.dtype == np.int64
+
+
 def test_generation_is_deterministic():
     a = P.generate_continuous_paths(6, 9)
     b = P.generate_continuous_paths(6, 9)
@@ -101,6 +120,13 @@ def test_raster_3x3_discontinuities_and_labels():
     assert row_r.discontinuities() == [3, 6]
     assert all(d == L for d in row_r.directions[1:])
     assert all(d == U for d in col_r.directions[1:])
+
+
+def test_unlabelled_step_without_wrap_labels_names_its_position():
+    # raster orders given as continuous ones: the first row wrap is at step 3
+    orders = [p.order for p in P.generate_raster_paths(3, 3).paths]
+    with pytest.raises(ConfigError, match="non-adjacent step at position 3 "):
+        P._pathset(orders, 3, 3)
 
 
 def test_raster_single_row_is_continuous():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from plainscan import get_config
+from plainscan import get_config, train
 from plainscan.data import make_stripes
 from plainscan.errors import ConfigError, NumericalError
 from plainscan.model import Model
+from plainscan.tensor import Tensor
 from plainscan.train import accuracy, toy_train
 
 
@@ -53,9 +54,11 @@ def test_toy_train_reduces_loss():
 
 
 def test_toy_train_batch_cap():
-    # an oversized batch is a configuration error (exit 1), not a numerical one
-    with pytest.raises(ConfigError, match="16"):
-        toy_train(get_config("toy"), make_stripes(n=4), steps=1, lr=0.1, batch_size=64)
+    # a batch the dataset cannot fill is a configuration error (exit 1),
+    # not a numerical one
+    for batch_size in (64, 8, 0, -2):
+        with pytest.raises(ConfigError, match=f"from 1 to the 4 samples, got {batch_size}"):
+            toy_train(get_config("toy"), make_stripes(n=4), steps=1, lr=0.1, batch_size=batch_size)
 
 
 def test_toy_train_rejects_negative_steps():
@@ -78,6 +81,37 @@ def test_divergence_is_reported_with_step():
     # valid range; both surface as the same error class
     with pytest.raises(NumericalError):
         toy_train(cfg, ds, steps=15, lr=1e6, seed=0)
+
+
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning comes first
+def test_divergence_names_the_update_and_parameter_that_broke_it():
+    # step 1's update flips A's sign; the forward of step 2 would be the
+    # first to read it
+    with pytest.raises(NumericalError, match=r"at step 1: after the update, blocks\.0\.A "
+                       r"is \S+ at index \(0, 2\); it must be finite and strictly negative"):
+        toy_train(get_config("toy"), make_stripes(n=64, seed=0), steps=20, lr=1e6, seed=0)
+
+
+def test_a_non_finite_gradient_is_reported_before_the_update(monkeypatch):
+    models, backwards = [], []
+    real_backward = Tensor.backward
+
+    def make_model(*args, **kwargs):
+        models.append(Model(*args, **kwargs))
+        return models[-1]
+
+    def backward(self, grad=None):
+        real_backward(self, grad)
+        backwards.append(self)
+        if len(backwards) == 3:
+            models[0].params["blocks.1.D"].grad[5] = np.nan
+
+    monkeypatch.setattr(train, "Model", make_model)
+    monkeypatch.setattr(Tensor, "backward", backward)
+    with pytest.raises(NumericalError, match=r"at step 2: the gradient of blocks\.1\.D "
+                       r"is nan at index \(5,\); it must be finite"):
+        toy_train(get_config("toy"), make_stripes(n=32, seed=0), steps=5, lr=0.05, seed=0)
+    assert np.isfinite(models[0].params["blocks.1.D"].data).all()
 
 
 def test_accuracy_function():
