@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import _CONV_K, _STEM_WIDTHS, ModelConfig, param_spec
-from .scan import checkpoint_segments
+from .scan import block_steps, checkpoint_segments
 
 
 @dataclass(frozen=True)
@@ -148,20 +148,24 @@ def peak_activation_bytes(cfg, resolution) -> int:
     an account of the arrays the node holds at its peak rather than a
     proven bound.  The node holds the gathered ``[n, K, k]`` copies of
     delta, x, B and C and its outputs (``4 n (3 d_inner + 2 m)`` values),
-    its checkpoints (``scan.checkpoint_segments``: the whole
-    ``[n, K, m, d_inner]`` history while it fits in
-    ``scan._HISTORY_BYTES``, else ``ceil(sqrt(n))`` states) and three
-    working states, and up to four ``[n, d_inner]`` arrays while it puts
-    the outputs on the grid and adds the skip.  Measured with tracemalloc
-    for one image, the figure is 1.02-1.09x the node's taped peak at 7x7,
-    14x14 and 28x28 grids, m 4 and 16, d_inner 96 and 384.  A batch of
-    images can cross the history budget together where one image does
-    not, so the figure times the batch can be far above the node's peak
-    (3.9x at four 14x14 images, d_inner 96).  Under ``no_grad`` the node keeps no
-    checkpoints.  Taped, it keeps only its checkpoints once the forward ends:
-    the backward re-forms the gathered copies from the node's inputs, and
-    adds per-step gradient arrays and up to ``ceil(sqrt(n)) - 1``
-    recomputed states of its own.
+    its checkpoints (``scan.checkpoint_segments``:
+    the whole ``[n, K, m, d_inner]`` history while it fits in
+    ``scan._HISTORY_BYTES``, else ``ceil(sqrt(n))`` states) and its
+    ``[T, K, m, d_inner]`` block buffers (``scan.block_steps`` of the
+    state): e and p, and the block's states when they do not go straight
+    into the history.  It also holds up to four ``[n, d_inner]`` arrays
+    while it puts the outputs on the grid and adds the skip.  Measured
+    with tracemalloc for one image, the figure is 1.02-1.31x the node's
+    taped peak at 7x7, 14x14 and 28x28 grids, m 4 and 16, d_inner 96 and
+    384.  A batch of images can cross the history budget together where
+    one image does not, and its block buffers hold fewer steps of larger
+    states in about the same bytes, so the figure times the batch can be
+    far above the node's peak (4.3x at four 14x14 images, d_inner 96).  Under
+    ``no_grad`` the node keeps no checkpoints.  Taped, it keeps only its
+    checkpoints once the forward ends: the backward re-forms the gathered
+    copies from the node's inputs, and adds per-step gradient arrays, its
+    own block buffers and up to ``ceil(sqrt(n)) + 1`` states of a recomputed
+    segment of its own.
     """
     if isinstance(cfg, AttentionBaselineConfig):
         n = _check_resolution(resolution, cfg.patch)
@@ -171,8 +175,10 @@ def peak_activation_bytes(cfg, resolution) -> int:
     n = _check_resolution(resolution, cfg.patch)
     d, m = cfg.d_inner, cfg.state_size
     state = 4 * m * d
-    _, checkpoints = checkpoint_segments(n, 8 * state)
-    scan = 4 * n * (3 * d + 2 * m) + (checkpoints + 3) * state + 4 * n * d
+    seg, checkpoints = checkpoint_segments(n, 8 * state)
+    # e and p, and the block's states unless they go straight into the history
+    blocks = (2 if seg == 1 else 3) * block_steps(8 * state)
+    scan = 4 * n * (3 * d + 2 * m) + (checkpoints + blocks) * state + 4 * n * d
     proj = n * cfg.d_model + n * 2 * cfg.d_inner
     embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
     return 8 * max(scan, proj, embed)

@@ -63,13 +63,20 @@ def load_image(path):
 
 
 def save_ppm(path, image) -> None:
-    """Write [H, W, 3] values in [0, 1] (or uint8) as binary P6."""
+    """Write [H, W, 3] values in [0, 1] (or uint8) as binary P6.
+
+    Values outside [0, 1] clip; a NaN has no pixel value and is refused.
+    """
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise FormatError(f"expected [H, W, 3], got shape {arr.shape}")
     if 0 in arr.shape:
         raise FormatError(f"image extents must be at least 1x1, got {arr.shape[1]}x{arr.shape[0]}")
     if arr.dtype != np.uint8:
+        nan = np.isnan(arr)
+        if nan.any():
+            row, col, channel = (int(i) for i in np.argwhere(nan)[0])
+            raise FormatError(f"NaN pixel value at (row {row}, col {col}, channel {channel})")
         arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())

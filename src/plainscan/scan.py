@@ -6,22 +6,29 @@ scan: one graph node that folds zero-order-hold discretization, the
 recurrence and the skip term together over the four snake paths of a
 grid.  It gathers the grid into each path's order as it builds its
 time-major inputs and adds a learnable per-direction vector to each
-step's B before discretization (ZOH is linear in B).  Its forward is a
-numpy loop over ``[S, m, d]`` state buffers (the wide channel axis
-contiguous) with one transcendental per step, ``e = expm1(delta A)``:
-with ``p = h_{i-1} + B x / A`` it writes ``h_i = h_{i-1} + e p``, which
-is the ZOH update ``exp(delta A) h_{i-1} + expm1(delta A)/A B x`` (since
-``phi(z) delta = expm1(z)/A``), and it sums the un-permuted outputs on
-the grid.  Taped, it keeps its whole state history while that fits in
-``_HISTORY_BYTES``; a longer history is kept as ``ceil(sqrt(n))``
-checkpoints, the last state of each segment of steps; under ``no_grad``
-the loop writes one rolling state.  The checkpoints are all the node
-keeps: its backward gathers the time-major inputs again from the
-node's inputs.  The backward is a reverse-time adjoint that recomputes
-``expm1`` per step and takes ``exp`` as ``1 + expm1``; on reaching a
+step's B before discretization (ZOH is linear in B).  With
+``e = expm1(delta A)`` and ``p = h_{i-1} + B x / A`` step i writes
+``h_i = h_{i-1} + e p``, which is the ZOH update ``exp(delta A) h_{i-1} +
+expm1(delta A)/A B x`` (since ``phi(z) delta = expm1(z)/A``).
+
+The node's loops run over ``[T, S, m, d]`` buffers (the wide channel axis
+contiguous): everything a step computes that reads no carried state, the
+discretization with its one transcendental, the outer products and the
+contractions with C, runs once per block of T consecutive steps, and only
+the recurrence itself runs step by step.  T is ``block_steps``: as many
+states as fit ``_BLOCK_BYTES``, which keeps a block's buffers in cache.
+The results are bit-identical for every T, since each value is the same
+product or sum as at T = 1.  Taped, the forward keeps its whole state
+history while that fits in ``_HISTORY_BYTES``; a longer history is kept
+as ``ceil(sqrt(n))`` checkpoints, the last state of each segment of steps,
+and blocks never cross a segment; under ``no_grad`` it keeps no states.
+The checkpoints are all the node keeps: its backward gathers the
+time-major inputs again from the node's inputs.  The backward is a
+reverse-time adjoint over the same blocks, last block first, that
+recomputes ``expm1`` and takes ``exp`` as ``1 + expm1``; on reaching a
 segment it first recomputes that segment's other states from the
-checkpoint before it.  Every path is a permutation, so the backward
-pass gathers instead of scattering: the adjoint of the gather is the
+checkpoint before it.  Every path is a permutation, so the backward pass
+gathers instead of scattering: the adjoint of the gather is the
 un-permute.
 
 ``direction_aware_scan_2d_ref`` runs ``selective_scan_ref`` once per path
@@ -42,6 +49,12 @@ from .tensor import Tensor, _phi_prime, _record, grad_enabled
 # The taped 2D scan keeps its whole state history while it fits in this
 # many bytes, and otherwise ceil(sqrt(n)) checkpoints.
 _HISTORY_BYTES = 16 << 20
+# The 2D scan does its steps' state-free work a block of steps at a time,
+# as many as fit states of this many bytes.  At scan-long's shape 128 KiB
+# to 1 MiB ran alike; a block of the whole sequence ran 1.8x slower than
+# 128 KiB, and slower than a step at a time, once its buffers no longer
+# fit in cache.
+_BLOCK_BYTES = 128 << 10
 
 
 def checkpoint_segments(n, state_bytes):
@@ -49,6 +62,12 @@ def checkpoint_segments(n, state_bytes):
     of this many bytes; the last state of each segment is kept."""
     seg = 1 if n * state_bytes <= _HISTORY_BYTES else math.isqrt(n - 1) + 1
     return seg, -(-n // seg)
+
+
+def block_steps(state_bytes):
+    """Steps a block of the 2D scan's state-free work covers, at states of
+    this many bytes: as many as fit ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // state_bytes)
 
 
 def decay_rates_valid(A):
@@ -201,21 +220,29 @@ def direction_aware_scan_2d(
 
     Step i computes ``e = expm1(delta_i A)``, ``p_i = h_{i-1} + B_i x_i / A``,
     ``h_i = h_{i-1} + e p_i`` (that is, ``exp(z) h_{i-1} + expm1(z)/A B_i
-    x_i`` with ``z = delta_i A``) and ``y_i = sum_m C_i h_i`` in reused
-    ``[S, m, d]`` buffers (S sequences, d contiguous).  Under ``no_grad``
-    ``h_i`` goes into one rolling state.  Taped, the steps fall into
-    segments (``checkpoint_segments``) and the last state of each goes into
-    a ``[segments, S, m, d]`` array of checkpoints; while the whole history
-    fits in ``_HISTORY_BYTES`` every segment is one step, so that array is
-    the history.  The backward pass is the reverse-time adjoint
-    ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``; it recomputes ``e`` per step
-    and takes ``A_bar = 1 + e``.  At the last step of a longer segment it
-    first recomputes the segment's other states from the checkpoint before
-    it, with the forward's arithmetic, into a ``[seg - 1, S, m, d]`` buffer.
-    With ``r = lam A_bar p_i``, delta's gradient is ``sum_m A r`` and A's is
-    ``delta r - (e/A lam)(B_i x_i / A)``; where some ``|z| < 1e-4`` that
-    difference cancels, and those entries take
-    ``lam (delta A_bar h_{i-1} + delta^2 phi'(z) B_i x_i)`` with phi's series.
+    x_i`` with ``z = delta_i A``) and ``y_i = sum_m C_i h_i``, S sequences at
+    a time with d contiguous.  The steps run in blocks of T =
+    ``block_steps`` of the state size: a block forms e and ``B x / A`` for
+    all its steps in ``[T, S, m, d]`` buffers, runs ``p += h_{i-1}; p *=
+    e; h_i = h_{i-1} + p`` step by step, and then contracts its states with
+    C at once.  Under ``no_grad`` the states go into one block buffer.
+    Taped, the steps also fall into segments (``checkpoint_segments``) that
+    no block crosses, and the last state of each goes into a ``[segments, S,
+    m, d]`` array of checkpoints; while the whole history fits in
+    ``_HISTORY_BYTES`` every segment is one step, so that array is the
+    history and the blocks write their states straight into it.
+    The backward pass is the reverse-time adjoint ``lam_i = C_i g_i +
+    A_bar_{i+1} lam_{i+1}``, over the same blocks from the last.  A block
+    recomputes e, ``A_bar = 1 + e``, ``C g`` and ``B x / A`` for all its
+    steps, runs the recurrence for lam step by step into a block buffer,
+    and then forms every gradient term of its steps at once; only A's
+    gradient is summed step by step, in descending order.  On reaching a
+    longer segment it first recomputes the segment's other states from the
+    checkpoint before it, with the forward's arithmetic.  With ``r = lam
+    A_bar p_i``, delta's gradient is ``sum_m A r`` and A's is ``delta r -
+    (e/A lam)(B_i x_i / A)``; where some ``|z| < 1e-4`` that difference
+    cancels, and those entries take ``lam (delta A_bar h_{i-1} + delta^2
+    phi'(z) B_i x_i)`` with phi's series.
     """
     A, D, Theta = core.A, core.D, core.Theta
     d, m = A.shape
@@ -264,37 +291,54 @@ def direction_aware_scan_2d(
         a_t = np.ascontiguousarray(A.data.T)
         return ds, xs, bs, cs, a_t, 1.0 / a_t
 
-    def run(inputs, h_prev, steps, state, ys=None):
-        # the given steps from h_prev; step i writes its state into state(i)
+    state_bytes = 8 * S * m * d
+    T = block_steps(state_bytes)
+
+    def blocks(s0, s1):  # (first step, steps) of each block in [s0, s1)
+        return [(s, min(T, s1 - s)) for s in range(s0, s1, T)]
+
+    def run(inputs, h_prev, s0, s1, states, ys=None):
+        # steps s0..s1-1 from h_prev, a block at a time; states(s, t) is
+        # where the block's t states go.  Returns the last state.
         ds, xs, bs, cs, a_t, inv_a = inputs
-        d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
-        e, p = np.empty((S, m, d)), np.empty((S, m, d))
-        for i in steps:
-            np.multiply(d_row[i], a_t, out=e)
+        eb, pb = np.empty((T, S, m, d)), np.empty((T, S, m, d))
+        for s, t in blocks(s0, s1):
+            e, p, h = eb[:t], pb[:t], states(s, t)
+            np.einsum("...d,md->...md", ds[s:s + t], a_t, out=e)
             np.expm1(e, out=e)
             # p = h_{i-1} + B x / A, and h_i = h_{i-1} + expm1(z) p
-            np.multiply(b_col[i], x_row[i], out=p)
+            np.einsum("...m,...d->...md", bs[s:s + t], xs[s:s + t], out=p)
             p *= inv_a
-            if i:
-                p += h_prev
-            p *= e
-            h = state(i)
-            np.add(h_prev, p, out=h)
+            for j in range(t):
+                if s + j:
+                    p[j] += h_prev
+                p[j] *= e[j]
+                np.add(h_prev, p[j], out=h[j])
+                h_prev = h[j]
             if ys is not None:
-                ys[i] = np.matmul(cs[i][:, None, :], h)[:, 0]
-            h_prev = h
+                ys[s:s + t] = np.matmul(cs[s:s + t, :, None, :], h)[:, :, 0]
+        return h_prev
 
     taped = grad_enabled()
-    seg, count = checkpoint_segments(n, 8 * S * m * d)
-    ends = np.minimum(np.arange(1, count + 1) * seg, n) - 1  # each segment's last step
-    # step i writes checkpoint i // seg when it ends a segment, and otherwise
-    # the rolling state h
-    ck = np.empty((count, S, m, d)) if taped else None
-    h = np.empty((S, m, d))
+    seg, count = checkpoint_segments(n, state_bytes)
+    # the steps whose states the backward reads as one array: the whole
+    # history, or a segment it recomputes from the checkpoint before it
+    span = n if seg == 1 else seg
+    # hist[k] is segment k's last state
+    hist = np.empty((count, S, m, d)) if taped else None
+    hb = None if taped and seg == 1 else np.empty((T, S, m, d))
+
+    def states(s, t):  # where steps s .. s + t - 1 write their states
+        return hist[s:s + t] if hb is None else hb[:t]
+
     ys = np.empty((n, S, d))
-    # the inputs die with this call; the backward gathers its own
-    run(step_inputs(), 0.0, range(n),
-        lambda i: ck[i // seg] if taped and i == ends[i // seg] else h, ys)
+    # the inputs die with this loop; the backward gathers its own
+    inputs, h = step_inputs(), 0.0
+    for k, s0 in enumerate(range(0, n, span)):
+        h = run(inputs, h, s0, min(s0 + span, n), states, ys)
+        if taped and seg > 1:
+            hist[k] = h
+    del inputs
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
     _record(10 * n * S * m * d)
@@ -310,52 +354,74 @@ def direction_aware_scan_2d(
 
     def bwd(g):
         ds, xs, bs, cs, a_t, inv_a = inputs = step_inputs()
-        d_row, x_row, b_col = ds[:, :, None, :], xs[:, :, None, :], bs[:, :, :, None]
         gs = gather(g, d)
         gd, gx = np.empty((n, S, d)), np.empty((n, S, d))
         gb, gc = np.empty((n, S, m)), np.empty((n, S, m))
-        ga, lam, w, z, q, v, r, a_i, a_next = (np.zeros((S, m, d)) for _ in range(9))
-        hs = np.empty((seg - 1, S, m, d))  # the states a segment recomputes
-        near0 = (ds * -a_t.max(axis=0)).min(axis=(1, 2)) < 1e-4  # steps with |z| < 1e-4
-        for i in range(n - 1, -1, -1):
-            k, t = divmod(i, seg)
-            h_in = ck[k - 1] if k else 0.0
-            if t and i == ends[k]:  # a segment's last step: recompute the others
-                s0 = i - t
-                run(inputs, h_in, range(s0, i), lambda j: hs[j - s0])
-                gc[s0:i] = np.matmul(hs[:t], gs[s0:i, :, :, None])[..., 0]
-            lam *= a_next
-            lam += np.multiply(cs[i][:, :, None], gs[i][:, None, :], out=w)
-            np.multiply(d_row[i], a_t, out=z)
-            np.expm1(z, out=q)
-            np.add(q, 1.0, out=a_i)  # exp(z)
-            q *= inv_a  # du/d(B x)
-            np.multiply(q, lam, out=w)
-            gx[i] = np.matmul(bs[i][:, None, :], w)[:, 0]
-            gb[i] = np.matmul(w, xs[i][:, :, None])[:, :, 0]
-            np.multiply(b_col[i], x_row[i], out=v)
-            if near0[i]:
-                small = np.abs(z) < 1e-4
-                dz = np.broadcast_to(d_row[i], z.shape)[small]
-                series = _phi_prime(z[small]) * dz * dz * v[small]
-            v *= inv_a
-            h_prev = hs[t - 1] if t else h_in
-            # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
-            np.add(h_prev, v, out=r)
-            r *= a_i
-            r *= lam
-            gd[i] = np.einsum("lmd,md->ld", r, a_t)
-            # dh_i/dA = delta exp(z) p - expm1(z)/A B x / A, which cancels
-            # near z = 0: there it is delta exp(z) h_{i-1} + delta^2 phi'(z) B x
-            r *= d_row[i]
-            w *= v
-            r -= w
-            if near0[i]:
-                hp = h_prev[small] if i else 0.0
-                r[small] = lam[small] * (dz * a_i[small] * hp + series)
-            ga += r
-            a_i, a_next = a_next, a_i
-        gc[ends] = np.matmul(ck, gs[ends, :, :, None])[..., 0]
+        ga = np.zeros((S, m, d))
+        qb, ab, a_nb, cgb, lb, vb, rb = (np.empty((T, S, m, d)) for _ in range(7))
+        # a recomputed segment's states after the one before it or, with the
+        # whole history, the zero start state and the first block's states
+        rec = np.empty((span + 1 if seg > 1 else T + 1, S, m, d))
+        # the steps with some |z| < 1e-4
+        near0 = ((ds * -a_t.max(axis=0)).min(axis=(1, 2)) < 1e-4).tolist()
+        lam_next, a_next = 0.0, 0.0  # lam and A_bar of the step after the block
+        for s0 in range(0, n, span)[::-1]:
+            s1 = min(s0 + span, n)
+            if seg > 1:  # recompute the segment's states from the checkpoint before it
+                hs = rec[:s1 - s0 + 1]
+                hs[0] = hist[s0 // seg - 1] if s0 else 0.0
+                run(inputs, hs[0], s0, s1 - 1, lambda s, t: hs[s - s0 + 1:s - s0 + 1 + t])
+                hs[-1] = hist[s0 // seg]
+            for s, t in blocks(s0, s1)[::-1]:
+                i = slice(s, s + t)
+                d_row = ds[i, :, None, :]
+                # h holds the states s - 1 .. s + t - 1
+                if seg > 1:
+                    h = hs[s - s0:s - s0 + t + 1]
+                elif s:
+                    h = hist[s - 1:s + t]
+                else:  # the zero start state, then the first block's
+                    h = rec[:t + 1]
+                    h[0], h[1:] = 0.0, hist[:t]
+                h_prev = h[:-1]
+                gc[i] = np.matmul(h[1:], gs[i, :, :, None])[..., 0]
+                q, a, cg, lam, v, r = qb[:t], ab[:t], cgb[:t], lb[:t], vb[:t], rb[:t]
+                np.einsum("...m,...d->...md", bs[i], xs[i], out=v)
+                np.einsum("...d,md->...md", ds[i], a_t, out=q)  # z, until its expm1
+                near = any(near0[i])
+                if near:
+                    small = np.abs(q) < 1e-4
+                    dz = np.broadcast_to(d_row, q.shape)[small]
+                    series = _phi_prime(q[small]) * dz * dz * v[small]
+                np.expm1(q, out=q)
+                np.add(q, 1.0, out=a)  # exp(z)
+                q *= inv_a  # du/d(B x)
+                np.einsum("...m,...d->...md", cs[i], gs[i], out=cg)
+                # lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}, the adjoint's recurrence
+                for j in range(t - 1, -1, -1):
+                    np.multiply(lam_next, a_next, out=lam[j])
+                    lam[j] += cg[j]
+                    lam_next, a_next = lam[j], a[j]
+                w = np.multiply(q, lam, out=cg)
+                gx[i] = np.matmul(bs[i, :, None, :], w)[:, :, 0]
+                gb[i] = np.matmul(w, xs[i, :, :, None])[..., 0]
+                v *= inv_a
+                # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
+                np.add(h_prev, v, out=r)
+                r *= a
+                r *= lam
+                gd[i] = np.einsum("tlmd,md->tld", r, a_t)
+                # dh_i/dA = delta exp(z) p - expm1(z)/A B x / A, which cancels
+                # near z = 0: there it is delta exp(z) h_{i-1} + delta^2 phi'(z) B x
+                r *= d_row
+                w *= v
+                r -= w
+                if near:
+                    r[small] = lam[small] * (dz * a[small] * h_prev[small] + series)
+                for j in range(t - 1, -1, -1):
+                    ga += r[j]
+                # a_next is this block's first A_bar: the next block writes the other buffer
+                ab, a_nb = a_nb, ab
         gx = to_grid(gx, x_grid.shape)
         gx += g * (K * D.data)
         g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x_grid.data.reshape(-1, d))

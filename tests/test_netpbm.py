@@ -102,6 +102,18 @@ def test_save_ppm_clips_and_validates(tmp_path):
         save_ppm(path, np.zeros((4, 4)))
 
 
+def test_save_ppm_refuses_nan_pixels(tmp_path):
+    path = tmp_path / "nan.ppm"
+    with pytest.raises(FormatError, match=r"NaN pixel value at \(row 0, col 0, channel 0\)"):
+        save_ppm(path, np.full((2, 2, 3), np.nan))
+    img = np.zeros((3, 4, 3))
+    img[2, 1, 2] = np.nan
+    img[0, 0, 0] = np.inf  # finite or not, a value that is a number clips
+    with pytest.raises(FormatError, match=r"\(row 2, col 1, channel 2\)"):
+        save_ppm(path, img)
+    assert not path.exists()
+
+
 def test_normalize_centering():
     x = np.array([0.0, 0.5, 1.0])
     assert np.allclose(normalize(x), [-1.0, 0.0, 1.0])

@@ -474,6 +474,74 @@ def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind
 
 
 @pytest.mark.parametrize("lead, kind", [
+    ((3, 5), "near-zero"), ((3, 5), "mixed"), ((3, 5), "signed-zero"),
+    ((2, 3, 5), "random"), ((4, 4), "random"),
+], ids=["near-zero-z", "mixed-A", "signed-zero", "batch-2", "square-4x4"])
+def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkeypatch):
+    # T = 1, 2, 3, n and n + 1 steps a block, with the whole history and
+    # with no history budget.  At n = 15 the blocks of 2 leave a ragged last
+    # block, and past the budget (4 steps a segment) blocks of 2 and 3 end
+    # inside a segment and its last block is shorter; at 4x4 blocks of 3 do
+    # both.  Every T must give the arithmetic of T = 1, zero signs included,
+    # and no_grad the taped output.
+    x, b, c, delta, core, weight = _checkpoint_case(np.random.default_rng(23), lead, kind)
+    leaves = [x, b, c, delta, core.A, core.D, core.Theta]
+    ps = generate_continuous_paths(*lead[-2:])
+    n, d, m = lead[-2] * lead[-1], *core.A.shape
+    state = 8 * 4 * math.prod(lead[:-2]) * m * d
+    runs = {}
+    for budget in (1 << 40, 0):
+        monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
+        for steps in (1, 2, 3, n, n + 1):
+            monkeypatch.setattr(scan_module, "_BLOCK_BYTES", steps * state)
+            assert scan_module.block_steps(state) == steps
+            for t in leaves:
+                t.grad = None
+            y = direction_aware_scan_2d(x, b, c, delta, core, ps)
+            (y * weight).sum().backward()
+            with no_grad():
+                free = direction_aware_scan_2d(x, b, c, delta, core, ps)
+            assert np.array_equal(free.data, y.data), f"T = {steps}: no_grad output"
+            assert np.array_equal(np.signbit(free.data), np.signbit(y.data))
+            runs[budget, steps] = [y.data] + [t.grad for t in leaves]
+    want = runs[1 << 40, 1]
+    for key, arrays in runs.items():
+        for got, ref in zip(arrays, want):
+            assert np.array_equal(got, ref), f"(history budget, T) {key}"
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), f"{key}: zero signs"
+
+
+@pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "checkpoints"])
+def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
+    # Each step of a block adds one state to each of the backward's nine
+    # [T, S, m, d] buffers, and to the [T + 1] window of its first block's
+    # states with the whole history or, past the budget, to the two buffers
+    # of the forward arithmetic that recomputes a segment: at most 11 (T - 1)
+    # states above T = 1, on top of arrays that do not depend on T.
+    monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
+    rng = np.random.default_rng(13)
+    side, d, m = 6, 64, 16
+    core = _rand_core(rng, d, m, theta_scale=0.3)
+    x, b, c, delta = _rand_grids(rng, side, side, d, m)
+    ps = generate_continuous_paths(side, side)
+    state = 8 * 4 * m * d
+    g = rng.standard_normal((side, side, d))
+    extra = {}
+    for steps in (1, 4, side * side):
+        monkeypatch.setattr(scan_module, "_BLOCK_BYTES", steps * state)
+        y = direction_aware_scan_2d(x, b, c, delta, core, ps)
+        tracemalloc.start()
+        try:
+            y._backward(g)
+            extra[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for steps in (4, side * side):
+        grown = extra[steps] - extra[1]
+        assert grown <= 11 * (steps - 1) * state + 4096, f"T = {steps}: {grown / state:.1f} states more"
+
+
+@pytest.mark.parametrize("lead, kind", [
     ((3, 5), "near-zero"), ((3, 5), "mixed"), ((5, 7), "random"),
 ], ids=["near-zero-z", "mixed-A", "rect-5x7"])
 def test_checkpointed_node_matches_reference(lead, kind, monkeypatch):
