@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .model import _CONV_K, _STEM_WIDTHS, ModelConfig, param_spec
 from .scan import block_steps, checkpoint_segments
 
@@ -70,14 +70,17 @@ def count_params(cfg: ModelConfig):
 
 
 def _check_resolution(resolution, patch):
-    h, w = resolution
+    """``resolution`` as Python ints, on which no count wraps, and its token count."""
+    for extent in resolution:
+        check_integer("a resolution extent", extent)
+    h, w = map(int, resolution)
     if h <= 0 or w <= 0:
         raise ConfigError(f"resolution {h}x{w} must be positive")
     if h % patch or w % patch:
         raise ConfigError(
             f"resolution {h}x{w} must be a multiple of the downsample factor {patch}"
         )
-    return (h // patch) * (w // patch)
+    return (h, w), (h // patch) * (w // patch)
 
 
 def _stem_macs(cfg: ModelConfig, resolution):
@@ -97,7 +100,7 @@ def _stem_macs(cfg: ModelConfig, resolution):
 
 def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
     """MAC counts for one forward pass at the given input resolution."""
-    n = _check_resolution(resolution, cfg.patch)
+    resolution, n = _check_resolution(resolution, cfg.patch)
     d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
 
     scan_per_block = 4 * n * (10 * di * m + di)
@@ -127,7 +130,7 @@ def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
 
 def count_flops_attention(cfg: AttentionBaselineConfig, resolution) -> FlopsReport:
     """Analytic ViT-style baseline; matmul MACs only."""
-    n = _check_resolution(resolution, cfg.patch)
+    resolution, n = _check_resolution(resolution, cfg.patch)
     d = cfg.d_model
     token = cfg.depth * (2 * n * n * d + 4 * n * d * d)
     channel = cfg.depth * 2 * cfg.mlp_ratio * n * d * d
@@ -168,11 +171,11 @@ def peak_activation_bytes(cfg, resolution) -> int:
     segment of its own.
     """
     if isinstance(cfg, AttentionBaselineConfig):
-        n = _check_resolution(resolution, cfg.patch)
+        resolution, n = _check_resolution(resolution, cfg.patch)
         attn = 2 * cfg.num_heads * n * n + 2 * n * cfg.d_model
         embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
         return 8 * max(attn, embed)
-    n = _check_resolution(resolution, cfg.patch)
+    resolution, n = _check_resolution(resolution, cfg.patch)
     d, m = cfg.d_inner, cfg.state_size
     state = 4 * m * d
     seg, checkpoints = checkpoint_segments(n, 8 * state)

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
+
 
 @dataclass(frozen=True)
 class SyntheticDataset:
@@ -19,6 +21,7 @@ class SyntheticDataset:
 
 def make_stripes(n: int = 64, seed: int = 0) -> SyntheticDataset:
     """``n`` 32x32 images of 4-pixel bands (period 8) plus uniform noise in [-0.2, 0.2]."""
+    check_integer("the sample count n", n, least=0)
     rng = np.random.default_rng(seed)
     images = np.empty((n, 32, 32, 3))
     labels = np.arange(n) % 2  # balanced by construction

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ManifestError, NumericalError
+from .errors import ConfigError, ManifestError, NumericalError, ShapeError, check_integer
 from .paths import generate_continuous_paths
 from .scan import SsmCore, direction_aware_scan_2d
 from .tensor import Tensor
@@ -39,11 +39,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("depth", "d_model", "state_size", "patch", "img_size", "num_classes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
+            check_integer(name, getattr(self, name), least=1)
         if self.stem not in ("stacked", "single"):
             raise ConfigError(f"unknown stem kind {self.stem!r}")
         if self.stem == "stacked" and self.patch != 16:
@@ -232,6 +228,8 @@ class Model:
 
     def tokenize(self, images: Tensor) -> Tensor:
         cfg, p = self.cfg, self.params
+        if images.data.ndim != 4 or images.shape[3] != 3 or min(images.shape[:3]) < 1:
+            raise ShapeError(f"images must be [B, H, W, 3] with B, H, W >= 1, got {images.shape}")
         B, Hi, Wi = images.shape[:3]
         if Hi % cfg.patch or Wi % cfg.patch:
             raise ConfigError(

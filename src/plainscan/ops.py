@@ -47,7 +47,6 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     y *= gamma.data
     y += beta.data
     _record(4 * x.size)
-    out = Tensor(y, (x, gamma, beta))
 
     def bwd(g):
         xhat, inv = _normalize(x.data)
@@ -59,8 +58,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         x._accumulate((gx - m1 - xhat * m2) * inv, fresh=True)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, (x, gamma, beta), backward=bwd)
 
 
 # The most im2col columns, in bytes, that conv2d's forward forms at once.
@@ -104,8 +102,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     hwc = x.shape[-3:]  # an [H,W,C] input runs as a batch of one
     _record(x.size * k * k)
-    out = Tensor(_depthwise_same(x.data.reshape(-1, *hwc), kernel.data).reshape(x.shape),
-                 (x, kernel))
+    y = _depthwise_same(x.data.reshape(-1, *hwc), kernel.data).reshape(x.shape)
 
     def bwd(g):
         gb = g.reshape(-1, *hwc)
@@ -114,8 +111,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         del win  # before the input gradient pads g
         x._accumulate(_depthwise_same(gb, kernel.data[::-1, ::-1]).reshape(x.shape), fresh=True)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, (x, kernel), backward=bwd)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Tensor:
@@ -165,7 +161,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Te
         np.matmul(cols.reshape(-1, K), wmat, out=dst.reshape(-1, Cout))
         dst += b.data
     _record(B * Ho * Wo * K * Cout)
-    out = Tensor(out_data, (x, w, b))
 
     def bwd(g):
         gflat = g.reshape(-1, Cout)
@@ -182,8 +177,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Te
                 gwin[block] += gcols[block]
         x._accumulate(gxp[:, padding : padding + H, padding : padding + W], fresh=True)
 
-    out._backward = bwd
-    return out
+    return Tensor(out_data, (x, w, b), backward=bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -207,8 +201,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     B, K = logits.shape
     z, lse = _shifted_logsumexp(logits.data)
     _record(3 * B * K)
-    # lse - z, not -logp: a zero loss is +0.0 rather than -0.0
-    out = Tensor((lse[:, 0] - z[np.arange(B), labels]).mean(), (logits,))
 
     def bwd(g):
         z, lse = _shifted_logsumexp(logits.data)
@@ -216,8 +208,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         probs[np.arange(B), labels] -= 1.0
         logits._accumulate(g * probs / B, fresh=True)
 
-    out._backward = bwd
-    return out
+    # lse - z, not -logp: a zero loss is +0.0 rather than -0.0
+    return Tensor((lse[:, 0] - z[np.arange(B), labels]).mean(), (logits,), backward=bwd)
 
 
 def grad_check(f, inputs, max_coords_per_input=None, seed=0):

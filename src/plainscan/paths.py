@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_integer
 
 
 class Direction(enum.IntEnum):
@@ -76,6 +76,8 @@ class PathSet:
 
 
 def _check_extents(H, W):
+    for extent in (H, W):
+        check_integer("a grid extent", extent)
     if H < 1 or W < 1:
         raise ConfigError(f"grid extents must be at least 1x1, got {H}x{W}")
 

@@ -350,7 +350,6 @@ def direction_aware_scan_2d(
     # one multiply on the grid, metered as the K per-path skips it sums
     _record(n * S * d)
     y += x_grid.data * (K * D.data)
-    out = Tensor(y, (delta_grid, A, b_grid, x_grid, c_grid, D, Theta))
 
     def bwd(g):
         ds, xs, bs, cs, a_t, inv_a = inputs = step_inputs()
@@ -435,5 +434,4 @@ def direction_aware_scan_2d(
         x_grid._accumulate(gx, fresh=True)
         c_grid._accumulate(to_grid(gc, c_grid.shape), fresh=True)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, (delta_grid, A, b_grid, x_grid, c_grid, D, Theta), backward=bwd)

@@ -8,21 +8,23 @@ and anything else goes through an explicit ``expand``, which gives a
 read-only broadcast view rather than a copy.  Shape violations raise
 :class:`~plainscan.errors.ShapeError` naming both operands.
 
-The tape keeps only what a later ``backward()`` reads, and no copy of
-it.  A backward closure reads the ``.data`` of its node and of the
-node's parents, and re-derives every other intermediate of the forward
-from them; besides those it keeps only small constants of the op, such
-as indices and shapes, and the 2D scan its state checkpoints
-(:mod:`plainscan.scan`).  No op writes into a Tensor's data after
-building it, which is what makes this exact: code that changes a
-parent's ``.data`` between a forward and its backward changes the
-gradients.  Inside
-:func:`no_grad` operations record neither parents nor closures, so each
-intermediate is freed as soon as its last reference goes.
-``backward()`` releases the graph as it runs: once a node's closure has
-run, the node drops the closure, its parents and (unless it is a leaf or
-the root) its gradient.  A second ``backward()`` through a released node
-raises.
+Every op builds its node in one step, ``Tensor(value, parents,
+backward=bwd)``, and only there does the grad mode act: while the tape
+records the node keeps its parents and closure, and inside
+:func:`no_grad` neither, so each intermediate is freed as soon as its
+last reference goes.  A backward closure reads the ``.data`` of the
+node's parents and at most its own output array, never its node, so the
+tape holds no reference cycles and a dropped taped graph is freed by
+reference counting.  It re-derives every other intermediate of the
+forward and keeps no copy; besides those arrays it keeps only small
+constants of the op, such as indices and shapes, and the 2D scan its
+state checkpoints (:mod:`plainscan.scan`).  No op writes into a Tensor's
+data after building it, which is what makes this exact: code that
+changes a parent's ``.data`` between a forward and its backward changes
+the gradients.  ``backward()`` releases the graph as it runs: once a
+node's closure has run, the node drops the closure, its parents and
+(unless it is a leaf or the root) its gradient.  A second ``backward()``
+through a released node raises.
 
 Multiply-accumulate counts can be collected with :func:`count_macs`; the
 cost conventions live in ``_record`` call sites and are mirrored by the
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-_mac_stack: list[list[int]] = []
+_mac_stack: list[MacTally] = []
 _grad_enabled = True
 
 
@@ -65,33 +67,25 @@ def _released(g):
 
 
 def _record(n: int) -> None:
-    for cell in _mac_stack:
-        cell[0] += n
+    for tally in _mac_stack:
+        tally.total += n
 
 
 class MacTally:
     """Accumulates MAC-equivalents while its context is active."""
 
     def __init__(self):
-        self._cell = [0]
-
-    @property
-    def total(self) -> int:
-        return self._cell[0]
+        self.total = 0
 
 
 @contextlib.contextmanager
 def count_macs():
     tally = MacTally()
-    _mac_stack.append(tally._cell)
+    _mac_stack.append(tally)
     try:
         yield tally
     finally:
-        # contexts nest LIFO; remove by identity, not list equality
-        for i in range(len(_mac_stack) - 1, -1, -1):
-            if _mac_stack[i] is tally._cell:
-                del _mac_stack[i]
-                break
+        _mac_stack.remove(tally)  # MacTally has no __eq__: this matches by identity
 
 
 def _phi(z):
@@ -140,15 +134,17 @@ def _sigmoid(x):
 class Tensor:
     """A node in the gradient graph wrapping one ndarray value."""
 
-    __slots__ = ("data", "grad", "_parents", "_closure", "name")
+    __slots__ = ("data", "grad", "_parents", "_backward", "name")
 
-    def __init__(self, data, parents=(), name=None, dtype=None):
+    def __init__(self, data, parents=(), backward=None, name=None, dtype=None):
         if isinstance(data, Tensor):
             raise TypeError("wrap ndarrays, not Tensors")
         self.data = np.asarray(data, dtype=dtype or np.float64)
         self.grad = None
-        self._parents = parents  # until the op sets _backward
-        self._closure = None
+        if backward is not None and _grad_enabled:
+            self._parents, self._backward = parents, backward
+        else:
+            self._parents, self._backward = (), None
         self.name = name
 
     # -- introspection -------------------------------------------------
@@ -169,19 +165,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"
 
     # -- graph machinery ----------------------------------------------
-
-    @property
-    def _backward(self):
-        return self._closure
-
-    @_backward.setter
-    def _backward(self, fn):
-        # every op hands its closure over here, so this is where the grad
-        # mode acts: without it a node keeps no closure and no parents
-        if grad_enabled():
-            self._closure = fn
-        else:
-            self._closure, self._parents = None, ()
 
     def _accumulate(self, g, fresh=False):
         """Add ``g`` to this node's gradient.
@@ -233,10 +216,10 @@ class Tensor:
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         while topo:
             node = topo.pop()
-            if node._closure is None:  # a leaf
+            if node._backward is None:  # a leaf
                 continue
-            node._closure(node.grad)
-            node._closure, node._parents = _released, ()
+            node._backward(node.grad)
+            node._backward, node._parents = _released, ()
             if node is not self:
                 node.grad = None
 
@@ -257,26 +240,22 @@ class Tensor:
 
     def __add__(self, other):
         other = self._same_shape(other)
-        out = Tensor(self.data + other.data, (self, other))
 
         def bwd(g):
             self._accumulate(g)
             other._accumulate(g)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data + other.data, (self, other), backward=bwd)
 
     def __mul__(self, other):
         other = self._same_shape(other)
         _record(self.size)
-        out = Tensor(self.data * other.data, (self, other))
 
         def bwd(g):
             self._accumulate(g * other.data, fresh=True)
             other._accumulate(g * self.data, fresh=True)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data * other.data, (self, other), backward=bwd)
 
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
@@ -292,34 +271,30 @@ class Tensor:
         n, k = self.shape
         p = other.shape[1]
         _record(n * k * p)
-        out = Tensor(self.data @ other.data, (self, other))
 
         def bwd(g):
             self._accumulate(g @ other.data.T, fresh=True)
             other._accumulate(self.data.T @ g, fresh=True)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data @ other.data, (self, other), backward=bwd)
 
     # -- pointwise nonlinearities -------------------------------------
 
     def exp(self):
         _record(self.size)
-        out = Tensor(np.exp(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * out.data, fresh=True)
-        return out
+        y = np.exp(self.data)
+        return Tensor(y, (self,), backward=lambda g: self._accumulate(g * y, fresh=True))
 
     def sigmoid(self):
         _record(self.size)
         s = _sigmoid(self.data)
-        out = Tensor(s, (self,))
-        out._backward = lambda g: self._accumulate(g * s * (1.0 - s), fresh=True)
-        return out
+        return Tensor(s, (self,),
+                      backward=lambda g: self._accumulate(g * s * (1.0 - s), fresh=True))
 
     def silu(self):
         _record(2 * self.size)
         s = _sigmoid(self.data)
-        out = Tensor(np.multiply(self.data, s, out=s), (self,))  # the product replaces s
+        y = np.multiply(self.data, s, out=s)  # the product replaces s
 
         def bwd(g):
             # g * s * (1 + x (1 - s)), in the same order, in two buffers
@@ -331,21 +306,18 @@ class Tensor:
             s *= t
             self._accumulate(s, fresh=True)
 
-        out._backward = bwd
-        return out
+        return Tensor(y, (self,), backward=bwd)
 
     def softplus(self):
         _record(self.size)
-        out = Tensor(_softplus(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * _sigmoid(self.data), fresh=True)
-        return out
+        return Tensor(_softplus(self.data), (self,),
+                      backward=lambda g: self._accumulate(g * _sigmoid(self.data), fresh=True))
 
     def zoh_phi(self):
         """expm1(z)/z, the factor turning Delta*B into B_bar under ZOH."""
         _record(self.size)
-        out = Tensor(_phi(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * _phi_prime(self.data), fresh=True)
-        return out
+        return Tensor(_phi(self.data), (self,),
+                      backward=lambda g: self._accumulate(g * _phi_prime(self.data), fresh=True))
 
     # -- shape manipulation (zero-cost) -------------------------------
 
@@ -353,9 +325,8 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old = self.shape
-        out = Tensor(self.data.reshape(shape), (self,))
-        out._backward = lambda g: self._accumulate(g.reshape(old))
-        return out
+        return Tensor(self.data.reshape(shape), (self,),
+                      backward=lambda g: self._accumulate(g.reshape(old)))
 
     def expand(self, *shape):
         """Explicit broadcast to `shape` (a view); the gradient sums the copies."""
@@ -370,7 +341,6 @@ class Tensor:
         axes = tuple(range(lead)) + tuple(
             lead + i for i, d in enumerate(old) if d == 1 and shape[lead + i] != 1
         )
-        out = Tensor(data, (self,))
 
         def bwd(g):
             if axes:
@@ -378,8 +348,7 @@ class Tensor:
             else:
                 self._accumulate(g)
 
-        out._backward = bwd
-        return out
+        return Tensor(data, (self,), backward=bwd)
 
     def __getitem__(self, idx):
         """Basic indexing only: ints, slices, ``...`` and ``None``.
@@ -394,21 +363,18 @@ class Tensor:
                     f"Tensor indexing takes ints, slices, ... and None, got "
                     f"{type(part).__name__}; gather with Tensor.take"
                 )
-        out = Tensor(np.ascontiguousarray(self.data[idx]), (self,))
 
         def bwd(g):
             full = np.zeros_like(self.data)
             full[idx] = g
             self._accumulate(full, fresh=True)
 
-        out._backward = bwd
-        return out
+        return Tensor(np.ascontiguousarray(self.data[idx]), (self,), backward=bwd)
 
     def take(self, indices, axis=0):
         """Gather along an axis; the gradient scatter-adds back."""
         indices = np.asarray(indices)
         axis = axis % self.data.ndim
-        out = Tensor(np.take(self.data, indices, axis=axis), (self,))
         # the gather puts indices.ndim axes where `axis` was
         index_axes = list(range(axis, axis + indices.ndim))
 
@@ -418,13 +384,11 @@ class Tensor:
             np.add.at(moved, indices, np.moveaxis(g, index_axes, range(indices.ndim)))
             self._accumulate(full, fresh=True)
 
-        out._backward = bwd
-        return out
+        return Tensor(np.take(self.data, indices, axis=axis), (self,), backward=bwd)
 
     # -- reductions ----------------------------------------------------
 
     def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis), (self,))
         shape = self.shape
 
         def bwd(g):
@@ -432,14 +396,13 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, shape))
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data.sum(axis=axis), (self,), backward=bwd)
 
     def mean(self, axis=None):
         """The sum times 1/n in one node, metered as one MAC per output."""
         scale = 1.0 / (self.size if axis is None else self.shape[axis])
-        out = Tensor(self.data.sum(axis=axis) * scale, (self,))
-        _record(out.size)
+        y = self.data.sum(axis=axis) * scale
+        _record(y.size)
         shape = self.shape
 
         def bwd(g):
@@ -448,8 +411,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, shape))
 
-        out._backward = bwd
-        return out
+        return Tensor(y, (self,), backward=bwd)
 
     # -- constructors --------------------------------------------------
 
@@ -459,14 +421,12 @@ class Tensor:
         shapes = {t.shape for t in tensors}
         if len(shapes) != 1:
             raise ShapeError(f"stack needs identical shapes, got {sorted(shapes)}")
-        out = Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors))
 
         def bwd(g):
             for i, t in enumerate(tensors):
                 t._accumulate(np.take(g, i, axis=axis), fresh=True)
 
-        out._backward = bwd
-        return out
+        return Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), backward=bwd)
 
     @staticmethod
     def zeros(shape, dtype=np.float64):

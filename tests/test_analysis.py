@@ -1,5 +1,6 @@
 """MAC accounting: instrumented agreement, bucket bands, asymptotics."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,20 @@ def test_report_shape_and_recount():
         FlopsReport(-1, 0, 0, (224, 224), "x")
     with pytest.raises(ConfigError, match="multiple"):
         count_flops(get_config("L1"), (100, 100))
+
+
+@pytest.mark.parametrize("resolution", [(32.0, 32.0), (32, True), (np.float64(32), 32)])
+def test_count_flops_refuses_a_resolution_that_is_not_integer(resolution):
+    bad = next(v for v in resolution if isinstance(v, (bool, float)))
+    with pytest.raises(ConfigError, match=re.escape(f"must be an integer, got {bad!r}")):
+        count_flops(get_config("toy"), resolution)
+
+
+def test_numpy_integer_resolution_counts_as_python_ints():
+    # np.int32 extents would wrap the L1 counts at 4096
+    ours = count_flops(get_config("L1"), (np.int32(4096), np.int32(4096)))
+    assert ours == count_flops(get_config("L1"), (4096, 4096))
+    assert type(ours.total) is int
 
 
 def test_param_totals_within_reference_bands():

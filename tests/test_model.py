@@ -1,12 +1,13 @@
 """Backbone assembly: config validation, init, shapes, and block oracles."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from plainscan import Model, get_config, init_params
-from plainscan.errors import ConfigError, ManifestError, NumericalError
+from plainscan.errors import ConfigError, ManifestError, NumericalError, ShapeError
 from plainscan.model import (
     ModelConfig,
     PRESETS,
@@ -134,6 +135,15 @@ def test_variable_resolution_resamples_pos_embed():
         assert np.isfinite(out).all()
     with pytest.raises(ConfigError, match="multiple"):
         model.forward(Tensor(np.zeros((1, 30, 30, 3))))
+
+
+@pytest.mark.parametrize("shape", [(0, 32, 32, 3), (32, 32, 3), (1, 32, 32, 4)],
+                         ids=["empty-batch", "unbatched", "4-channels"])
+def test_malformed_image_batch_is_a_shape_error(shape):
+    model = Model(get_config("toy"), seed=0)
+    with pytest.raises(ShapeError, match=f"B, H, W, 3.*got {re.escape(str(shape))}") as err:
+        model.forward(Tensor(np.zeros(shape)))
+    assert err.value.exit_code == 2
 
 
 def test_tokenize_zero_image_returns_pos_embed():

@@ -45,3 +45,66 @@ def test_no_module_imports_a_name_it_never_uses():
         if (found := _unused_imports(path.read_text()))
     }
     assert not unused, f"imported and never used: {unused}"
+
+
+def _backward_assignments(source):
+    """Lines that set an attribute ``_backward`` outside ``Tensor.__init__``
+    and the release in ``Tensor.backward``; tuple targets count."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Tensor"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "backward")
+        for node in ast.walk(fn)
+    }
+
+    def targets(t):
+        if isinstance(t, (ast.Tuple, ast.List)):
+            for elt in t.elts:
+                yield from targets(elt)
+        elif isinstance(t, ast.Starred):
+            yield from targets(t.value)
+        else:
+            yield t
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and id(node) not in allowed:
+            tops = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and id(node) not in allowed:
+            tops = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Attribute) and t.attr == "_backward"
+               for top in tops for t in targets(top)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_backward_assignments_finder():
+    source = (
+        "class Tensor:\n"
+        "    def __init__(self):\n"
+        "        self._parents, self._backward = (), None\n"
+        "    def backward(self):\n"
+        "        self._backward, self._parents = None, ()\n"
+        "    def exp(self):\n"
+        "        out._backward = f\n"
+        "def op(out):\n"
+        "    out.grad, (out._backward, x) = None, (f, 1)\n"
+        "    out._parents = ()\n"
+    )
+    assert _backward_assignments(source) == [7, 9]
+
+
+def test_nodes_get_their_closure_only_when_built():
+    # Tensor(value, parents, backward=bwd) is where the grad mode acts on a
+    # node; a closure set afterwards would bypass it
+    package = Path(plainscan.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        for line in _backward_assignments(path.read_text())
+    ]
+    assert not found, f"_backward assigned outside Tensor.__init__ and backward: {found}"

@@ -1,5 +1,7 @@
 """Scan-order geometry: worked examples, invariants, and round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,10 @@ def test_bad_extents_and_pathset_arity():
         P.generate_continuous_paths(0, 3)
     with pytest.raises(ConfigError):
         P.generate_raster_paths(2, 0)
+    for H, W, bad in ((2.0, 3, 2.0), (2, True, True), (2, np.float64(3), np.float64(3))):
+        with pytest.raises(ConfigError, match=re.escape(f"must be an integer, got {bad!r}")):
+            P.generate_continuous_paths(H, W)
+    assert P.generate_raster_paths(np.int32(2), 3).height == 2
     p = P.generate_continuous_paths(2, 2).paths[0]
     with pytest.raises(ConfigError, match="exactly 4"):
         P.PathSet((p, p), (None, None))

@@ -1,11 +1,17 @@
 """Engine-level tests: values against brute-force oracles, gradients
 against finite differences, and the shape/graph contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from plainscan import Model, get_config
 from plainscan.errors import NumericalError, ShapeError
-from plainscan.ops import grad_check
+from plainscan.ops import cross_entropy, grad_check
+from plainscan.paths import generate_continuous_paths
+from plainscan.scan import SsmCore, direction_aware_scan_2d_ref
 from plainscan.tensor import (
     MacTally,
     Tensor,
@@ -344,6 +350,40 @@ def test_no_grad_records_no_parents_and_nests():
     taped = (x + x).exp().silu().sum()
     assert y.data == taped.data
     assert taped._parents and taped._backward is not None
+
+
+def _oracle_graph(rng):
+    H, W, d, m = 2, 3, 4, 2
+    core = SsmCore(A=Tensor(-rng.uniform(0.5, 1.5, (d, m))), D=Tensor(rng.standard_normal(d)),
+                   Theta=Tensor(rng.standard_normal((5, m))))
+    return direction_aware_scan_2d_ref(
+        Tensor(rng.standard_normal((H, W, d))), Tensor(rng.standard_normal((H, W, m))),
+        Tensor(rng.standard_normal((H, W, m))), Tensor(rng.uniform(0.1, 0.5, (H, W, d))),
+        core, generate_continuous_paths(H, W),
+    )
+
+
+def test_a_dropped_taped_graph_is_freed_by_reference_counting():
+    # no closure holds its own node, so the tape holds no reference cycles
+    rng = np.random.default_rng(0)
+    model = Model(get_config("toy"), seed=0)
+    graphs = {
+        "exp": lambda: Tensor(rng.standard_normal(5)).exp(),
+        "model": lambda: cross_entropy(
+            model.forward(Tensor(rng.standard_normal((2, 32, 32, 3)))), [0, 1]),
+        "oracle": lambda: _oracle_graph(rng),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, build in graphs.items():
+            out = build()
+            value = weakref.ref(out.data)
+            del out
+            assert value() is None, f"{name}: the output outlived its graph"
+            assert gc.collect() == 0, f"{name}: the graph left cyclic garbage"
+    finally:
+        gc.enable()
 
 
 def test_no_grad_restores_the_mode_after_an_error():

@@ -33,6 +33,12 @@ def test_make_stripes_deterministic():
     assert not np.array_equal(a.images, c.images)
 
 
+@pytest.mark.parametrize("n", [-1, 2.0, True])
+def test_make_stripes_refuses_a_bad_sample_count(n):
+    with pytest.raises(ConfigError, match=f"sample count n must .*, got {n!r}"):
+        make_stripes(n)
+
+
 def test_toy_train_is_deterministic():
     cfg = get_config("toy")
     ds = make_stripes(n=32, seed=0)
