@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, check_integer
-from .model import _CONV_K, _STEM_WIDTHS, ModelConfig, param_spec
+from .model import _CONV_K, ModelConfig, param_spec, stem_layers
 from .scan import block_steps, checkpoint_segments
 
 
@@ -85,21 +85,17 @@ def _check_resolution(resolution, patch):
 
 def _stem_macs(cfg: ModelConfig, resolution):
     h, w = resolution
-    if cfg.stem == "single":
-        n = (h // cfg.patch) * (w // cfg.patch)
-        return n * cfg.patch * cfg.patch * 3 * cfg.d_model
-    widths = (3,) + _STEM_WIDTHS + (cfg.d_model,)
     total = 0
-    for i in range(4):
-        h, w = h // 2, w // 2
-        total += h * w * 9 * widths[i] * widths[i + 1]
-        if i < 3:
-            total += 2 * h * w * widths[i + 1]  # silu between stem convs
+    for _, k, s, p, c_in, c_out, silu_after in stem_layers(cfg):
+        h, w = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        total += h * w * (k * k * c_in + 2 * silu_after) * c_out  # silu costs 2 per element
     return total
 
 
 def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
-    """MAC counts for one forward pass at the given input resolution."""
+    """MAC counts for one forward pass of one image at the given resolution.  Off
+    the native grid the forward resamples pos_embed once per batch, so a batch of
+    B meters B times this total less B - 1 resamples."""
     resolution, n = _check_resolution(resolution, cfg.patch)
     d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
 

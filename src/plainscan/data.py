@@ -23,12 +23,10 @@ def make_stripes(n: int = 64, seed: int = 0) -> SyntheticDataset:
     """``n`` 32x32 images of 4-pixel bands (period 8) plus uniform noise in [-0.2, 0.2]."""
     check_integer("the sample count n", n, least=0)
     rng = np.random.default_rng(seed)
-    images = np.empty((n, 32, 32, 3))
     labels = np.arange(n) % 2  # balanced by construction
-    bands = (np.arange(32) // 4) % 2
-    horizontal = np.broadcast_to(bands[:, None, None], (32, 32, 3)).astype(float)
-    vertical = np.broadcast_to(bands[None, :, None], (32, 32, 3)).astype(float)
-    for i in range(n):
-        base = vertical if labels[i] else horizontal
-        images[i] = base + rng.uniform(-0.2, 0.2, base.shape)
+    bands = ((np.arange(32) // 4) % 2).astype(float)
+    # one C-order draw: image i takes the generator's i-th run of 32 * 32 * 3 values
+    images = rng.uniform(-0.2, 0.2, (n, 32, 32, 3))
+    # label 1 takes the bands along the width, label 0 along the height
+    images += np.where(labels[:, None, None, None], bands[:, None], bands[:, None, None])
     return SyntheticDataset(images=images, labels=labels, seed=seed)

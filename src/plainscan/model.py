@@ -17,11 +17,6 @@ from .paths import generate_continuous_paths
 from .scan import SsmCore, direction_aware_scan_2d
 from .tensor import Tensor
 
-# Stacked tokenizer: four stride-2 3x3 convs; the widths before the final
-# projection to d_model are fixed so compute does not balloon with model
-# width.
-_STEM_WIDTHS = (96, 192, 192)
-
 # Blocks keep Mamba's internals at every size (arXiv 2312.00752): a 7x7
 # depthwise conv, d_inner = 2 * d_model and Delta rank ceil(d_model / 16).
 _CONV_K = 7
@@ -40,10 +35,15 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("depth", "d_model", "state_size", "patch", "img_size", "num_classes"):
             check_integer(name, getattr(self, name), least=1)
+            # numpy scalars would make every count derived from the config fixed-width
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.stem not in ("stacked", "single"):
             raise ConfigError(f"unknown stem kind {self.stem!r}")
-        if self.stem == "stacked" and self.patch != 16:
-            raise ConfigError("the stacked stem downsamples by 16; use stem='single'")
+        factor = math.prod(stride for _, _, stride, *_ in stem_layers(self))
+        if factor != self.patch:
+            raise ConfigError(
+                f"the {self.stem} stem downsamples by {factor}, not patch {self.patch}"
+            )
         if self.img_size % self.patch:
             raise ConfigError(
                 f"img_size {self.img_size} must be a multiple of patch {self.patch}"
@@ -60,6 +60,16 @@ class ModelConfig:
     @property
     def grid(self):
         return self.img_size // self.patch
+
+
+def stem_layers(cfg: ModelConfig):
+    """The tokenizer as ``(name, k, stride, padding, c_in, c_out, silu_after)``
+    convs: one patch embed, or four stride-2 3x3 convs whose widths before the
+    final projection to d_model are fixed so compute does not balloon with width."""
+    if cfg.stem == "single":
+        return [("patch_embed", cfg.patch, cfg.patch, 0, 3, cfg.d_model, False)]
+    w = (3, 96, 192, 192, cfg.d_model)
+    return [(f"stem.{i}", 3, 2, 1, w[i], w[i + 1], i < 3) for i in range(4)]
 
 
 PRESETS = {
@@ -86,14 +96,8 @@ def param_spec(cfg: ModelConfig):
     """Ordered (name, shape) for every learnable tensor in the model."""
     d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
     spec = []
-    if cfg.stem == "single":
-        spec += [("patch_embed.weight", (cfg.patch, cfg.patch, 3, d)),
-                 ("patch_embed.bias", (d,))]
-    else:
-        widths = (3,) + _STEM_WIDTHS + (d,)
-        for i in range(4):
-            spec += [(f"stem.{i}.weight", (3, 3, widths[i], widths[i + 1])),
-                     (f"stem.{i}.bias", (widths[i + 1],))]
+    for name, size, _, _, c_in, c_out, _ in stem_layers(cfg):
+        spec += [(f"{name}.weight", (size, size, c_in, c_out)), (f"{name}.bias", (c_out,))]
     spec.append(("pos_embed", (cfg.grid * cfg.grid, d)))
     for i in range(cfg.depth):
         p = f"blocks.{i}."
@@ -235,18 +239,11 @@ class Model:
             raise ConfigError(
                 f"input {Hi}x{Wi} must be a multiple of the downsample factor {cfg.patch}"
             )
-        if cfg.stem == "single":
-            tok = ops.conv2d(
-                images, p["patch_embed.weight"], p["patch_embed.bias"], stride=cfg.patch
-            )
-        else:
-            tok = images
-            for i in range(4):
-                tok = ops.conv2d(
-                    tok, p[f"stem.{i}.weight"], p[f"stem.{i}.bias"], stride=2, padding=1
-                )
-                if i < 3:
-                    tok = tok.silu()
+        tok = images
+        for name, _, stride, padding, _, _, silu_after in stem_layers(cfg):
+            tok = ops.conv2d(tok, p[f"{name}.weight"], p[f"{name}.bias"], stride, padding)
+            if silu_after:
+                tok = tok.silu()
         H, W = tok.shape[1:3]
         pos = p["pos_embed"]
         if H * W != pos.shape[0]:

@@ -147,7 +147,7 @@ def selective_scan_ref(inputs: ScanInputs, core: SsmCore) -> Tensor:
     d, m = core.A.shape
     if inputs.x.shape[1] != d:
         raise ShapeError(f"x channels {inputs.x.shape[1]} != core d_inner {d}")
-    h = Tensor.zeros((d, m), dtype=core.A.dtype)
+    h = Tensor(np.zeros((d, m)))
     ys = []
     for i in range(n):
         x_i = inputs.x[i]

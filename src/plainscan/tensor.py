@@ -427,8 +427,3 @@ class Tensor:
                 t._accumulate(np.take(g, i, axis=axis), fresh=True)
 
         return Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), backward=bwd)
-
-    @staticmethod
-    def zeros(shape, dtype=np.float64):
-        return Tensor(np.zeros(shape, dtype=dtype))
-

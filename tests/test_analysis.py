@@ -27,8 +27,10 @@ from plainscan.tensor import Tensor
 
 
 def _instrumented_macs(cfg, side, batch=1):
+    """MACs of one forward at a square ``side`` or an ``(h, w)`` resolution."""
+    h, w = (side, side) if isinstance(side, int) else side
     model = Model(cfg, seed=0)
-    img = normalize(np.zeros((batch, side, side, 3)))
+    img = normalize(np.zeros((batch, h, w, 3)))
     with count_macs() as tally:
         model.forward(Tensor(img))
     return tally.total
@@ -36,15 +38,16 @@ def _instrumented_macs(cfg, side, batch=1):
 
 def test_analytic_equals_instrumented_toy():
     cfg = get_config("toy")
-    assert count_flops(cfg, (32, 32)).total == _instrumented_macs(cfg, 32)
+    for hw in ((32, 32), (32, 64)):  # the native 4x4 grid and a 4x8 one
+        assert count_flops(cfg, hw).total == _instrumented_macs(cfg, hw)
 
 
 def test_analytic_tracks_instrumented_off_grid_resolution():
     # off the native grid the forward adds one pos-embed resample matmul of
     # dst_tokens * src_tokens * d_model MACs, which count_flops counts too
     cfg = get_config("toy")
-    for side in (16, 40):  # 2x2 and 5x5 token grids against the native 4x4
-        assert count_flops(cfg, (side, side)).total == _instrumented_macs(cfg, side)
+    for hw in ((16, 16), (40, 40), (8, 40)):  # 2x2, 5x5 and 1x5 grids against the native 4x4
+        assert count_flops(cfg, hw).total == _instrumented_macs(cfg, hw)
 
 
 def test_instrumented_scales_with_batch():
@@ -55,9 +58,16 @@ def test_instrumented_scales_with_batch():
     assert two == 2 * one
 
 
+def test_a_batch_meters_the_pos_embed_resample_once():
+    cfg = get_config("toy")
+    resample = 1 * cfg.grid**2 * cfg.d_model  # 8x8 gives a 1x1 grid from the native 4x4
+    assert _instrumented_macs(cfg, 8, batch=2) == 2 * count_flops(cfg, (8, 8)).total - resample
+
+
 def test_analytic_equals_instrumented_stacked_stem():
     cfg = get_config("toy", stem="stacked", patch=16, d_model=8, state_size=2, img_size=32)
-    assert count_flops(cfg, (32, 32)).total == _instrumented_macs(cfg, 32)
+    for hw in ((32, 32), (32, 48)):  # the native 2x2 grid and a 2x3 one
+        assert count_flops(cfg, hw).total == _instrumented_macs(cfg, hw)
 
 
 def test_report_shape_and_recount():
@@ -83,6 +93,15 @@ def test_numpy_integer_resolution_counts_as_python_ints():
     ours = count_flops(get_config("L1"), (np.int32(4096), np.int32(4096)))
     assert ours == count_flops(get_config("L1"), (4096, 4096))
     assert type(ours.total) is int
+
+
+def test_numpy_integer_config_fields_are_stored_as_python_ints():
+    # a field kept as np.int32 would make the L1 count at 4096 overflow
+    cfg = get_config("L1", depth=np.int32(24), d_model=np.int64(192))
+    sizes = ("depth", "d_model", "state_size", "patch", "img_size", "num_classes")
+    assert all(type(getattr(cfg, name)) is int for name in sizes)
+    assert count_flops(cfg, (4096, 4096)).total == 1_102_464_609_984
+    assert count_flops(get_config("L1"), (4096, 4096)).total == 1_102_464_609_984
 
 
 def test_param_totals_within_reference_bands():
