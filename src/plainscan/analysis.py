@@ -112,8 +112,9 @@ def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
         + n * di               # gating multiply
     )
     head_and_pool = 4 * n * d + d + d * cfg.num_classes
-    # off the native grid the forward resamples pos_embed with one matmul
-    resample = n * cfg.grid**2 * d if n != cfg.grid**2 else 0
+    # off the native grid, even at its token count, the forward resamples
+    # pos_embed with one matmul (resolutions and img_size are multiples of patch)
+    resample = n * cfg.grid**2 * d if resolution != (cfg.img_size, cfg.img_size) else 0
     return FlopsReport(
         token_mixing=cfg.depth * scan_per_block,
         channel_mixing=cfg.depth * proj_per_block,

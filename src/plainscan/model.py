@@ -246,7 +246,7 @@ class Model:
                 tok = tok.silu()
         H, W = tok.shape[1:3]
         pos = p["pos_embed"]
-        if H * W != pos.shape[0]:
+        if (H, W) != (cfg.grid, cfg.grid):
             mat = bilinear_resample_matrix((cfg.grid, cfg.grid), (H, W))
             pos = Tensor(mat.astype(images.dtype)) @ pos
         pos_grid = pos.reshape(1, H, W, cfg.d_model).expand(B, H, W, cfg.d_model)

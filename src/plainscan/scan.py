@@ -147,7 +147,7 @@ def selective_scan_ref(inputs: ScanInputs, core: SsmCore) -> Tensor:
     d, m = core.A.shape
     if inputs.x.shape[1] != d:
         raise ShapeError(f"x channels {inputs.x.shape[1]} != core d_inner {d}")
-    h = Tensor(np.zeros((d, m)))
+    h = Tensor(np.zeros((d, m), inputs.x.dtype))
     ys = []
     for i in range(n):
         x_i = inputs.x[i]
@@ -291,7 +291,8 @@ def direction_aware_scan_2d(
         a_t = np.ascontiguousarray(A.data.T)
         return ds, xs, bs, cs, a_t, 1.0 / a_t
 
-    state_bytes = 8 * S * m * d
+    dt = x_grid.dtype  # the buffers' dtype, whose itemsize sizes blocks and segments
+    state_bytes = dt.itemsize * S * m * d
     T = block_steps(state_bytes)
 
     def blocks(s0, s1):  # (first step, steps) of each block in [s0, s1)
@@ -301,7 +302,7 @@ def direction_aware_scan_2d(
         # steps s0..s1-1 from h_prev, a block at a time; states(s, t) is
         # where the block's t states go.  Returns the last state.
         ds, xs, bs, cs, a_t, inv_a = inputs
-        eb, pb = np.empty((T, S, m, d)), np.empty((T, S, m, d))
+        eb, pb = np.empty((T, S, m, d), dt), np.empty((T, S, m, d), dt)
         for s, t in blocks(s0, s1):
             e, p, h = eb[:t], pb[:t], states(s, t)
             np.einsum("...d,md->...md", ds[s:s + t], a_t, out=e)
@@ -325,13 +326,13 @@ def direction_aware_scan_2d(
     # history, or a segment it recomputes from the checkpoint before it
     span = n if seg == 1 else seg
     # hist[k] is segment k's last state
-    hist = np.empty((count, S, m, d)) if taped else None
-    hb = None if taped and seg == 1 else np.empty((T, S, m, d))
+    hist = np.empty((count, S, m, d), dt) if taped else None
+    hb = None if taped and seg == 1 else np.empty((T, S, m, d), dt)
 
     def states(s, t):  # where steps s .. s + t - 1 write their states
         return hist[s:s + t] if hb is None else hb[:t]
 
-    ys = np.empty((n, S, d))
+    ys = np.empty((n, S, d), dt)
     # the inputs die with this loop; the backward gathers its own
     inputs, h = step_inputs(), 0.0
     for k, s0 in enumerate(range(0, n, span)):
@@ -354,13 +355,13 @@ def direction_aware_scan_2d(
     def bwd(g):
         ds, xs, bs, cs, a_t, inv_a = inputs = step_inputs()
         gs = gather(g, d)
-        gd, gx = np.empty((n, S, d)), np.empty((n, S, d))
-        gb, gc = np.empty((n, S, m)), np.empty((n, S, m))
-        ga = np.zeros((S, m, d))
-        qb, ab, a_nb, cgb, lb, vb, rb = (np.empty((T, S, m, d)) for _ in range(7))
+        gd, gx = np.empty((n, S, d), dt), np.empty((n, S, d), dt)
+        gb, gc = np.empty((n, S, m), dt), np.empty((n, S, m), dt)
+        ga = np.zeros((S, m, d), dt)
+        qb, ab, a_nb, cgb, lb, vb, rb = (np.empty((T, S, m, d), dt) for _ in range(7))
         # a recomputed segment's states after the one before it or, with the
         # whole history, the zero start state and the first block's states
-        rec = np.empty((span + 1 if seg > 1 else T + 1, S, m, d))
+        rec = np.empty((span + 1 if seg > 1 else T + 1, S, m, d), dt)
         # the steps with some |z| < 1e-4
         near0 = ((ds * -a_t.max(axis=0)).min(axis=(1, 2)) < 1e-4).tolist()
         lam_next, a_next = 0.0, 0.0  # lam and A_bar of the step after the block

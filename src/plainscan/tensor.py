@@ -1,12 +1,13 @@
 """Dense ndarray values with a reverse-mode gradient tape.
 
-Values are numpy arrays (float64 by default) and each operation records
-a backward closure, micrograd style.  The op set is the one the package
-calls, plus ``sigmoid``.  There is no implicit broadcasting and no
-scalar operand: ``+`` and ``*`` take another Tensor of the same shape,
-and anything else goes through an explicit ``expand``, which gives a
-read-only broadcast view rather than a copy.  Shape violations raise
-:class:`~plainscan.errors.ShapeError` naming both operands.
+Values are numpy arrays and each operation records a backward closure,
+micrograd style.  A float32 or float64 array keeps its dtype, anything else
+becomes float64, and every op computes and allocates in its inputs' dtype.
+The op set is the one the package calls, plus ``sigmoid``.  There is no
+implicit broadcasting and no scalar operand: ``+`` and ``*`` take another
+Tensor of the same shape, and anything else goes through an explicit
+``expand``, a read-only broadcast view rather than a copy.  Shape errors
+raise :class:`~plainscan.errors.ShapeError` naming both operands.
 
 Every op builds its node in one step, ``Tensor(value, parents,
 backward=bwd)``, and only there does the grad mode act: while the tape
@@ -40,6 +41,7 @@ import numpy as np
 from .errors import ShapeError
 
 _mac_stack: list[MacTally] = []
+_FLOATS = (np.dtype(np.float64), np.dtype(np.float32))  # the dtypes PMWB stores
 _grad_enabled = True
 
 
@@ -136,10 +138,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_backward", "name")
 
-    def __init__(self, data, parents=(), backward=None, name=None, dtype=None):
+    def __init__(self, data, parents=(), backward=None, name=None):
         if isinstance(data, Tensor):
             raise TypeError("wrap ndarrays, not Tensors")
-        self.data = np.asarray(data, dtype=dtype or np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad = None
         if backward is not None and _grad_enabled:
             self._parents, self._backward = parents, backward

@@ -106,7 +106,7 @@ def load_weights(path, config: ModelConfig | None = None) -> dict:
             arr = arr.reshape(shape)
         except ValueError as e:
             raise FormatError(f"tensor {name!r} cannot have shape {shape}: {e}") from None
-        params[name] = Tensor(arr.copy(), name=name, dtype=dtype)
+        params[name] = Tensor(arr.copy(), name=name)
     # sorted by start, any overlap shows up between neighbours
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):

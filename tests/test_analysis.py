@@ -45,8 +45,11 @@ def test_analytic_equals_instrumented_toy():
 def test_analytic_tracks_instrumented_off_grid_resolution():
     # off the native grid the forward adds one pos-embed resample matmul of
     # dst_tokens * src_tokens * d_model MACs, which count_flops counts too
-    cfg = get_config("toy")
-    for hw in ((16, 16), (40, 40), (8, 40)):  # 2x2, 5x5 and 1x5 grids against the native 4x4
+    toy, l1 = get_config("toy"), get_config("L1", depth=1)
+    # 2x2, 5x5, 1x5 and 2x8 toy grids against the native 4x4, and a 7x28 L1
+    # grid against its 14x14; the last two have the native token count
+    for cfg, hw in ((toy, (16, 16)), (toy, (40, 40)), (toy, (8, 40)), (toy, (16, 64)),
+                    (l1, (112, 448))):
         assert count_flops(cfg, hw).total == _instrumented_macs(cfg, hw)
 
 

@@ -1,10 +1,15 @@
 """Command surface: outputs, file side effects, and exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plainscan
 from plainscan import get_config, init_params
 from plainscan.cli import main
 from plainscan.netpbm import save_ppm
@@ -88,6 +93,26 @@ def test_toy_train_short_run(capsys, tmp_path):
     assert weights.exists()
     rows = list(csv.reader(loss_csv.open()))
     assert rows[0] == ["step", "loss"] and len(rows) == 4
+
+
+def test_toy_train_writes_the_same_files_at_1_and_2_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when it loads, so each count runs in
+    # its own process
+    src = str(Path(plainscan.__file__).resolve().parent.parent)
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plainscan.cli", "toy-train", "--steps", "30", "--seed", "2",
+             "--out", str(out / "toy.pmwb"), "--loss-csv", str(out / "loss.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files.append([(out / name).read_bytes() for name in ("toy.pmwb", "loss.csv")])
+    assert files[0] == files[1]
 
 
 def _toy_fixture(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plainscan import Model, get_config, init_params
+from plainscan import Model, get_config, init_params, ops
 from plainscan.errors import ConfigError, ManifestError, NumericalError, ShapeError
 from plainscan.model import (
     ModelConfig,
@@ -152,6 +152,33 @@ def test_tokenize_zero_image_returns_pos_embed():
     tok = model.tokenize(Tensor(np.zeros((1, 32, 32, 3)))).data
     pos = model.params["pos_embed"].data.reshape(4, 4, cfg.d_model)
     assert np.abs(tok[0] - pos).max() < 1e-15
+
+
+def test_same_token_count_off_the_native_grid_resamples_pos_embed():
+    # 16x64 gives a 2x8 token grid: the native 4x4's 16 tokens in another shape
+    cfg = get_config("toy")
+    model = Model(cfg, seed=0)
+    images = Tensor(np.random.default_rng(6).uniform(-1, 1, (1, 16, 64, 3)))
+    p = model.params
+    stem = ops.conv2d(images, p["patch_embed.weight"], p["patch_embed.bias"], cfg.patch)
+    pos = bilinear_resample_matrix((4, 4), (2, 8)) @ p["pos_embed"].data
+    added = model.tokenize(images).data - stem.data
+    assert np.abs(added - pos.reshape(1, 2, 8, cfg.d_model)).max() < 1e-12
+
+
+@pytest.mark.parametrize("cfg, hw", [
+    (get_config("toy"), (32, 32)),
+    (get_config("toy"), (16, 64)),
+    (get_config("toy", stem="stacked", patch=16, d_model=8, state_size=2, img_size=32), (32, 48)),
+], ids=["toy", "toy-16x64", "stacked-stem-32x48"])
+def test_float32_parameters_and_images_run_in_float32_end_to_end(cfg, hw, float32_only):
+    params = {name: Tensor(t.data.astype(np.float32), name=name)
+              for name, t in init_params(cfg, seed=0).items()}
+    model = Model(cfg, params)
+    images = Tensor(np.random.default_rng(5).uniform(-1, 1, (2, *hw, 3)).astype(np.float32))
+    with float32_only():
+        ops.cross_entropy(model.forward(images), [0, 1]).backward()
+    assert all(t.grad.dtype == np.float32 for t in params.values())
 
 
 def test_stacked_stem_downsamples_by_16():

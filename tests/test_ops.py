@@ -357,6 +357,29 @@ def test_cross_entropy_zero_loss_is_positive_zero():
     assert not np.signbit(loss.data)
 
 
+_OPS = {  # the op on x [2, 5, 5, 4], w and b, and the shapes of w and b
+    "layernorm": (lambda x, w, b: ops.layernorm(x, w, b), (4,), (4,)),
+    "depthwise_conv2d": (lambda x, w, b: ops.depthwise_conv2d(x, w), (3, 3, 4), None),
+    "conv2d": (lambda x, w, b: ops.conv2d(x, w, b, stride=2, padding=1), (3, 3, 4, 2), (2,)),
+    "linear": (lambda x, w, b: ops.linear(x, w, b), (4, 2), (2,)),
+    "cross_entropy": (lambda x, w, b: ops.cross_entropy(x.reshape(50, 4), np.arange(50) % 4),
+                      None, None),
+}
+
+
+@pytest.mark.parametrize("op, w_shape, b_shape", _OPS.values(), ids=_OPS.keys())
+def test_every_op_maps_float32_inputs_to_float32_outputs_and_gradients(op, w_shape, b_shape,
+                                                                       float32_only):
+    rng = np.random.default_rng(10)
+    x, w, b = (None if shape is None else Tensor(rng.standard_normal(shape).astype(np.float32))
+               for shape in ((2, 5, 5, 4), w_shape, b_shape))
+    with float32_only():
+        y = op(x, w, b)
+        y.backward(np.ones_like(y.data))
+    assert y.dtype == np.float32
+    assert all(t.grad.dtype == np.float32 for t in (x, w, b) if t is not None)
+
+
 def test_grad_check_reports_worst_coordinate():
     x = Tensor(np.array([0.5, -0.3]), name="x")
     assert ops.grad_check(lambda x: (x * x).sum(), [x]) < 1e-6

@@ -108,3 +108,45 @@ def test_nodes_get_their_closure_only_when_built():
         for line in _backward_assignments(path.read_text())
     ]
     assert not found, f"_backward assigned outside Tensor.__init__ and backward: {found}"
+
+
+# the position of each allocator's dtype argument
+_ALLOCATORS = {"empty": 1, "zeros": 1, "ones": 1, "full": 2}
+
+
+def _allocations_without_dtype(source):
+    """Lines calling ``np.empty``, ``np.zeros``, ``np.ones`` or ``np.full``
+    without a dtype, which would allocate float64 whatever the inputs are."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                and node.func.attr in _ALLOCATORS
+                and len(node.args) <= _ALLOCATORS[node.func.attr]
+                and not any(k.arg == "dtype" for k in node.keywords)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_allocations_without_dtype_finder():
+    source = (
+        "a = np.empty((2, 3))\n"
+        "b = np.zeros(4, x.dtype) + np.ones((1,), dtype=np.float32)\n"
+        "c = np.full((2,), 1.0)\n"
+        "d = np.full((2,), 1.0, x.dtype) + np.zeros_like(x)\n"
+        "e = [np.empty(\n"
+        "    (3, 4)) for _ in range(2)]\n"
+    )
+    assert _allocations_without_dtype(source) == [1, 3, 5]
+
+
+def test_ops_allocate_in_their_inputs_dtype():
+    # a Tensor keeps float32 or float64, so the engine's own buffers follow
+    # an input's dtype (or use the _like forms) rather than numpy's float64
+    package = Path(plainscan.__file__).parent
+    found = [
+        f"{name}:{line}"
+        for name in ("tensor.py", "ops.py", "scan.py")
+        for line in _allocations_without_dtype((package / name).read_text())
+    ]
+    assert not found, f"allocations without a dtype: {found}"

@@ -451,3 +451,35 @@ def test_root_gradient_does_not_alias_the_callers_seed():
         out.grad += 1.0
         a.grad += 1.0
         assert np.array_equal(seed, np.ones(out.shape))
+
+
+_OPS = {
+    "add": lambda a, b: a + b,
+    "mul": lambda a, b: a * b,
+    "matmul": lambda a, b: a @ b.reshape(4, 3),
+    "exp": lambda a, b: a.exp(),
+    "sigmoid": lambda a, b: a.sigmoid(),
+    "silu": lambda a, b: a.silu(),
+    "softplus": lambda a, b: a.softplus(),
+    "zoh_phi": lambda a, b: a.zoh_phi(),
+    "reshape": lambda a, b: a.reshape(4, 3),
+    "expand": lambda a, b: a[:1].expand(3, 4),
+    "getitem": lambda a, b: a[1:, ::2],
+    "take": lambda a, b: a.take(np.array([2, 0, 2]), axis=1),
+    "sum": lambda a, b: a.sum(),
+    "sum-axis": lambda a, b: a.sum(axis=0),
+    "mean": lambda a, b: a.mean(),
+    "mean-axis": lambda a, b: a.mean(axis=1),
+    "stack": lambda a, b: Tensor.stack([a, b], axis=1),
+}
+
+
+@pytest.mark.parametrize("op", _OPS.values(), ids=_OPS.keys())
+def test_every_op_maps_float32_inputs_to_float32_outputs_and_gradients(op, float32_only):
+    rng = np.random.default_rng(9)
+    a, b = (Tensor(rng.standard_normal((3, 4)).astype(np.float32)) for _ in range(2))
+    a.data[0, :3] = [3e-5, -2e-5, 25.0]  # zoh_phi's series and softplus's large branch
+    with float32_only():
+        y = op(a, b)
+        y.backward(np.ones_like(y.data))
+    assert y.dtype == np.float32 and a.grad.dtype == np.float32

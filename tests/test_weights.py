@@ -27,7 +27,7 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 def test_round_trip_float32(tmp_path):
-    params = {"w": Tensor(np.float32([[1.5, -2.25], [0.1, 7.0]]), dtype=np.float32)}
+    params = {"w": Tensor(np.float32([[1.5, -2.25], [0.1, 7.0]]))}
     path = tmp_path / "f32.pmwb"
     save_weights(params, path)
     loaded = load_weights(path)
@@ -223,7 +223,7 @@ def _loads_or_exits_2(load, path):
 
 _SMALL = {
     "w": Tensor(np.arange(6.0).reshape(2, 3)),
-    "b": Tensor(np.float32([0.5, -1.0, 2.0]), dtype=np.float32),
+    "b": Tensor(np.float32([0.5, -1.0, 2.0])),
     "s": Tensor(np.float64(3.0)),
 }
 
