@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, check_integer
 from .model import _CONV_K, ModelConfig, param_spec, stem_layers
 from .scan import block_steps, checkpoint_segments
@@ -142,7 +144,8 @@ def count_flops_attention(cfg: AttentionBaselineConfig, resolution) -> FlopsRepo
 
 
 def peak_activation_bytes(cfg, resolution) -> int:
-    """Footprint in float64 bytes of the widest live operation for one image, taped.
+    """Footprint in bytes of the widest live operation for one image, taped,
+    at the config's dtype (the attention baseline's in float64).
 
     For this model that is the 2D scan's taped forward, and the figure is
     an account of the arrays the node holds at its peak rather than a
@@ -155,12 +158,13 @@ def peak_activation_bytes(cfg, resolution) -> int:
     state): e and p, and the block's states when they do not go straight
     into the history.  It also holds up to four ``[n, d_inner]`` arrays
     while it puts the outputs on the grid and adds the skip.  Measured
-    with tracemalloc for one image, the figure is 1.02-1.31x the node's
+    with tracemalloc for one image, the figure is 1.01-1.31x the node's
     taped peak at 7x7, 14x14 and 28x28 grids, m 4 and 16, d_inner 96 and
-    384.  A batch of images can cross the history budget together where
-    one image does not, and its block buffers hold fewer steps of larger
-    states in about the same bytes, so the figure times the batch can be
-    far above the node's peak (4.3x at four 14x14 images, d_inner 96).  Under
+    384, in float64 and in float32.  A batch of images can cross the
+    history budget together where one image does not, and its block
+    buffers hold fewer steps of larger states in about the same bytes, so
+    the figure times the batch can be far above the node's peak (4.3x at
+    four 14x14 images, d_inner 96).  Under
     ``no_grad`` the node keeps no checkpoints.  Taped, it keeps only its
     checkpoints once the forward ends: the backward re-forms the gathered
     copies from the node's inputs, and adds per-step gradient arrays, its
@@ -174,14 +178,15 @@ def peak_activation_bytes(cfg, resolution) -> int:
         return 8 * max(attn, embed)
     resolution, n = _check_resolution(resolution, cfg.patch)
     d, m = cfg.d_inner, cfg.state_size
+    itemsize = np.dtype(cfg.dtype).itemsize
     state = 4 * m * d
-    seg, checkpoints = checkpoint_segments(n, 8 * state)
+    seg, checkpoints = checkpoint_segments(n, itemsize * state)
     # e and p, and the block's states unless they go straight into the history
-    blocks = (2 if seg == 1 else 3) * block_steps(8 * state)
+    blocks = (2 if seg == 1 else 3) * block_steps(itemsize * state)
     scan = 4 * n * (3 * d + 2 * m) + (checkpoints + blocks) * state + 4 * n * d
     proj = n * cfg.d_model + n * 2 * cfg.d_inner
     embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
-    return 8 * max(scan, proj, embed)
+    return itemsize * max(scan, proj, embed)
 
 
 def scaling_curve(configs, resolutions):

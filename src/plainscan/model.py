@@ -31,6 +31,7 @@ class ModelConfig:
     img_size: int = 224
     num_classes: int = 1000
     stem: str = "stacked"  # "stacked" or "single"
+    dtype: str = "float64"  # "float64" or "float32": the parameters' and the compute dtype
 
     def __post_init__(self):
         for name in ("depth", "d_model", "state_size", "patch", "img_size", "num_classes"):
@@ -39,6 +40,8 @@ class ModelConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.stem not in ("stacked", "single"):
             raise ConfigError(f"unknown stem kind {self.stem!r}")
+        if self.dtype not in ("float64", "float32"):
+            raise ConfigError(f"unknown dtype {self.dtype!r}; choose float64 or float32")
         factor = math.prod(stride for _, _, stride, *_ in stem_layers(self))
         if factor != self.patch:
             raise ConfigError(
@@ -72,10 +75,12 @@ def stem_layers(cfg: ModelConfig):
     return [(f"stem.{i}", 3, 2, 1, w[i], w[i + 1], i < 3) for i in range(4)]
 
 
+# The paper-scale presets only run inference here, and float32 runs them in
+# about half the time of float64; the toy preset trains and grad-checks.
 PRESETS = {
-    "L1": ModelConfig(depth=24, d_model=192),
-    "L2": ModelConfig(depth=24, d_model=384),
-    "L3": ModelConfig(depth=36, d_model=448),
+    "L1": ModelConfig(depth=24, d_model=192, dtype="float32"),
+    "L2": ModelConfig(depth=24, d_model=384, dtype="float32"),
+    "L3": ModelConfig(depth=36, d_model=448, dtype="float32"),
     "toy": ModelConfig(
         depth=2, d_model=32, state_size=4, patch=8, img_size=32,
         num_classes=2, stem="single",
@@ -135,7 +140,8 @@ def _trunc_normal(rng, shape, std=0.02):
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Deterministic initialization keyed by seed."""
+    """Deterministic initialization keyed by seed: float64 draws, each cast
+    once to the config's dtype, so a seed gives the same values in both."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in param_spec(cfg):
@@ -154,12 +160,13 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
             val = np.log(np.expm1(u))
         else:
             val = _trunc_normal(rng, shape)
-        params[name] = Tensor(val, name=name)
+        params[name] = Tensor(val.astype(cfg.dtype, copy=False), name=name)
     return params
 
 
 def check_params(cfg: ModelConfig, params: dict) -> None:
-    """Raise a ManifestError listing the missing, extra and misshapen tensors."""
+    """Raise a ManifestError listing the missing, extra and misshapen tensors,
+    or naming one tensor of each dtype when the parameters mix float dtypes."""
     spec = dict(param_spec(cfg))
     missing = sorted(set(spec) - set(params))
     extra = sorted(set(params) - set(spec))
@@ -177,6 +184,12 @@ def check_params(cfg: ModelConfig, params: dict) -> None:
     ]
     if parts:
         raise ManifestError("parameters do not match the config — " + " | ".join(parts))
+    first_of = {}  # one tensor of each dtype, in spec order
+    for name in spec:
+        first_of.setdefault(params[name].dtype, name)
+    if len(first_of) > 1:
+        raise ManifestError("parameters mix float dtypes: " + ", ".join(
+            f"{name} is {dt}" for dt, name in first_of.items()))
 
 
 def _interp_1d(dst, src):
@@ -211,6 +224,8 @@ class Model:
         self.cfg = cfg
         self.params = params if params is not None else init_params(cfg, seed)
         check_params(cfg, self.params)
+        # the one compute dtype: images are cast to it on the way in
+        self.dtype = self.params["pos_embed"].dtype
         # each block's tensors by their name within the block; the same
         # Tensor objects as self.params, so in-place updates show here too
         self._blocks = [{} for _ in range(cfg.depth)]
@@ -239,7 +254,7 @@ class Model:
             raise ConfigError(
                 f"input {Hi}x{Wi} must be a multiple of the downsample factor {cfg.patch}"
             )
-        tok = images
+        tok = images.astype(self.dtype)
         for name, _, stride, padding, _, _, silu_after in stem_layers(cfg):
             tok = ops.conv2d(tok, p[f"{name}.weight"], p[f"{name}.bias"], stride, padding)
             if silu_after:
@@ -248,7 +263,7 @@ class Model:
         pos = p["pos_embed"]
         if (H, W) != (cfg.grid, cfg.grid):
             mat = bilinear_resample_matrix((cfg.grid, cfg.grid), (H, W))
-            pos = Tensor(mat.astype(images.dtype)) @ pos
+            pos = Tensor(mat.astype(self.dtype)) @ pos
         pos_grid = pos.reshape(1, H, W, cfg.d_model).expand(B, H, W, cfg.d_model)
         return tok + pos_grid
 

@@ -322,7 +322,18 @@ class Tensor:
         return Tensor(_phi(self.data), (self,),
                       backward=lambda g: self._accumulate(g * _phi_prime(self.data), fresh=True))
 
-    # -- shape manipulation (zero-cost) -------------------------------
+    # -- dtype and shape manipulation (zero-cost) ----------------------
+
+    def astype(self, dtype):
+        """This value in float ``dtype``, and the gradient back in this one's.
+        In the dtype it already has it is this Tensor, with no new node."""
+        dtype = np.dtype(dtype)
+        if dtype not in _FLOATS:
+            raise TypeError(f"a Tensor holds float32 or float64, not {dtype}")
+        if dtype == self.dtype:
+            return self
+        # _accumulate copies g into a gradient of this Tensor's dtype
+        return Tensor(self.data.astype(dtype), (self,), backward=lambda g: self._accumulate(g))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -71,7 +71,9 @@ def _parse_manifest(header: str):
 
 
 def load_weights(path, config: ModelConfig | None = None) -> dict:
-    """Read a weight file; with a config, verify it matches the model."""
+    """Read a weight file.  With a config, every tensor comes back in the
+    config's dtype and the set is checked against the model; without one,
+    each keeps the dtype the file stores."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
@@ -106,7 +108,8 @@ def load_weights(path, config: ModelConfig | None = None) -> dict:
             arr = arr.reshape(shape)
         except ValueError as e:
             raise FormatError(f"tensor {name!r} cannot have shape {shape}: {e}") from None
-        params[name] = Tensor(arr.copy(), name=name)
+        # astype copies, whether or not the dtype changes
+        params[name] = Tensor(arr.astype(dtype if config is None else config.dtype), name=name)
     # sorted by start, any overlap shows up between neighbours
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):

@@ -177,23 +177,30 @@ def test_peak_bytes_monotone_in_resolution():
     )
 
 
-@pytest.mark.parametrize("d_inner", [96, 384])
-def test_peak_bytes_bound_the_taped_scan_node(d_inner):
+@pytest.mark.parametrize("d_inner, dtype", [
+    (96, "float64"), (384, "float64"), (96, "float32"), (384, "float32"),
+], ids=["96", "384", "96-float32", "384-float32"])
+def test_peak_bytes_bound_the_taped_scan_node(d_inner, dtype):
     # a 14x14 grid with m = 16, one image: the figure accounts for the arrays
     # the taped node holds at its peak, so it sits only a few percent above
-    # the measured peak (1.04x at d_inner 96, 1.21x at 384).  An array the
-    # node gains and the figure does not count fails the lower side, and one
-    # the figure counts but the node no longer keeps, such as the whole
-    # history at d_inner 384, fails the upper side.
+    # the measured peak (1.04x at d_inner 96, 1.21x at 384, in either dtype).
+    # An array the node gains and the figure does not count fails the lower
+    # side, and one the figure counts but the node no longer keeps, such as
+    # the whole history at d_inner 384, fails the upper side; so does a figure
+    # in 8-byte values for a float32 node.
     side, m = 14, 16
     cfg = ModelConfig(depth=1, d_model=d_inner // 2, state_size=m, patch=16,
-                      img_size=16 * side, stem="single")
+                      img_size=16 * side, stem="single", dtype=dtype)
     rng = np.random.default_rng(21)
-    core = SsmCore(A=Tensor(-np.abs(rng.standard_normal((d_inner, m))) - 0.05),
-                   D=Tensor(rng.standard_normal(d_inner)),
-                   Theta=Tensor(0.3 * rng.standard_normal((5, m))))
-    x, b, c = (Tensor(rng.standard_normal((side, side, k))) for k in (d_inner, m, m))
-    delta = Tensor(rng.uniform(0.05, 1.0, (side, side, d_inner)))
+
+    def leaf(values):
+        return Tensor(values.astype(dtype))
+
+    core = SsmCore(A=leaf(-np.abs(rng.standard_normal((d_inner, m))) - 0.05),
+                   D=leaf(rng.standard_normal(d_inner)),
+                   Theta=leaf(0.3 * rng.standard_normal((5, m))))
+    x, b, c = (leaf(rng.standard_normal((side, side, k))) for k in (d_inner, m, m))
+    delta = leaf(rng.uniform(0.05, 1.0, (side, side, d_inner)))
     ps = generate_continuous_paths(side, side)
     tracemalloc.start()
     try:

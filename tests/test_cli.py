@@ -115,6 +115,46 @@ def test_toy_train_writes_the_same_files_at_1_and_2_blas_threads(tmp_path):
     assert files[0] == files[1]
 
 
+_L1_LOGITS = """
+import sys
+import numpy as np
+from plainscan import Model, get_config
+from plainscan.tensor import Tensor, no_grad
+image = Tensor(np.random.default_rng(3).uniform(-1, 1, (1, 224, 224, 3)))
+with no_grad():
+    logits = Model(get_config("L1", depth=2), seed=1).forward(image).data
+sys.stdout.write(logits.dtype.str + " " + logits.tobytes().hex())
+"""
+
+
+def test_float32_l1_logits_are_the_same_at_1_and_2_blas_threads():
+    src = str(Path(plainscan.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _L1_LOGITS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("<f4 ") and outputs[0] == outputs[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infer_exits_3_when_the_float32_stem_overflows(capsys, tmp_path):
+    # 1e30 in the first two stem convs: finite in float64, past float32's range
+    params = init_params(get_config("L1"), seed=0)
+    for name in ("stem.0.weight", "stem.1.weight"):
+        params[name].data[...] = 1e30
+    weights, image = tmp_path / "l1.pmwb", tmp_path / "img.ppm"
+    save_weights(params, weights)
+    save_ppm(image, np.random.default_rng(0).uniform(0, 1, (224, 224, 3)))
+    code = main(["infer", "--config", "L1", "--weights", str(weights), "--image", str(image)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "stem: non-finite token grid" in captured.err and captured.out == ""
+
+
 def _toy_fixture(tmp_path):
     cfg = get_config("toy")
     weights = tmp_path / "toy.pmwb"

@@ -16,7 +16,7 @@ from plainscan.model import (
     param_spec,
 )
 from plainscan.scan import checkpoint_segments
-from plainscan.tensor import Tensor
+from plainscan.tensor import Tensor, no_grad
 
 
 def test_preset_shapes():
@@ -43,7 +43,7 @@ def test_config_validation():
     *[({name: 0}, f"{name} must be at least 1, got 0")
       for name in ("depth", "d_model", "state_size", "patch", "img_size", "num_classes")],
     ({"state_size": -3}, "state_size must be at least 1, got -3"),
-    ({"dtype": "float32"}, r"unknown config fields \['dtype'\]"),
+    ({"dtype": "float16"}, "unknown dtype 'float16'"),
     ({"conv_k": 5, "expand": 3, "depth": 3}, r"unknown config fields \['conv_k', 'expand'\]"),
     ({"depth": 1.5}, "depth must be an integer, got 1.5"),
     ({"state_size": 2.0}, "state_size must be an integer, got 2.0"),
@@ -181,6 +181,80 @@ def test_float32_parameters_and_images_run_in_float32_end_to_end(cfg, hw, float3
     assert all(t.grad.dtype == np.float32 for t in params.values())
 
 
+def test_paper_scale_presets_run_in_float32_and_toy_in_float64():
+    assert [PRESETS[n].dtype for n in ("L1", "L2", "L3", "toy")] == ["float32"] * 3 + ["float64"]
+    assert ModelConfig(depth=1, d_model=8).dtype == "float64"
+    wide = init_params(get_config("toy"), 3)
+    narrow = init_params(get_config("toy", dtype="float32"), 3)
+    for name, t in wide.items():
+        assert t.dtype == np.float64 and narrow[name].dtype == np.float32
+        assert np.array_equal(narrow[name].data, t.data.astype(np.float32))
+
+
+def test_check_params_refuses_mixed_float_dtypes():
+    cfg = get_config("toy")
+    params = init_params(cfg)
+    params["blocks.1.A"] = Tensor(params["blocks.1.A"].data.astype(np.float32))
+    with pytest.raises(ManifestError, match="patch_embed.weight is float64, blocks.1.A is float32") as err:
+        Model(cfg, params)
+    assert err.value.exit_code == 2
+
+
+def test_float32_l1_matches_float64_and_keeps_every_node_float32(float32_only):
+    # the same seed's float64 draws, cast once: the logits round at 6e-8 per
+    # op and read about 3e-7 relative from the float64 model's
+    image = Tensor(np.random.default_rng(8).uniform(-1, 1, (1, 224, 224, 3)))
+    wide = Model(get_config("L1", depth=2, dtype="float64"), seed=4)
+    narrow = Model(get_config("L1", depth=2), seed=4)
+    with no_grad():
+        want = wide.forward(image).data
+        with float32_only():
+            got = narrow.forward(image).data
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_a_float64_image_gets_a_float64_gradient_through_a_float32_model():
+    model = Model(get_config("toy", dtype="float32"), seed=0)
+    images = Tensor(np.random.default_rng(2).uniform(-1, 1, (2, 32, 32, 3)))
+    ops.cross_entropy(model.forward(images), [0, 1]).backward()
+    assert images.grad.dtype == np.float64
+    assert all(t.grad.dtype == np.float32 for t in model.parameters())
+
+
+def test_a_float64_forward_adds_no_cast_node():
+    # images already in the parameters' dtype feed the stem conv directly
+    images = Tensor(np.zeros((2, 32, 32, 3)))
+    root = Model(get_config("toy"), seed=0).forward(images)
+    children, seen, stack = [], set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+            children += [t] if any(p is images for p in t._parents) else []
+    assert [c.shape for c in children] == [(2, 4, 4, 32)]
+
+
+def _stem_at_1e30(dtype):
+    """L1 depth 1 whose first two stem convs' weights are 1e30: products near
+    1e61, finite in float64 and past float32's 3.4e38."""
+    cfg = get_config("L1", depth=1, dtype=dtype)
+    params = init_params(cfg, seed=0)
+    for name in ("stem.0.weight", "stem.1.weight"):
+        params[name].data[...] = 1e30
+    return Model(cfg, params)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_float32_stem_that_overflows_names_the_stem():
+    image = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 32, 32, 3)))
+    with no_grad():
+        assert np.isfinite(_stem_at_1e30("float64").tokenize(image).data).all()
+        with pytest.raises(NumericalError, match="^stem: non-finite token grid$"):
+            _stem_at_1e30("float32").forward(image)
+
+
 def test_stacked_stem_downsamples_by_16():
     cfg = get_config("toy", stem="stacked", patch=16, d_model=8, state_size=2, img_size=32)
     model = Model(cfg, seed=0)
@@ -306,7 +380,7 @@ def test_taped_forward_keeps_only_node_data_and_scan_checkpoints(cfg, side, batc
             if id(base) not in existing:
                 buffers[id(base)] = base.nbytes
     n = cfg.grid ** 2
-    state = 8 * 4 * batch * cfg.state_size * cfg.d_inner
+    state = model.dtype.itemsize * 4 * batch * cfg.state_size * cfg.d_inner
     checkpoints = cfg.depth * checkpoint_segments(n, state)[1] * state
     node_data = sum(buffers.values())
     assert node_data <= retained <= node_data + checkpoints + (32 << 10), (

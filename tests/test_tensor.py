@@ -483,3 +483,15 @@ def test_every_op_maps_float32_inputs_to_float32_outputs_and_gradients(op, float
         y = op(a, b)
         y.backward(np.ones_like(y.data))
     assert y.dtype == np.float32 and a.grad.dtype == np.float32
+
+
+def test_astype_casts_once_and_hands_the_gradient_back_in_the_old_dtype():
+    a = Tensor(np.random.default_rng(10).standard_normal((3, 4)))
+    assert a.astype(np.float64) is a and a.astype("float64") is a  # no new node
+    y = a.astype(np.float32)
+    assert y.dtype == np.float32 and np.array_equal(y.data, a.data.astype(np.float32))
+    (y * y).sum().backward()
+    assert a.grad.dtype == np.float64
+    assert np.array_equal(a.grad, (2 * y.data).astype(np.float64))
+    with pytest.raises(TypeError, match="float16"):
+        a.astype(np.float16)

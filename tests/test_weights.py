@@ -35,6 +35,22 @@ def test_round_trip_float32(tmp_path):
     assert np.array_equal(loaded["w"].data, params["w"].data)
 
 
+def test_a_config_loads_every_tensor_in_its_dtype(tmp_path):
+    wide, narrow = get_config("toy"), get_config("toy", dtype="float32")
+    f8, f4 = tmp_path / "f8.pmwb", tmp_path / "f4.pmwb"
+    save_weights(init_params(wide, seed=5), f8)
+    save_weights(init_params(narrow, seed=5), f4)
+    as_stored = {name: t.data for name, t in load_weights(f8).items()}
+    assert all(a.dtype == np.float64 for a in as_stored.values())
+    assert all(t.dtype == np.float32 for t in load_weights(f4).values())
+    for path, cfg, want in [(f8, narrow, np.float32), (f4, wide, np.float64)]:
+        loaded = load_weights(path, cfg)
+        for name, a in as_stored.items():
+            assert loaded[name].dtype == want
+            # f8 to float32 rounds as astype does; f4 to float64 is exact
+            assert np.array_equal(loaded[name].data, a.astype(np.float32))
+
+
 def test_file_layout(tmp_path):
     cfg = get_config("toy")
     params = init_params(cfg, seed=0)
