@@ -302,7 +302,10 @@ class Model:
         for i in range(self.cfg.depth):
             grid = self.block_forward(grid, i)
         B, H, W, d = grid.shape
-        normed = ops.layernorm(grid, self.params["norm.gamma"], self.params["norm.beta"])
+        try:
+            normed = ops.layernorm(grid, self.params["norm.gamma"], self.params["norm.beta"])
+        except NumericalError as e:
+            raise NumericalError(f"head: {e}") from e
         pooled = normed.reshape(B, H * W, d).mean(axis=1)
         logits = ops.linear(pooled, self.params["head.weight"], self.params["head.bias"])
         _require_finite(logits, "head: non-finite logits")

@@ -26,9 +26,16 @@ def activation(x: Tensor, kind: str) -> Tensor:
 
 
 def _normalize(x):
-    """(x - mean) / sqrt(var + 1e-6) over the last axis, and that inverse root."""
+    """(x - mean) / sqrt(var + 1e-6) over the last axis, and that inverse root.
+
+    Raises when a variance overflows (float32 inputs past about 1.8e19),
+    which would make the inverse root 0 and the output the bias; a NaN
+    passes through to the output.
+    """
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
+    if np.isinf(var).any():
+        raise NumericalError(f"layernorm: the variance overflows {x.dtype}")
     inv = 1.0 / np.sqrt(var + 1e-6)
     return (x - mu) * inv, inv
 
@@ -71,7 +78,10 @@ def _windows(x, k, stride, pad):
     """Strided [B,Ho,Wo,C,k,k] view of the k x k windows of [B,H,W,C] zero-padded by
     ``pad``; writeable where its base is, and overlapping only when ``stride < k``."""
     if pad:
-        x = np.pad(x, [(0, 0), (pad, pad), (pad, pad), (0, 0)])
+        B, H, W, C = x.shape
+        padded = np.zeros((B, H + 2 * pad, W + 2 * pad, C), x.dtype)
+        padded[:, pad : pad + H, pad : pad + W] = x
+        x = padded
     win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2), writeable=True)
     return win[:, ::stride, ::stride]
 

@@ -30,11 +30,17 @@ through a released node raises.
 Multiply-accumulate counts can be collected with :func:`count_macs`; the
 cost conventions live in ``_record`` call sites and are mirrored by the
 analytic counters in :mod:`plainscan.analysis`.
+
+Importing this module sets glibc's malloc thresholds once
+(:func:`_keep_freed_heap`), so the memory a freed tape returns to the heap
+stays mapped for the next step instead of being trimmed and faulted back in.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 
 import numpy as np
 
@@ -43,6 +49,33 @@ from .errors import ShapeError
 _mac_stack: list[MacTally] = []
 _FLOATS = (np.dtype(np.float64), np.dtype(np.float32))  # the dtypes PMWB stores
 _grad_enabled = True
+
+
+def _keep_freed_heap():
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB.
+
+    A training step frees its whole tape at once, and glibc then trims the
+    heap top above its dynamic trim threshold (twice the largest freed mmap
+    chunk, a few MiB here), so the next step faults the same pages back in.
+    These are the ceiling glibc's dynamic mmap threshold climbs toward on
+    64-bit and twice that, its own rule for the trim threshold.  Setting
+    either turns the dynamic adjustment off, so both are set, the trim
+    threshold only once the mmap threshold is taken.  A C library without
+    ``mallopt`` (macOS) or whose ``mallopt`` refuses 32 MiB (musl refuses
+    every value, 32-bit glibc this one) is left as it is.
+    """
+    if os.name != "posix":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # the libc this process runs
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD; 0 means refused
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 def grad_enabled() -> bool:

@@ -25,11 +25,14 @@ def test_two_pairs_parse():
     assert bench_pairs.parse_args(_REQUIRED + ["--pairs", "2"]).pairs == 2
 
 
-def _results(values):
-    """Synthetic ``run.py`` results, one per run, from {metric: [values]}."""
+def _results(values, minflt=None):
+    """Synthetic ``run.py`` results, one per run, from {metric: [values]} and
+    the faults per op of each run (0 by default)."""
     n = len(next(iter(values.values())))
+    minflt = minflt or [0.0] * n
     return [{"metrics": {m: {"value": v[i], "unit": "u"} for m, v in values.items()},
-             "correct": True, "attempted": 10, "failed": 0} for i in range(n)]
+             "correct": True, "attempted": 10, "failed": 0, "minflt_per_op": minflt[i]}
+            for i in range(n)]
 
 
 def test_summarise_computes_the_claim_bar():
@@ -89,3 +92,30 @@ def test_summarise_says_whether_the_change_median_is_inside_the_parent_iqr():
          "change": _results({"lat": [13.3] * 4, "rate": [9.0] * 4})},
         {"lat": "lower", "rate": "higher"})
     assert out["no_worse_than_parent_iqr"] == {"lat": False, "rate": True}
+
+
+def test_summarise_holds_each_sides_faults_per_op():
+    out = bench_pairs.summarise(
+        {"parent": _results({"lat": [1.0] * 4}, minflt=[4200.0, 4800.0, 4500.0, 0.0]),
+         "change": _results({"lat": [1.0] * 4}, minflt=[3.0, 1.0, 2.0, 9.0])},
+        {"lat": "lower"})
+    assert out["parent"]["minflt_per_op"] == {
+        "median": 4350.0, "quartiles": [3150.0, 4575.0], "values": [4200.0, 4800.0, 4500.0, 0.0]}
+    assert out["change"]["minflt_per_op"]["median"] == 2.5
+
+
+def test_run_once_divides_the_childrens_fault_delta_by_the_ops_attempted(monkeypatch):
+    faults = iter([1000, 1000 + 7 * 50])
+
+    class Usage:
+        def __init__(self, who):
+            assert who == bench_pairs.resource.RUSAGE_CHILDREN
+            self.ru_minflt = next(faults)
+
+    class Proc:
+        stdout = 'plainscan bench\nmachine\n{"attempted": 7, "metrics": {}}\n'
+
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", Usage)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Proc())
+    line, result = bench_pairs.run_once(Path("."), "toy-train", 1, 1.0, 0)
+    assert line == "machine" and result["minflt_per_op"] == 50.0

@@ -140,19 +140,32 @@ def test_float32_l1_logits_are_the_same_at_1_and_2_blas_threads():
     assert outputs[0].startswith("<f4 ") and outputs[0] == outputs[1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_infer_exits_3_when_the_float32_stem_overflows(capsys, tmp_path):
-    # 1e30 in the first two stem convs: finite in float64, past float32's range
+def _infer_l1_at_1e30(tmp_path, names):
+    """Exit code of ``infer`` on L1 weights whose tensors ``names`` are 1e30."""
     params = init_params(get_config("L1"), seed=0)
-    for name in ("stem.0.weight", "stem.1.weight"):
+    for name in names:
         params[name].data[...] = 1e30
     weights, image = tmp_path / "l1.pmwb", tmp_path / "img.ppm"
     save_weights(params, weights)
     save_ppm(image, np.random.default_rng(0).uniform(0, 1, (224, 224, 3)))
-    code = main(["infer", "--config", "L1", "--weights", str(weights), "--image", str(image)])
-    assert code == 3
+    return main(["infer", "--config", "L1", "--weights", str(weights), "--image", str(image)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infer_exits_3_when_the_float32_stem_overflows(capsys, tmp_path):
+    # 1e30 in the first two stem convs: finite in float64, past float32's range
+    assert _infer_l1_at_1e30(tmp_path, ("stem.0.weight", "stem.1.weight")) == 3
     captured = capsys.readouterr()
     assert "stem: non-finite token grid" in captured.err and captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infer_exits_3_when_the_first_float32_norm_overflows(capsys, tmp_path):
+    # 1e30 in the first stem conv alone: the token grid is finite, and the
+    # first block's layernorm variance is past float32's range
+    assert _infer_l1_at_1e30(tmp_path, ("stem.0.weight",)) == 3
+    captured = capsys.readouterr()
+    assert "block 0: layernorm: the variance overflows float32" in captured.err and captured.out == ""
 
 
 def _toy_fixture(tmp_path):

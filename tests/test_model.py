@@ -255,6 +255,37 @@ def test_a_float32_stem_that_overflows_names_the_stem():
             _stem_at_1e30("float32").forward(image)
 
 
+def _overflow_block_0_norm(params):
+    # 1e30 in the first stem conv alone: a finite float32 token grid whose
+    # variance per token is past 3.4e38
+    params["stem.0.weight"].data[...] = 1e30
+
+
+def _overflow_head_norm(params):
+    # a finite block output of +-1e20 by channel: its variance is 1e40
+    params["blocks.0.out_proj.bias"].data[::2] = 1e20
+    params["blocks.0.out_proj.bias"].data[1::2] = -1e20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("overflow, message", [
+    (_overflow_block_0_norm, "block 0: layernorm: the variance overflows float32"),
+    (_overflow_head_norm, "head: layernorm: the variance overflows float32"),
+])
+def test_a_float32_layernorm_whose_variance_overflows_names_the_stage(overflow, message):
+    image = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 32, 32, 3)))
+    models = {}
+    for dtype in ("float64", "float32"):
+        cfg = get_config("L1", depth=1, dtype=dtype)
+        params = init_params(cfg, seed=0)
+        overflow(params)
+        models[dtype] = Model(cfg, params)
+    with no_grad():
+        assert np.isfinite(models["float64"].forward(image).data).all()
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            models["float32"].forward(image)
+
+
 def test_stacked_stem_downsamples_by_16():
     cfg = get_config("toy", stem="stacked", patch=16, d_model=8, state_size=2, img_size=32)
     model = Model(cfg, seed=0)

@@ -106,6 +106,20 @@ def test_depthwise_conv_gradients_match_the_closed_form_bit_for_bit(shape, ks):
     assert _same_bits(xt.grad, want_gx)
 
 
+@pytest.mark.parametrize("dtype, bits", [(np.float64, np.int64), (np.float32, np.int32)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1, 3])
+def test_windows_match_the_np_pad_form_bit_for_bit(dtype, bits, stride, pad):
+    x = np.random.default_rng(pad).standard_normal((2, 7, 5, 3)).astype(dtype)
+    x.reshape(-1)[:3] = [-0.0, np.nan, np.inf]
+    k = 3
+    padded = np.pad(x, [(0, 0), (pad, pad), (pad, pad), (0, 0)])
+    want = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    got = ops._windows(x, k, stride, pad)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got.view(bits), want[:, ::stride, ::stride].view(bits))
+
+
 def _depthwise_oracle(x, k):
     H, W, C = x.shape
     ks = k.shape[0]

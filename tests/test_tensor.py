@@ -2,12 +2,18 @@
 against finite differences, and the shape/graph contracts."""
 
 import gc
+import os
+import platform
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plainscan import Model, get_config
+import plainscan
+from plainscan import Model, get_config, tensor
 from plainscan.errors import NumericalError, ShapeError
 from plainscan.ops import cross_entropy, grad_check
 from plainscan.paths import generate_continuous_paths
@@ -495,3 +501,68 @@ def test_astype_casts_once_and_hands_the_gradient_back_in_the_old_dtype():
     assert np.array_equal(a.grad, (2 * y.data).astype(np.float64))
     with pytest.raises(TypeError, match="float16"):
         a.astype(np.float16)
+
+
+class _FakeLibc:
+    """A C library whose ``mallopt`` records each call and returns ``answer``."""
+
+    def __init__(self, answer):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return answer
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize("answer, calls", [
+    (1, [(-3, 32 << 20), (-1, 64 << 20)]),  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    (0, [(-3, 32 << 20)]),  # refused, as by 32-bit glibc: the trim stays dynamic
+])
+def test_keep_freed_heap_sets_the_trim_threshold_once_the_mmap_threshold_is_taken(
+        monkeypatch, answer, calls):
+    lib = _FakeLibc(answer)
+    monkeypatch.setattr(tensor.ctypes, "CDLL", lambda name: lib)
+    tensor._keep_freed_heap()
+    assert lib.calls == calls
+
+
+def test_keep_freed_heap_returns_quietly_without_mallopt(monkeypatch):
+    monkeypatch.setattr(tensor.ctypes, "CDLL", lambda name: object())  # as on macOS
+    assert tensor._keep_freed_heap() is None
+
+    def refuse(name):
+        raise AssertionError("opened a C library off POSIX")
+
+    monkeypatch.setattr(tensor.ctypes, "CDLL", refuse)
+    monkeypatch.setattr(tensor.os, "name", "nt")
+    assert tensor._keep_freed_heap() is None
+
+
+_TRAIN_FAULTS = """
+import resource
+from plainscan.data import make_stripes
+from plainscan.model import get_config
+from plainscan.train import toy_train
+cfg, data = get_config("toy"), make_stripes(64, seed=0)
+for _ in range(2):
+    toy_train(cfg, data, steps=2, lr=0.05)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+toy_train(cfg, data, steps=8, lr=0.05)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_warm_training_steps_fault_almost_no_pages():
+    # Without the thresholds glibc trims each freed tape off the heap top and
+    # these 8 steps fault 20-32k pages back in; with them, 4-130.  A
+    # fresh interpreter, so that no earlier test has grown the heap.
+    src = str(Path(plainscan.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _TRAIN_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1000

@@ -14,6 +14,12 @@ the changed code can be read beside the claimed one.  With ``--trace-seed``
 it adds one traced run (``--trace 1``) per side and workload with the
 per-layer metrics.
 
+Each run also records ``minflt_per_op``: the minor page faults of the
+``run.py`` process and its children (``RUSAGE_CHILDREN``), divided by the ops
+it attempted.  It counts the interpreter's start-up, the set-up probes and
+the warm-up op as well, so it is an upper bound on the faults of one op.
+Each side's median and quartiles of it are in the workload summary.
+
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs 10 --first-seed 301 --out BENCH.json
 
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,12 +57,17 @@ def parse_args(argv=None):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
-    """One ``perfbench/run.py`` run; returns (machine line, result JSON)."""
+    """One ``perfbench/run.py`` run; returns (machine line, result JSON), the
+    result with the run's ``minflt_per_op`` added."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
-    return lines[1], json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["minflt_per_op"] = faults / result["attempted"]
+    return lines[1], result
 
 
 def summary(values):
@@ -66,14 +78,14 @@ def summary(values):
 def summarise(runs, better):
     """One workload's summary from its ``run.py`` results, listed per side in pair order.
 
-    Besides each side's metrics it holds, for each end-to-end metric, the
-    pairs the change won, the gap between the medians (positive when the
-    change is better), that gap over the parent's median, whether the
-    change's median is no worse than the parent's worse quartile (inside the
-    parent's IQR or better), and whether the gap is wider than that IQR,
-    ``q3 - q1``.  ``claim_bar_met`` is
-    the bar a claimed gain must clear: at least nine tenths of the pairs
-    won and a gap wider than that IQR.
+    Besides each side's metrics and ``minflt_per_op`` it holds, for each
+    end-to-end metric, the pairs the change won, the gap between the
+    medians (positive when the change is better), that gap over the
+    parent's median, whether the change's median is no worse than the
+    parent's worse quartile (inside the parent's IQR or better), and whether
+    the gap is wider than that IQR, ``q3 - q1``.  ``claim_bar_met`` is the
+    bar a claimed gain must clear: at least nine tenths of the pairs won and
+    a gap wider than that IQR.
     """
     out = {}
     for side, results in runs.items():
@@ -83,7 +95,8 @@ def summarise(runs, better):
             m["unit"] = results[0]["metrics"][name]["unit"]
         out[side] = {"metrics": metrics, "correct": all(r["correct"] for r in results),
                      "attempted": sum(r["attempted"] for r in results),
-                     "failed": sum(r["failed"] for r in results)}
+                     "failed": sum(r["failed"] for r in results),
+                     "minflt_per_op": summary([r["minflt_per_op"] for r in results])}
     wins, gaps, relative, inside, wider, met = {}, {}, {}, {}, {}, {}
     for name, direction in better.items():
         parent, change = out["parent"]["metrics"][name], out["change"]["metrics"][name]
@@ -119,7 +132,8 @@ def bench_workload(args, workload, seconds, better):
             runs[side].append(result)
             print(f"{workload} seed {seed} {side}: "
                   f"p50 {result['metrics']['latency_ms.p50']['value']:.1f} ms, "
-                  f"failed {result['failed']}/{result['attempted']}", flush=True)
+                  f"failed {result['failed']}/{result['attempted']}, "
+                  f"{result['minflt_per_op']:.0f} faults/op", flush=True)
     out = {"seeds": [args.first_seed + i for i in range(args.pairs)], "first": order,
            "machine": sorted(machine)}
     out.update(summarise(runs, better))
