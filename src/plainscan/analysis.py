@@ -151,8 +151,8 @@ def peak_activation_bytes(cfg, resolution) -> int:
     an account of the arrays the node holds at its peak rather than a
     proven bound.  The node holds the gathered ``[n, K, k]`` copies of
     delta, x, B and C and its outputs (``4 n (3 d_inner + 2 m)`` values),
-    its checkpoints (``scan.checkpoint_segments``:
-    the whole ``[n, K, m, d_inner]`` history while it fits in
+    its checkpoints (``scan.checkpoint_segments``: a row for the zero start
+    state, then the whole ``[n, K, m, d_inner]`` history while it fits in
     ``scan._HISTORY_BYTES``, else ``ceil(sqrt(n))`` states) and its
     ``[T, K, m, d_inner]`` block buffers (``scan.block_steps`` of the
     state): e and p, and the block's states when they do not go straight

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .paths import PathSet, apply_path, invert_path
-from .tensor import Tensor, _phi_prime, _record, grad_enabled
+from .tensor import _SERIES_BELOW, Tensor, _phi_prime, _record, grad_enabled
 
 # The taped 2D scan keeps its whole state history while it fits in this
 # many bytes, and otherwise ceil(sqrt(n)) checkpoints.
@@ -58,10 +58,10 @@ _BLOCK_BYTES = 128 << 10
 
 
 def checkpoint_segments(n, state_bytes):
-    """(steps per segment, segments) of a taped 2D scan of n steps over states
-    of this many bytes; the last state of each segment is kept."""
+    """(steps per segment, states kept) of a taped 2D scan of n steps over
+    states of this many bytes: the zero start state and each segment's last."""
     seg = 1 if n * state_bytes <= _HISTORY_BYTES else math.isqrt(n - 1) + 1
-    return seg, -(-n // seg)
+    return seg, -(-n // seg) + 1
 
 
 def block_steps(state_bytes):
@@ -227,22 +227,22 @@ def direction_aware_scan_2d(
     e; h_i = h_{i-1} + p`` step by step, and then contracts its states with
     C at once.  Under ``no_grad`` the states go into one block buffer.
     Taped, the steps also fall into segments (``checkpoint_segments``) that
-    no block crosses, and the last state of each goes into a ``[segments, S,
-    m, d]`` array of checkpoints; while the whole history fits in
-    ``_HISTORY_BYTES`` every segment is one step, so that array is the
-    history and the blocks write their states straight into it.
+    no block crosses, and the last state of each goes into a ``[segments +
+    1, S, m, d]`` array of checkpoints after the zero start state; while the
+    whole history fits in ``_HISTORY_BYTES`` every segment is one step, so
+    that array is the history and the blocks write their states into it.
     The backward pass is the reverse-time adjoint ``lam_i = C_i g_i +
     A_bar_{i+1} lam_{i+1}``, over the same blocks from the last.  A block
     recomputes e, ``A_bar = 1 + e``, ``C g`` and ``B x / A`` for all its
     steps, runs the recurrence for lam step by step into a block buffer,
     and then forms every gradient term of its steps at once; only A's
-    gradient is summed step by step, in descending order.  On reaching a
-    longer segment it first recomputes the segment's other states from the
-    checkpoint before it, with the forward's arithmetic.  With ``r = lam
-    A_bar p_i``, delta's gradient is ``sum_m A r`` and A's is ``delta r -
-    (e/A lam)(B_i x_i / A)``; where some ``|z| < 1e-4`` that difference
-    cancels, and those entries take ``lam (delta A_bar h_{i-1} + delta^2
-    phi'(z) B_i x_i)`` with phi's series.
+    gradient is summed step by step, in descending order.  A block reads its
+    states as one slice of the history or, past the budget, of its segment's
+    states, recomputed from the checkpoint before it with the forward's
+    arithmetic.  With ``r = lam A_bar p_i``, delta's gradient is ``sum_m A
+    r`` and A's is ``delta r - (e/A lam)(B_i x_i / A)``; where some ``|z| <
+    _SERIES_BELOW`` that difference cancels, and those entries take ``lam
+    (delta A_bar h_{i-1} + delta^2 phi'(z) B_i x_i)`` with phi's series.
     """
     A, D, Theta = core.A, core.D, core.Theta
     d, m = A.shape
@@ -321,16 +321,18 @@ def direction_aware_scan_2d(
         return h_prev
 
     taped = grad_enabled()
-    seg, count = checkpoint_segments(n, state_bytes)
-    # the steps whose states the backward reads as one array: the whole
-    # history, or a segment it recomputes from the checkpoint before it
-    span = n if seg == 1 else seg
-    # hist[k] is segment k's last state
-    hist = np.empty((count, S, m, d), dt) if taped else None
+    seg, kept = checkpoint_segments(n, state_bytes)
+    # the steps the forward runs in one go and the backward reads as one
+    # array: all of them, or a segment the backward recomputes
+    span = seg if taped and seg > 1 else n
+    # hist[0] is the zero start state and hist[k + 1] segment k's last state
+    hist = np.empty((kept, S, m, d), dt) if taped else None
+    if taped:
+        hist[0] = 0.0
     hb = None if taped and seg == 1 else np.empty((T, S, m, d), dt)
 
     def states(s, t):  # where steps s .. s + t - 1 write their states
-        return hist[s:s + t] if hb is None else hb[:t]
+        return hist[s + 1:s + 1 + t] if hb is None else hb[:t]
 
     ys = np.empty((n, S, d), dt)
     # the inputs die with this loop; the backward gathers its own
@@ -338,7 +340,7 @@ def direction_aware_scan_2d(
     for k, s0 in enumerate(range(0, n, span)):
         h = run(inputs, h, s0, min(s0 + span, n), states, ys)
         if taped and seg > 1:
-            hist[k] = h
+            hist[k + 1] = h
     del inputs
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
@@ -359,30 +361,24 @@ def direction_aware_scan_2d(
         gb, gc = np.empty((n, S, m), dt), np.empty((n, S, m), dt)
         ga = np.zeros((S, m, d), dt)
         qb, ab, a_nb, cgb, lb, vb, rb = (np.empty((T, S, m, d), dt) for _ in range(7))
-        # a recomputed segment's states after the one before it or, with the
-        # whole history, the zero start state and the first block's states
-        rec = np.empty((span + 1 if seg > 1 else T + 1, S, m, d), dt)
-        # the steps with some |z| < 1e-4
-        near0 = ((ds * -a_t.max(axis=0)).min(axis=(1, 2)) < 1e-4).tolist()
+        # hs[j] is the state before step s0 + j of the span: the history, or a
+        # segment's states recomputed into rec from the checkpoint before it
+        hs = hist
+        rec = np.empty((seg + 1, S, m, d), dt) if seg > 1 else None
+        # the steps with some |z| below phi's series switch
+        near0 = ((ds * -a_t.max(axis=0)).min(axis=(1, 2)) < _SERIES_BELOW).tolist()
         lam_next, a_next = 0.0, 0.0  # lam and A_bar of the step after the block
         for s0 in range(0, n, span)[::-1]:
             s1 = min(s0 + span, n)
-            if seg > 1:  # recompute the segment's states from the checkpoint before it
+            if seg > 1:
                 hs = rec[:s1 - s0 + 1]
-                hs[0] = hist[s0 // seg - 1] if s0 else 0.0
+                hs[0] = hist[s0 // seg]
                 run(inputs, hs[0], s0, s1 - 1, lambda s, t: hs[s - s0 + 1:s - s0 + 1 + t])
-                hs[-1] = hist[s0 // seg]
+                hs[-1] = hist[s0 // seg + 1]
             for s, t in blocks(s0, s1)[::-1]:
                 i = slice(s, s + t)
                 d_row = ds[i, :, None, :]
-                # h holds the states s - 1 .. s + t - 1
-                if seg > 1:
-                    h = hs[s - s0:s - s0 + t + 1]
-                elif s:
-                    h = hist[s - 1:s + t]
-                else:  # the zero start state, then the first block's
-                    h = rec[:t + 1]
-                    h[0], h[1:] = 0.0, hist[:t]
+                h = hs[s - s0:s - s0 + t + 1]  # the states s - 1 .. s + t - 1
                 h_prev = h[:-1]
                 gc[i] = np.matmul(h[1:], gs[i, :, :, None])[..., 0]
                 q, a, cg, lam, v, r = qb[:t], ab[:t], cgb[:t], lb[:t], vb[:t], rb[:t]
@@ -390,7 +386,7 @@ def direction_aware_scan_2d(
                 np.einsum("...d,md->...md", ds[i], a_t, out=q)  # z, until its expm1
                 near = any(near0[i])
                 if near:
-                    small = np.abs(q) < 1e-4
+                    small = np.abs(q) < _SERIES_BELOW
                     dz = np.broadcast_to(d_row, q.shape)[small]
                     series = _phi_prime(q[small]) * dz * dz * v[small]
                 np.expm1(q, out=q)

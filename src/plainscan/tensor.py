@@ -48,6 +48,8 @@ from .errors import ShapeError
 
 _mac_stack: list[MacTally] = []
 _FLOATS = (np.dtype(np.float64), np.dtype(np.float32))  # the dtypes PMWB stores
+# phi and phi' switch to their series where |z| is below this
+_SERIES_BELOW = 1e-4
 _grad_enabled = True
 
 
@@ -125,7 +127,7 @@ def count_macs():
 
 def _phi(z):
     """expm1(z)/z with a series fallback near zero (avoids cancellation)."""
-    small = np.abs(z) < 1e-4
+    small = np.abs(z) < _SERIES_BELOW
     out = np.expm1(z)
     np.divide(out, z, out=out, where=~small)  # dodge 0/0 in the dead branch
     zm = z[small]
@@ -135,7 +137,7 @@ def _phi(z):
 
 def _phi_prime(z):
     """d/dz of expm1(z)/z, with the same series fallback as :func:`_phi`."""
-    small = np.abs(z) < 1e-4
+    small = np.abs(z) < _SERIES_BELOW
     zs = np.where(small, 1.0, z)
     # z e^z - expm1(z) keeps about twice the digits of e^z (z - 1) + 1
     out = (zs * np.exp(zs) - np.expm1(zs)) / (zs * zs)

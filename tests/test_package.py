@@ -150,3 +150,29 @@ def test_ops_allocate_in_their_inputs_dtype():
         for line in _allocations_without_dtype((package / name).read_text())
     ]
     assert not found, f"allocations without a dtype: {found}"
+
+
+def _float_literal_lines(source, value):
+    """Lines holding a float literal equal to ``value``; text in strings does
+    not count."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == value
+    )
+
+
+def test_float_literal_lines_finder():
+    source = 'a = 1e-4\n"""below 1e-4"""\nb = x < -0.0001 or y < 1e-3\nc = "1e-4"\n'
+    assert _float_literal_lines(source, 1e-4) == [1, 3]
+
+
+def test_the_series_switch_is_written_once():
+    # phi, phi' and the 2D scan's backward switch to phi's series below
+    # tensor._SERIES_BELOW; any other 1e-4 would be a second copy of it
+    package = Path(plainscan.__file__).parent
+    found = {
+        name: _float_literal_lines((package / name).read_text(), 1e-4)
+        for name in ("tensor.py", "scan.py")
+    }
+    assert plainscan.tensor._SERIES_BELOW == 1e-4
+    assert len(found["tensor.py"]) == 1 and not found["scan.py"], f"1e-4 literals: {found}"

@@ -385,8 +385,9 @@ def test_ssm_no_grad_forward_peak_is_a_fraction_of_the_state_history():
 
 
 def test_taped_forward_past_the_budget_keeps_only_its_checkpoints(monkeypatch):
-    # with no history budget the taped node keeps ceil(sqrt(n)) states, and
-    # besides them it peaks where the no_grad forward does
+    # with no history budget the taped node keeps the zero start state and
+    # ceil(sqrt(n)) checkpoints, and besides them it peaks where the no_grad
+    # forward does
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
     rng = np.random.default_rng(13)
     side, d, m = 14, 96, 16
@@ -395,7 +396,7 @@ def test_taped_forward_past_the_budget_keeps_only_its_checkpoints(monkeypatch):
     ps = generate_continuous_paths(side, side)
     n, state = side * side, 8 * 4 * d * m
     seg, count = scan_module.checkpoint_segments(n, state)
-    assert (seg, count) == (14, 14)
+    assert (seg, count) == (14, 15)
     outs, peaks = [], []
     for grad in (True, False):
         tracemalloc.start()
@@ -511,13 +512,13 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
             assert np.array_equal(np.signbit(got), np.signbit(ref)), f"{key}: zero signs"
 
 
-@pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "checkpoints"])
-def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
-    # Each step of a block adds one state to each of the backward's nine
-    # [T, S, m, d] buffers, and to the [T + 1] window of its first block's
-    # states with the whole history or, past the budget, to the two buffers
-    # of the forward arithmetic that recomputes a segment: at most 11 (T - 1)
-    # states above T = 1, on top of arrays that do not depend on T.
+@pytest.mark.parametrize("budget, buffers", [(1 << 40, 7), (0, 9)], ids=["history", "checkpoints"])
+def test_backward_block_buffers_grow_with_the_block(budget, buffers, monkeypatch):
+    # Each step of a block adds one state to each of the backward's seven
+    # [T, S, m, d] buffers and, past the budget, to the two buffers of the
+    # forward arithmetic that recomputes a segment: 7 (T - 1) states above
+    # T = 1 with the whole history and 9 (T - 1) past the budget, on top of
+    # arrays that do not depend on T.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
     rng = np.random.default_rng(13)
     side, d, m = 6, 64, 16
@@ -538,7 +539,8 @@ def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
             tracemalloc.stop()
     for steps in (4, side * side):
         grown = extra[steps] - extra[1]
-        assert grown <= 11 * (steps - 1) * state + 4096, f"T = {steps}: {grown / state:.1f} states more"
+        assert grown <= buffers * (steps - 1) * state + 4096, (
+            f"T = {steps}: {grown / state:.1f} states more")
 
 
 @pytest.mark.parametrize("lead, kind", [
