@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, check_integer
 from .model import _CONV_K, ModelConfig, param_spec, stem_layers
-from .scan import block_steps, checkpoint_segments
+from .scan import block_steps, keeps_history
 
 
 @dataclass(frozen=True)
@@ -151,25 +151,24 @@ def peak_activation_bytes(cfg, resolution) -> int:
     an account of the arrays the node holds at its peak rather than a
     proven bound.  The node holds the gathered ``[n, K, k]`` copies of
     delta, x, B and C and its outputs (``4 n (3 d_inner + 2 m)`` values),
-    its checkpoints (``scan.checkpoint_segments``: a row for the zero start
-    state, then the whole ``[n, K, m, d_inner]`` history while it fits in
-    ``scan._HISTORY_BYTES``, else ``ceil(sqrt(n))`` states) and its
-    ``[T, K, m, d_inner]`` block buffers (``scan.block_steps`` of the
-    state): e and p, and the block's states when they do not go straight
-    into the history.  It also holds up to four ``[n, d_inner]`` arrays
-    while it puts the outputs on the grid and adds the skip.  Measured
-    with tracemalloc for one image, the figure is 1.01-1.31x the node's
-    taped peak at 7x7, 14x14 and 28x28 grids, m 4 and 16, d_inner 96 and
-    384, in float64 and in float32.  A batch of images can cross the
-    history budget together where one image does not, and its block
-    buffers hold fewer steps of larger states in about the same bytes, so
-    the figure times the batch can be far above the node's peak (4.3x at
-    four 14x14 images, d_inner 96).  Under
-    ``no_grad`` the node keeps no checkpoints.  Taped, it keeps only its
-    checkpoints once the forward ends: the backward re-forms the gathered
-    copies from the node's inputs, and adds per-step gradient arrays, its
-    own block buffers and up to ``ceil(sqrt(n)) + 1`` states of a recomputed
-    segment of its own.
+    its state history (a row for the zero start state, then the whole
+    ``[n, K, m, d_inner]`` history, while ``scan.keeps_history`` says it
+    fits the budget, and no states otherwise) and its ``[T, K, m,
+    d_inner]`` block buffers (``scan.block_steps`` of the state): e and p,
+    and the block's states when they do not go into the history.  It also
+    holds up to four ``[n, d_inner]`` arrays while it puts the outputs on
+    the grid and adds the skip.  Measured with tracemalloc for one image,
+    the figure is 1.01-1.32x the node's taped peak at 7x7, 14x14 and 28x28
+    grids, m 4 and 16, d_inner 96 and 384, in float64 and in float32.  A
+    batch of images can cross the history budget together where one image
+    does not, and its block buffers hold fewer steps of larger states in
+    about the same bytes, so the figure times the batch can be far above
+    the node's peak (5.7x at four 14x14 images, d_inner 96).  Under
+    ``no_grad`` the node keeps no states.  Taped, it keeps only its
+    history, if any, once the forward ends: the backward re-forms the
+    gathered copies from the node's inputs, rebuilds the history when the
+    forward kept none, and adds per-step gradient arrays and its own
+    block buffers.
     """
     if isinstance(cfg, AttentionBaselineConfig):
         resolution, n = _check_resolution(resolution, cfg.patch)
@@ -180,10 +179,10 @@ def peak_activation_bytes(cfg, resolution) -> int:
     d, m = cfg.d_inner, cfg.state_size
     itemsize = np.dtype(cfg.dtype).itemsize
     state = 4 * m * d
-    seg, checkpoints = checkpoint_segments(n, itemsize * state)
+    kept = keeps_history(n, itemsize * state)
     # e and p, and the block's states unless they go straight into the history
-    blocks = (2 if seg == 1 else 3) * block_steps(itemsize * state)
-    scan = 4 * n * (3 * d + 2 * m) + (checkpoints + blocks) * state + 4 * n * d
+    blocks = (2 if kept else 3) * block_steps(itemsize * state)
+    scan = 4 * n * (3 * d + 2 * m) + ((n + 1) * kept + blocks) * state + 4 * n * d
     proj = n * cfg.d_model + n * 2 * cfg.d_inner
     embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
     return itemsize * max(scan, proj, embed)

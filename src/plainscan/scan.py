@@ -19,17 +19,15 @@ the recurrence itself runs step by step.  T is ``block_steps``: as many
 states as fit ``_BLOCK_BYTES``, which keeps a block's buffers in cache.
 The results are bit-identical for every T, since each value is the same
 product or sum as at T = 1.  Taped, the forward keeps its whole state
-history while that fits in ``_HISTORY_BYTES``; a longer history is kept
-as ``ceil(sqrt(n))`` checkpoints, the last state of each segment of steps,
-and blocks never cross a segment; under ``no_grad`` it keeps no states.
-The checkpoints are all the node keeps: its backward gathers the
-time-major inputs again from the node's inputs.  The backward is a
-reverse-time adjoint over the same blocks, last block first, that
-recomputes ``expm1`` and takes ``exp`` as ``1 + expm1``; on reaching a
-segment it first recomputes that segment's other states from the
-checkpoint before it.  Every path is a permutation, so the backward pass
-gathers instead of scattering: the adjoint of the gather is the
-un-permute.
+history while that fits in ``_HISTORY_BYTES`` (``keeps_history``), and
+otherwise no states, as under ``no_grad``; a backward whose forward kept
+none first rebuilds the history with the forward's own loop.  The
+history is all the node keeps: its backward gathers the time-major
+inputs again from the node's inputs.  The backward is a reverse-time
+adjoint over the same blocks, last block first, that recomputes
+``expm1`` and takes ``exp`` as ``1 + expm1``.  Every path is a
+permutation, so the backward pass gathers instead of scattering: the
+adjoint of the gather is the un-permute.
 
 ``direction_aware_scan_2d_ref`` runs ``selective_scan_ref`` once per path
 on the tape and sums the results on the grid: the oracle for the 2D scan.
@@ -37,7 +35,6 @@ on the tape and sums the results on the grid: the oracle for the 2D scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +44,7 @@ from .paths import PathSet, apply_path, invert_path
 from .tensor import _SERIES_BELOW, Tensor, _phi_prime, _record, grad_enabled
 
 # The taped 2D scan keeps its whole state history while it fits in this
-# many bytes, and otherwise ceil(sqrt(n)) checkpoints.
+# many bytes, and otherwise no states.
 _HISTORY_BYTES = 16 << 20
 # The 2D scan does its steps' state-free work a block of steps at a time,
 # as many as fit states of this many bytes.  At scan-long's shape 128 KiB
@@ -57,11 +54,10 @@ _HISTORY_BYTES = 16 << 20
 _BLOCK_BYTES = 128 << 10
 
 
-def checkpoint_segments(n, state_bytes):
-    """(steps per segment, states kept) of a taped 2D scan of n steps over
-    states of this many bytes: the zero start state and each segment's last."""
-    seg = 1 if n * state_bytes <= _HISTORY_BYTES else math.isqrt(n - 1) + 1
-    return seg, -(-n // seg) + 1
+def keeps_history(n, state_bytes):
+    """Whether a taped 2D scan of n steps over states of this many bytes
+    keeps its state history, or leaves its backward to rebuild it."""
+    return n * state_bytes <= _HISTORY_BYTES
 
 
 def block_steps(state_bytes):
@@ -225,24 +221,22 @@ def direction_aware_scan_2d(
     ``block_steps`` of the state size: a block forms e and ``B x / A`` for
     all its steps in ``[T, S, m, d]`` buffers, runs ``p += h_{i-1}; p *=
     e; h_i = h_{i-1} + p`` step by step, and then contracts its states with
-    C at once.  Under ``no_grad`` the states go into one block buffer.
-    Taped, the steps also fall into segments (``checkpoint_segments``) that
-    no block crosses, and the last state of each goes into a ``[segments +
-    1, S, m, d]`` array of checkpoints after the zero start state; while the
-    whole history fits in ``_HISTORY_BYTES`` every segment is one step, so
-    that array is the history and the blocks write their states into it.
-    The backward pass is the reverse-time adjoint ``lam_i = C_i g_i +
-    A_bar_{i+1} lam_{i+1}``, over the same blocks from the last.  A block
-    recomputes e, ``A_bar = 1 + e``, ``C g`` and ``B x / A`` for all its
-    steps, runs the recurrence for lam step by step into a block buffer,
-    and then forms every gradient term of its steps at once; only A's
-    gradient is summed step by step, in descending order.  A block reads its
-    states as one slice of the history or, past the budget, of its segment's
-    states, recomputed from the checkpoint before it with the forward's
-    arithmetic.  With ``r = lam A_bar p_i``, delta's gradient is ``sum_m A
-    r`` and A's is ``delta r - (e/A lam)(B_i x_i / A)``; where some ``|z| <
-    _SERIES_BELOW`` that difference cancels, and those entries take ``lam
-    (delta A_bar h_{i-1} + delta^2 phi'(z) B_i x_i)`` with phi's series.
+    C at once.  Taped, while the whole history fits in ``_HISTORY_BYTES``
+    (``keeps_history``), the blocks write their states into a ``[n + 1, S,
+    m, d]`` history after the zero start state; past that budget, and under
+    ``no_grad``, they go into one block buffer.  The backward pass is the
+    reverse-time adjoint ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``, over
+    the same blocks from the last.  A backward whose forward kept no states
+    first rebuilds the history by running the forward's loop again.  A
+    block reads its states as one slice of the history, recomputes e,
+    ``A_bar = 1 + e``, ``C g`` and ``B x / A`` for all its steps, runs the
+    recurrence for lam step by step into a block buffer, and then forms
+    every gradient term of its steps at once; only A's gradient is summed
+    step by step, in descending order.  With ``r = lam A_bar p_i``, delta's
+    gradient is ``sum_m A r`` and A's is ``delta r - (e/A lam)(B_i x_i /
+    A)``; where some ``|z| < _SERIES_BELOW`` that difference cancels, and
+    those entries take ``lam (delta A_bar h_{i-1} + delta^2 phi'(z) B_i
+    x_i)`` with phi's series.
     """
     A, D, Theta = core.A, core.D, core.Theta
     d, m = A.shape
@@ -291,20 +285,28 @@ def direction_aware_scan_2d(
         a_t = np.ascontiguousarray(A.data.T)
         return ds, xs, bs, cs, a_t, 1.0 / a_t
 
-    dt = x_grid.dtype  # the buffers' dtype, whose itemsize sizes blocks and segments
+    dt = x_grid.dtype  # the buffers' dtype, whose itemsize sizes blocks and the history
     state_bytes = dt.itemsize * S * m * d
     T = block_steps(state_bytes)
 
-    def blocks(s0, s1):  # (first step, steps) of each block in [s0, s1)
-        return [(s, min(T, s1 - s)) for s in range(s0, s1, T)]
+    # (first step, steps) of each block
+    blocks = [(s, min(T, n - s)) for s in range(0, n, T)]
 
-    def run(inputs, h_prev, s0, s1, states, ys=None):
-        # steps s0..s1-1 from h_prev, a block at a time; states(s, t) is
-        # where the block's t states go.  Returns the last state.
+    def history():  # the zero start state, then step s's state at row s + 1
+        hs = np.empty((n + 1, S, m, d), dt)
+        hs[0] = 0.0
+        return hs
+
+    def run(inputs, hs=None, ys=None):
+        # every step from the zero state, a block at a time: step s's state
+        # goes to hs[s + 1] or, without hs, to a block buffer
         ds, xs, bs, cs, a_t, inv_a = inputs
         eb, pb = np.empty((T, S, m, d), dt), np.empty((T, S, m, d), dt)
-        for s, t in blocks(s0, s1):
-            e, p, h = eb[:t], pb[:t], states(s, t)
+        hb = np.empty((T, S, m, d), dt) if hs is None else None
+        h_prev = 0.0
+        for s, t in blocks:
+            e, p = eb[:t], pb[:t]
+            h = hb[:t] if hs is None else hs[s + 1:s + 1 + t]
             np.einsum("...d,md->...md", ds[s:s + t], a_t, out=e)
             np.expm1(e, out=e)
             # p = h_{i-1} + B x / A, and h_i = h_{i-1} + expm1(z) p
@@ -318,30 +320,12 @@ def direction_aware_scan_2d(
                 h_prev = h[j]
             if ys is not None:
                 ys[s:s + t] = np.matmul(cs[s:s + t, :, None, :], h)[:, :, 0]
-        return h_prev
 
-    taped = grad_enabled()
-    seg, kept = checkpoint_segments(n, state_bytes)
-    # the steps the forward runs in one go and the backward reads as one
-    # array: all of them, or a segment the backward recomputes
-    span = seg if taped and seg > 1 else n
-    # hist[0] is the zero start state and hist[k + 1] segment k's last state
-    hist = np.empty((kept, S, m, d), dt) if taped else None
-    if taped:
-        hist[0] = 0.0
-    hb = None if taped and seg == 1 else np.empty((T, S, m, d), dt)
-
-    def states(s, t):  # where steps s .. s + t - 1 write their states
-        return hist[s + 1:s + 1 + t] if hb is None else hb[:t]
-
+    # taped, the history the backward reads, unless it is past the budget
+    hist = history() if grad_enabled() and keeps_history(n, state_bytes) else None
     ys = np.empty((n, S, d), dt)
-    # the inputs die with this loop; the backward gathers its own
-    inputs, h = step_inputs(), 0.0
-    for k, s0 in enumerate(range(0, n, span)):
-        h = run(inputs, h, s0, min(s0 + span, n), states, ys)
-        if taped and seg > 1:
-            hist[k + 1] = h
-    del inputs
+    # the inputs die with this call; the backward gathers its own
+    run(step_inputs(), hist, ys)
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
     # the convention analysis.count_flops costs the 2D scan with.
     _record(10 * n * S * m * d)
@@ -356,68 +340,63 @@ def direction_aware_scan_2d(
 
     def bwd(g):
         ds, xs, bs, cs, a_t, inv_a = inputs = step_inputs()
+        # hs[s] is the state before step s; past the budget the forward kept
+        # no states, and they are rebuilt here with its arithmetic
+        hs = hist
+        if hs is None:
+            hs = history()
+            run(inputs, hs)
         gs = gather(g, d)
         gd, gx = np.empty((n, S, d), dt), np.empty((n, S, d), dt)
         gb, gc = np.empty((n, S, m), dt), np.empty((n, S, m), dt)
         ga = np.zeros((S, m, d), dt)
         qb, ab, a_nb, cgb, lb, vb, rb = (np.empty((T, S, m, d), dt) for _ in range(7))
-        # hs[j] is the state before step s0 + j of the span: the history, or a
-        # segment's states recomputed into rec from the checkpoint before it
-        hs = hist
-        rec = np.empty((seg + 1, S, m, d), dt) if seg > 1 else None
         # the steps with some |z| below phi's series switch
         near0 = ((ds * -a_t.max(axis=0)).min(axis=(1, 2)) < _SERIES_BELOW).tolist()
         lam_next, a_next = 0.0, 0.0  # lam and A_bar of the step after the block
-        for s0 in range(0, n, span)[::-1]:
-            s1 = min(s0 + span, n)
-            if seg > 1:
-                hs = rec[:s1 - s0 + 1]
-                hs[0] = hist[s0 // seg]
-                run(inputs, hs[0], s0, s1 - 1, lambda s, t: hs[s - s0 + 1:s - s0 + 1 + t])
-                hs[-1] = hist[s0 // seg + 1]
-            for s, t in blocks(s0, s1)[::-1]:
-                i = slice(s, s + t)
-                d_row = ds[i, :, None, :]
-                h = hs[s - s0:s - s0 + t + 1]  # the states s - 1 .. s + t - 1
-                h_prev = h[:-1]
-                gc[i] = np.matmul(h[1:], gs[i, :, :, None])[..., 0]
-                q, a, cg, lam, v, r = qb[:t], ab[:t], cgb[:t], lb[:t], vb[:t], rb[:t]
-                np.einsum("...m,...d->...md", bs[i], xs[i], out=v)
-                np.einsum("...d,md->...md", ds[i], a_t, out=q)  # z, until its expm1
-                near = any(near0[i])
-                if near:
-                    small = np.abs(q) < _SERIES_BELOW
-                    dz = np.broadcast_to(d_row, q.shape)[small]
-                    series = _phi_prime(q[small]) * dz * dz * v[small]
-                np.expm1(q, out=q)
-                np.add(q, 1.0, out=a)  # exp(z)
-                q *= inv_a  # du/d(B x)
-                np.einsum("...m,...d->...md", cs[i], gs[i], out=cg)
-                # lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}, the adjoint's recurrence
-                for j in range(t - 1, -1, -1):
-                    np.multiply(lam_next, a_next, out=lam[j])
-                    lam[j] += cg[j]
-                    lam_next, a_next = lam[j], a[j]
-                w = np.multiply(q, lam, out=cg)
-                gx[i] = np.matmul(bs[i, :, None, :], w)[:, :, 0]
-                gb[i] = np.matmul(w, xs[i, :, :, None])[..., 0]
-                v *= inv_a
-                # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
-                np.add(h_prev, v, out=r)
-                r *= a
-                r *= lam
-                gd[i] = np.einsum("tlmd,md->tld", r, a_t)
-                # dh_i/dA = delta exp(z) p - expm1(z)/A B x / A, which cancels
-                # near z = 0: there it is delta exp(z) h_{i-1} + delta^2 phi'(z) B x
-                r *= d_row
-                w *= v
-                r -= w
-                if near:
-                    r[small] = lam[small] * (dz * a[small] * h_prev[small] + series)
-                for j in range(t - 1, -1, -1):
-                    ga += r[j]
-                # a_next is this block's first A_bar: the next block writes the other buffer
-                ab, a_nb = a_nb, ab
+        for s, t in blocks[::-1]:
+            i = slice(s, s + t)
+            d_row = ds[i, :, None, :]
+            h = hs[s:s + t + 1]  # the states s - 1 .. s + t - 1
+            h_prev = h[:-1]
+            gc[i] = np.matmul(h[1:], gs[i, :, :, None])[..., 0]
+            q, a, cg, lam, v, r = qb[:t], ab[:t], cgb[:t], lb[:t], vb[:t], rb[:t]
+            np.einsum("...m,...d->...md", bs[i], xs[i], out=v)
+            np.einsum("...d,md->...md", ds[i], a_t, out=q)  # z, until its expm1
+            near = any(near0[i])
+            if near:
+                small = np.abs(q) < _SERIES_BELOW
+                dz = np.broadcast_to(d_row, q.shape)[small]
+                series = _phi_prime(q[small]) * dz * dz * v[small]
+            np.expm1(q, out=q)
+            np.add(q, 1.0, out=a)  # exp(z)
+            q *= inv_a  # du/d(B x)
+            np.einsum("...m,...d->...md", cs[i], gs[i], out=cg)
+            # lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}, the adjoint's recurrence
+            for j in range(t - 1, -1, -1):
+                np.multiply(lam_next, a_next, out=lam[j])
+                lam[j] += cg[j]
+                lam_next, a_next = lam[j], a[j]
+            w = np.multiply(q, lam, out=cg)
+            gx[i] = np.matmul(bs[i, :, None, :], w)[:, :, 0]
+            gb[i] = np.matmul(w, xs[i, :, :, None])[..., 0]
+            v *= inv_a
+            # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
+            np.add(h_prev, v, out=r)
+            r *= a
+            r *= lam
+            gd[i] = np.einsum("tlmd,md->tld", r, a_t)
+            # dh_i/dA = delta exp(z) p - expm1(z)/A B x / A, which cancels
+            # near z = 0: there it is delta exp(z) h_{i-1} + delta^2 phi'(z) B x
+            r *= d_row
+            w *= v
+            r -= w
+            if near:
+                r[small] = lam[small] * (dz * a[small] * h_prev[small] + series)
+            for j in range(t - 1, -1, -1):
+                ga += r[j]
+            # a_next is this block's first A_bar: the next block writes the other buffer
+            ab, a_nb = a_nb, ab
         gx = to_grid(gx, x_grid.shape)
         gx += g * (K * D.data)
         g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x_grid.data.reshape(-1, d))

@@ -19,13 +19,13 @@ tape holds no reference cycles and a dropped taped graph is freed by
 reference counting.  It re-derives every other intermediate of the
 forward and keeps no copy; besides those arrays it keeps only small
 constants of the op, such as indices and shapes, and the 2D scan its
-state checkpoints (:mod:`plainscan.scan`).  No op writes into a Tensor's
-data after building it, which is what makes this exact: code that
-changes a parent's ``.data`` between a forward and its backward changes
-the gradients.  ``backward()`` releases the graph as it runs: once a
-node's closure has run, the node drops the closure, its parents and
-(unless it is a leaf or the root) its gradient.  A second ``backward()``
-through a released node raises.
+state history while that fits its budget (:mod:`plainscan.scan`).  No
+op writes into a Tensor's data after building it, which is what makes
+this exact: code that changes a parent's ``.data`` between a forward and
+its backward changes the gradients.  ``backward()`` releases the graph
+as it runs: once a node's closure has run, the node drops the closure,
+its parents and (unless it is a leaf or the root) its gradient.  A
+second ``backward()`` through a released node raises.
 
 Multiply-accumulate counts can be collected with :func:`count_macs`; the
 cost conventions live in ``_record`` call sites and are mirrored by the

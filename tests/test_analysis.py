@@ -20,6 +20,7 @@ from plainscan import (
     get_config,
     scaling_curve,
 )
+from plainscan import scan as scan_module
 from plainscan.analysis import FlopsReport, peak_activation_bytes
 from plainscan.errors import ConfigError
 from plainscan.netpbm import normalize
@@ -168,10 +169,26 @@ def test_scaling_curve_rows():
     assert by_key[("d24w192", 256)][5] > by_key[("d24w192", 128)][5]
 
 
-def test_peak_bytes_monotone_in_resolution():
+def test_peak_bytes_monotone_in_resolution(monkeypatch):
+    # The figure grows with the side under either fixed rule, the whole
+    # history or no states.  It need not grow across the budget: L1 keeps a
+    # 6 MiB history at 128 and none from 224 on, where the figure falls.
+    # So each side's figure at the real budget is checked against the rule
+    # keeps_history picks there.
     cfg = get_config("L1")
-    peaks = [peak_activation_bytes(cfg, (s, s)) for s in (128, 256, 512)]
-    assert peaks == sorted(peaks)
+    sides = (128, 224, 256, 448, 512)
+    state = np.dtype(cfg.dtype).itemsize * 4 * cfg.state_size * cfg.d_inner
+    rules = [scan_module.keeps_history((side // cfg.patch) ** 2, state) for side in sides]
+    assert rules == [True, False, False, False, False]
+    real = [peak_activation_bytes(cfg, (side, side)) for side in sides]
+    by_rule = {}
+    for kept, budget in ((True, 1 << 40), (False, 0)):
+        monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
+        peaks = [peak_activation_bytes(cfg, (side, side)) for side in sides]
+        assert all(a < b for a, b in zip(peaks, peaks[1:])), f"history kept {kept}: {peaks}"
+        by_rule[kept] = peaks
+    for i, (side, kept) in enumerate(zip(sides, rules)):
+        assert real[i] == by_rule[kept][i], f"side {side}"
     assert peak_activation_bytes(DEIT_C224, (4096, 4096)) > peak_activation_bytes(
         DEIT_C224, (128, 128)
     )
@@ -182,8 +199,8 @@ def test_peak_bytes_monotone_in_resolution():
 ], ids=["96", "384", "96-float32", "384-float32"])
 def test_peak_bytes_bound_the_taped_scan_node(d_inner, dtype):
     # a 14x14 grid with m = 16, one image: the figure accounts for the arrays
-    # the taped node holds at its peak, so it sits only a few percent above
-    # the measured peak (1.04x at d_inner 96, 1.21x at 384, in either dtype).
+    # the taped node holds at its peak, so it sits less than a third above
+    # the measured peak (1.04x at d_inner 96, 1.28x at 384, in either dtype).
     # An array the node gains and the figure does not count fails the lower
     # side, and one the figure counts but the node no longer keeps, such as
     # the whole history at d_inner 384, fails the upper side; so does a figure

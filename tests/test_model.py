@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from plainscan import Model, get_config, init_params, ops
+from plainscan import scan as scan_module
 from plainscan.errors import ConfigError, ManifestError, NumericalError, ShapeError
 from plainscan.model import (
     ModelConfig,
@@ -15,7 +16,7 @@ from plainscan.model import (
     check_params,
     param_spec,
 )
-from plainscan.scan import checkpoint_segments
+from plainscan.scan import keeps_history
 from plainscan.tensor import Tensor, no_grad
 
 
@@ -379,16 +380,18 @@ def _owner(a):
     return a
 
 
-@pytest.mark.parametrize("cfg, side, batch", [
-    (get_config("toy"), 32, 16),
-    (get_config("L1", depth=1, img_size=64), 64, 2),
-], ids=["toy", "L1-width-depth-1"])
-def test_taped_forward_keeps_only_node_data_and_scan_checkpoints(cfg, side, batch):
+@pytest.mark.parametrize("cfg, side, batch, kept", [
+    (get_config("toy"), 32, 16, True),
+    (get_config("L1", depth=1, img_size=64), 64, 2, True),
+    # 196 float32 states of 96 KiB: past the 16 MiB history budget
+    (get_config("L1", depth=1), 224, 1, False),
+], ids=["toy", "L1-width-depth-1", "L1-depth-1-224-past-the-budget"])
+def test_taped_forward_keeps_only_node_data_and_scan_checkpoints(cfg, side, batch, kept):
     # A closure reads its node's and its parents' .data and re-derives the
     # rest, so what a taped forward leaves allocated is the data of the
-    # graph's nodes plus each scan's checkpoints.  Only numpy's buffers are counted, not the
-    # Python objects of the graph; the slack covers the scan's small index
-    # arrays.
+    # graph's nodes plus each scan's state history, which past the budget
+    # it does not keep.  Only numpy's buffers are counted, not the Python
+    # objects of the graph; the slack covers the scan's small index arrays.
     model = Model(cfg, seed=0)
     images = Tensor(np.random.default_rng(1).uniform(-1, 1, (batch, side, side, 3)))
     model.forward(images)  # fills the path cache
@@ -412,8 +415,37 @@ def test_taped_forward_keeps_only_node_data_and_scan_checkpoints(cfg, side, batc
                 buffers[id(base)] = base.nbytes
     n = cfg.grid ** 2
     state = model.dtype.itemsize * 4 * batch * cfg.state_size * cfg.d_inner
-    checkpoints = cfg.depth * checkpoint_segments(n, state)[1] * state
+    assert keeps_history(n, state) == kept
+    histories = cfg.depth * (n + 1) * keeps_history(n, state) * state
     node_data = sum(buffers.values())
-    assert node_data <= retained <= node_data + checkpoints + (32 << 10), (
-        f"kept {retained - node_data - checkpoints} B beyond node data and checkpoints"
+    assert node_data <= retained <= node_data + histories + (32 << 10), (
+        f"kept {retained - node_data - histories} B beyond node data and state histories"
     )
+
+
+def test_l1_backward_past_the_history_budget_matches_a_kept_history(monkeypatch):
+    # L1 depth 1 at 224 in float32 is past the history budget, so its scan's
+    # backward rebuilds the states; with no budget the forward keeps them.
+    # The gradients must agree bit for bit (as int views, so zero signs too).
+    cfg = get_config("L1", depth=1)
+    model = Model(cfg, seed=0)
+    images = Tensor(np.random.default_rng(2).uniform(-1, 1, (1, 224, 224, 3)))
+    n, state = cfg.grid ** 2, model.dtype.itemsize * 4 * cfg.state_size * cfg.d_inner
+    assert not keeps_history(n, state)
+
+    def logits_and_gradients():
+        for t in model.parameters():
+            t.grad = None
+        logits = model.forward(images)
+        weight = np.random.default_rng(3).standard_normal(logits.shape).astype(logits.dtype)
+        (logits * Tensor(weight)).sum().backward()
+        return [logits.data] + [t.grad for t in model.parameters()]
+
+    rebuilt = logits_and_gradients()
+    monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 1 << 40)
+    assert keeps_history(n, state)
+    kept = logits_and_gradients()
+    names = ["logits"] + [name for name, _ in param_spec(cfg)]
+    for name, got, want in zip(names, rebuilt, kept, strict=True):
+        assert got.dtype == np.float32, name
+        assert np.array_equal(got.view(np.int32), want.view(np.int32)), name

@@ -176,3 +176,51 @@ def test_the_series_switch_is_written_once():
     }
     assert plainscan.tensor._SERIES_BELOW == 1e-4
     assert len(found["tensor.py"]) == 1 and not found["scan.py"], f"1e-4 literals: {found}"
+
+
+def _reads(source, name):
+    """(line, innermost enclosing function or None) of each read or import
+    of ``name``, bare or as an attribute."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            read = (
+                isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load)
+                or isinstance(child, ast.Attribute) and child.attr == name
+                and isinstance(child.ctx, ast.Load)
+                or isinstance(child, ast.ImportFrom) and any(a.name == name for a in child.names)
+            )
+            if read:
+                found.append((child.lineno, func))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_reads_finder():
+    source = (
+        "X = 1\n"
+        "def f(n):\n"
+        "    return n <= X\n"
+        "def g():\n"
+        "    h = lambda: m.X\n"
+        "    m.X = 2\n"
+        "from .m import X as Y\n"
+    )
+    assert _reads(source, "X") == [(3, "f"), (5, "g"), (7, None)]
+
+
+def test_the_history_budget_is_read_in_one_place():
+    # the 2D scan node and analysis.peak_activation_bytes both ask
+    # scan.keeps_history whether a taped scan keeps its state history, so
+    # they cannot disagree about the budget
+    package = Path(plainscan.__file__).parent
+    found = [
+        (path.name, func, line)
+        for path in sorted(package.glob("*.py"))
+        for line, func in _reads(path.read_text(), "_HISTORY_BYTES")
+    ]
+    assert [(name, func) for name, func, _ in found] == [("scan.py", "keeps_history")], found

@@ -384,10 +384,9 @@ def test_ssm_no_grad_forward_peak_is_a_fraction_of_the_state_history():
     assert saved >= 0.9, f"no_grad saves {saved:.3f}x the state history"
 
 
-def test_taped_forward_past_the_budget_keeps_only_its_checkpoints(monkeypatch):
-    # with no history budget the taped node keeps the zero start state and
-    # ceil(sqrt(n)) checkpoints, and besides them it peaks where the no_grad
-    # forward does
+def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
+    # with no history budget the taped node keeps no states, so it peaks
+    # where the no_grad forward does
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
     rng = np.random.default_rng(13)
     side, d, m = 14, 96, 16
@@ -395,8 +394,7 @@ def test_taped_forward_past_the_budget_keeps_only_its_checkpoints(monkeypatch):
     x, b, c, delta = _rand_grids(rng, side, side, d, m)
     ps = generate_continuous_paths(side, side)
     n, state = side * side, 8 * 4 * d * m
-    seg, count = scan_module.checkpoint_segments(n, state)
-    assert (seg, count) == (14, 15)
+    assert not scan_module.keeps_history(n, state)
     outs, peaks = [], []
     for grad in (True, False):
         tracemalloc.start()
@@ -409,11 +407,10 @@ def test_taped_forward_past_the_budget_keeps_only_its_checkpoints(monkeypatch):
     assert np.array_equal(outs[1], outs[0])
     assert peaks[1] <= 0.3 * n * state, f"no_grad peak {peaks[1] / (n * state):.3f}x the history"
     kept = peaks[0] - peaks[1]
-    checkpoints = count * state
-    assert kept <= checkpoints + 64 * 1024, f"taped keeps {kept} B, checkpoints {checkpoints} B"
+    assert kept <= 64 * 1024, f"taped keeps {kept} B more than no_grad"
 
 
-def _checkpoint_case(rng, lead, kind, d=3, m=4):
+def _scan_case(rng, lead, kind, d=3, m=4):
     """Grids, core and output weight; near-zero kinds put every |z| below 1e-4,
     "mixed" moves every other state's A well clear of that switch, and
     "signed-zero" sets half of x and of B to -0.0."""
@@ -440,17 +437,16 @@ def _checkpoint_case(rng, lead, kind, d=3, m=4):
     ((5, 7), "random"), ((2, 3, 5), "random"), ((3, 5), "signed-zero"),
 ], ids=["near-zero-z", "mixed-A", "n=1", "square-4x4", "rect-5x7", "batch-2", "signed-zero"])
 def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind, monkeypatch):
-    # the whole history, and ceil(sqrt(n)) checkpoints with no budget: 4 steps
-    # a segment at n = 15 and 16, 6 at n = 35, so the last segment is shorter
-    # except at 4x4.  The backward gathers its inputs again from the parents'
-    # data.  Past the budget it recomputes states from those rows, where the
-    # whole-history run keeps the states the forward computed from its own
-    # gather, so equal gradients show that the two gathers agree.  Each
+    # the whole history kept, and no budget, where the backward rebuilds the
+    # history.  The backward gathers its inputs again from the parents'
+    # data.  Past the budget it rebuilds the states from those rows, where
+    # the whole-history run keeps the states the forward computed from its
+    # own gather, so equal gradients show that the two gathers agree.  Each
     # budget runs twice, once with another node's forward and backward on
     # other data between the forward and its backward: the backward must
     # gather from its own parents, not reuse rows from the last forward.
-    x, b, c, delta, core, weight = _checkpoint_case(np.random.default_rng(18), lead, kind)
-    other = _checkpoint_case(np.random.default_rng(20), lead, kind)
+    x, b, c, delta, core, weight = _scan_case(np.random.default_rng(18), lead, kind)
+    other = _scan_case(np.random.default_rng(20), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
     ps = generate_continuous_paths(*lead[-2:])
     n, d, m = lead[-2] * lead[-1], *core.A.shape
@@ -458,7 +454,7 @@ def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind
     runs = {}
     for budget in (1 << 40, 0):
         monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
-        seg = scan_module.checkpoint_segments(n, state)[0]
+        kept = scan_module.keeps_history(n, state)
         for between in (False, True):
             for t in leaves:
                 t.grad = None
@@ -466,11 +462,11 @@ def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind
             if between:
                 (direction_aware_scan_2d(*other[:5], ps) * other[5]).sum().backward()
             (y * weight).sum().backward()
-            runs[seg, between] = [y.data] + [t.grad for t in leaves]
-    assert sorted({seg for seg, _ in runs}) == sorted({1, math.isqrt(n - 1) + 1})
+            runs[kept, between] = [y.data] + [t.grad for t in leaves]
+    assert sorted(runs) == [(False, False), (False, True), (True, False), (True, True)]
     for key, arrays in runs.items():
-        for got, want in zip(arrays, runs[1, False]):
-            assert np.array_equal(got, want), f"(steps per segment, other node between) {key}"
+        for got, want in zip(arrays, runs[True, False]):
+            assert np.array_equal(got, want), f"(history kept, other node between) {key}"
             assert np.array_equal(np.signbit(got), np.signbit(want)), f"{key}: zero signs"
 
 
@@ -479,13 +475,12 @@ def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind
     ((2, 3, 5), "random"), ((4, 4), "random"),
 ], ids=["near-zero-z", "mixed-A", "signed-zero", "batch-2", "square-4x4"])
 def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkeypatch):
-    # T = 1, 2, 3, n and n + 1 steps a block, with the whole history and
-    # with no history budget.  At n = 15 the blocks of 2 leave a ragged last
-    # block, and past the budget (4 steps a segment) blocks of 2 and 3 end
-    # inside a segment and its last block is shorter; at 4x4 blocks of 3 do
-    # both.  Every T must give the arithmetic of T = 1, zero signs included,
-    # and no_grad the taped output.
-    x, b, c, delta, core, weight = _checkpoint_case(np.random.default_rng(23), lead, kind)
+    # T = 1, 2, 3, n and n + 1 steps a block, with the whole history kept
+    # and with no history budget, where the backward rebuilds it.  At n = 15
+    # the blocks of 2 leave a ragged last block, and at 4x4 blocks of 3 do.
+    # Every T must give the arithmetic of T = 1, zero signs included, and
+    # no_grad the taped output.
+    x, b, c, delta, core, weight = _scan_case(np.random.default_rng(23), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
     ps = generate_continuous_paths(*lead[-2:])
     n, d, m = lead[-2] * lead[-1], *core.A.shape
@@ -512,13 +507,13 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
             assert np.array_equal(np.signbit(got), np.signbit(ref)), f"{key}: zero signs"
 
 
-@pytest.mark.parametrize("budget, buffers", [(1 << 40, 7), (0, 9)], ids=["history", "checkpoints"])
-def test_backward_block_buffers_grow_with_the_block(budget, buffers, monkeypatch):
+@pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "rebuilt"])
+def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
     # Each step of a block adds one state to each of the backward's seven
-    # [T, S, m, d] buffers and, past the budget, to the two buffers of the
-    # forward arithmetic that recomputes a segment: 7 (T - 1) states above
-    # T = 1 with the whole history and 9 (T - 1) past the budget, on top of
-    # arrays that do not depend on T.
+    # [T, S, m, d] buffers: 7 (T - 1) states above T = 1, on top of arrays
+    # that do not depend on T.  Past the budget the two buffers of the
+    # forward loop that rebuilds the history are freed before those seven
+    # are made, so the bound is the same.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
     rng = np.random.default_rng(13)
     side, d, m = 6, 64, 16
@@ -539,7 +534,7 @@ def test_backward_block_buffers_grow_with_the_block(budget, buffers, monkeypatch
             tracemalloc.stop()
     for steps in (4, side * side):
         grown = extra[steps] - extra[1]
-        assert grown <= buffers * (steps - 1) * state + 4096, (
+        assert grown <= 7 * (steps - 1) * state + 4096, (
             f"T = {steps}: {grown / state:.1f} states more")
 
 
@@ -547,11 +542,10 @@ def test_backward_block_buffers_grow_with_the_block(budget, buffers, monkeypatch
     ((3, 5), "near-zero"), ((3, 5), "mixed"), ((5, 7), "random"),
 ], ids=["near-zero-z", "mixed-A", "rect-5x7"])
 def test_checkpointed_node_matches_reference(lead, kind, monkeypatch):
-    # no history budget: ceil(sqrt(n)) segments, the last one shorter
+    # no history budget: the forward keeps no states and the backward
+    # rebuilds them
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
-    n = lead[0] * lead[1]
-    assert n % scan_module.checkpoint_segments(n, 1)[0] != 0
-    _assert_node_matches_reference(*_checkpoint_case(np.random.default_rng(19), lead, kind))
+    _assert_node_matches_reference(*_scan_case(np.random.default_rng(19), lead, kind))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -640,18 +634,18 @@ def _as_float32(x, b, c, delta, core, weight):
 @pytest.mark.parametrize("scan, budget", [
     (direction_aware_scan_2d, 1 << 40), (direction_aware_scan_2d, 0),
     (direction_aware_scan_2d_ref, 1 << 40),
-], ids=["node-history", "node-checkpoints", "reference"])
+], ids=["node-history", "node-rebuilt", "reference"])
 def test_2d_scan_maps_float32_inputs_to_float32_outputs_and_gradients(
         scan, budget, kind, float32_only, monkeypatch):
     # "mixed" puts some |z| below the series switch in every step
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
-    case = _as_float32(*_checkpoint_case(np.random.default_rng(24), (2, 3, 5), kind))
+    case = _as_float32(*_scan_case(np.random.default_rng(24), (2, 3, 5), kind))
     with float32_only():
         arrays = _output_and_gradients(scan, *case)
     assert all(a.dtype == np.float32 for a in arrays)
 
 
-@pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "checkpoints"])
+@pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "rebuilt"])
 @pytest.mark.parametrize("lead, kind", [
     ((3, 5), "near-zero"), ((3, 5), "mixed"), ((3, 5), "signed-zero"),
     ((2, 3, 5), "random"), ((2, 6, 6), "random"),
@@ -663,5 +657,5 @@ def test_float32_node_matches_the_float64_reference(lead, kind, budget, monkeypa
     # series switch, is left out: the switch was chosen for float64, and
     # there A's gradient cancels and reads up to 2.4e-5 in float32.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
-    case = _checkpoint_case(np.random.default_rng(25), lead, kind)
+    case = _scan_case(np.random.default_rng(25), lead, kind)
     _assert_node_matches_reference(*case, node_case=_as_float32(*case), rtol=1e-5)
