@@ -153,17 +153,21 @@ def peak_activation_bytes(cfg, resolution) -> int:
     delta, x, B and C and its outputs (``4 n (3 d_inner + 2 m)`` values),
     its state history (a row for the zero start state, then the whole
     ``[n, K, m, d_inner]`` history, while ``scan.keeps_history`` says it
-    fits the budget, and no states otherwise) and its ``[T, K, m,
-    d_inner]`` block buffers (``scan.block_steps`` of the state): e and p,
-    and the block's states when they do not go into the history.  It also
-    holds up to four ``[n, d_inner]`` arrays while it puts the outputs on
-    the grid and adds the skip.  Measured with tracemalloc for one image,
-    the figure is 1.01-1.32x the node's taped peak at 7x7, 14x14 and 28x28
-    grids, m 4 and 16, d_inner 96 and 384, in float64 and in float32.  A
-    batch of images can cross the history budget together where one image
-    does not, and its block buffers hold fewer steps of larger states in
-    about the same bytes, so the figure times the batch can be far above
-    the node's peak (5.7x at four 14x14 images, d_inner 96).  Under
+    fits the budget, and no states otherwise) and its forward's ``[T, K,
+    m, d_inner]`` block buffers (``scan.block_steps`` of the state and of
+    the buffer count, and at most n steps): e and p, and the block's
+    states when they do not go into the history.  It also holds up to
+    four ``[n, d_inner]`` arrays while it puts the outputs on the grid and
+    adds the skip.  Measured with tracemalloc for one image, the figure is
+    0.99-1.31x the node's taped peak at 7x7, 14x14 and 28x28 grids, m 4
+    and 16, d_inner 96 and 384, in float64 and in float32; it falls 1%
+    short only at 7x7 with m 4 and d_inner 96, where the node's index
+    arrays, A^T and numpy's temporaries, which it does not count, are that
+    share of the peak.  A batch of images can cross the history budget
+    together where one image does not, and its block buffers hold fewer
+    steps of larger states in about the same bytes, so the figure times
+    the batch can be far above the node's peak (5.9x at four 14x14 images,
+    m 16, d_inner 96).  Under
     ``no_grad`` the node keeps no states.  Taped, it keeps only its
     history, if any, once the forward ends: the backward re-forms the
     gathered copies from the node's inputs, rebuilds the history when the
@@ -180,8 +184,10 @@ def peak_activation_bytes(cfg, resolution) -> int:
     itemsize = np.dtype(cfg.dtype).itemsize
     state = 4 * m * d
     kept = keeps_history(n, itemsize * state)
-    # e and p, and the block's states unless they go straight into the history
-    blocks = (2 if kept else 3) * block_steps(itemsize * state)
+    # e and p, and the block's states unless they go straight into the
+    # history, in buffers of at most n steps
+    buffers = 2 if kept else 3
+    blocks = buffers * min(n, block_steps(itemsize * state, buffers))
     scan = 4 * n * (3 * d + 2 * m) + ((n + 1) * kept + blocks) * state + 4 * n * d
     proj = n * cfg.d_model + n * 2 * cfg.d_inner
     embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model

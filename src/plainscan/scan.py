@@ -16,9 +16,11 @@ contiguous): everything a step computes that reads no carried state, the
 discretization with its one transcendental, the outer products and the
 contractions with C, runs once per block of T consecutive steps, and only
 the recurrence itself runs step by step.  T is ``block_steps``: as many
-states as fit ``_BLOCK_BYTES``, which keeps a block's buffers in cache.
-The results are bit-identical for every T, since each value is the same
-product or sum as at T = 1.  Taped, the forward keeps its whole state
+steps as let the loop's block buffers fit ``_BLOCK_BYTES``, which keeps
+them in cache, so the forward, with two or three buffers, runs longer
+blocks than the backward, with seven and a history slice.  The results
+are bit-identical for every T, since each value is the same product or
+sum as at T = 1.  Taped, the forward keeps its whole state
 history while that fits in ``_HISTORY_BYTES`` (``keeps_history``), and
 otherwise no states, as under ``no_grad``; a backward whose forward kept
 none first rebuilds the history with the forward's own loop.  The
@@ -46,12 +48,18 @@ from .tensor import _SERIES_BELOW, Tensor, _phi_prime, _record, grad_enabled
 # The taped 2D scan keeps its whole state history while it fits in this
 # many bytes, and otherwise no states.
 _HISTORY_BYTES = 16 << 20
-# The 2D scan does its steps' state-free work a block of steps at a time,
-# as many as fit states of this many bytes.  At scan-long's shape 128 KiB
-# to 1 MiB ran alike; a block of the whole sequence ran 1.8x slower than
-# 128 KiB, and slower than a step at a time, once its buffers no longer
-# fit in cache.
-_BLOCK_BYTES = 128 << 10
+# The 2D scan does its steps' state-free work a block of steps at a time.
+# A loop's block buffers, with the history slice a backward block reads,
+# fit in this many bytes: a loop's whole working set, kept in a 2 MiB L2.
+# Swept on a 2-vCPU Xeon (2 MiB L2 a core), the budgets interleaved in one
+# process, median ms of the l1-infer / toy-train / scan-long ops:
+#   768 KiB 28.1 / 67.1 / 14.2    1152 KiB 27.8 / 66.9 / 13.5
+#   1536 KiB 27.8 / 67.5 / 13.5   2048 KiB 28.4 / 69.9 / 13.9
+# Sizing one block's states alone, without the buffer count, read 29.4 /
+# 67.4 / 13.8 at 128 KiB and 27.6 / 71.0 / 14.5 at 512 KiB, where toy-train
+# and scan-long run the seven-buffer backward out of L2; this rule read
+# 27.7 / 67.6 / 13.5 at 1536 KiB in the same runs.
+_BLOCK_BYTES = 1536 << 10
 
 
 def keeps_history(n, state_bytes):
@@ -60,10 +68,11 @@ def keeps_history(n, state_bytes):
     return n * state_bytes <= _HISTORY_BYTES
 
 
-def block_steps(state_bytes):
-    """Steps a block of the 2D scan's state-free work covers, at states of
-    this many bytes: as many as fit ``_BLOCK_BYTES``, and at least one."""
-    return max(1, _BLOCK_BYTES // state_bytes)
+def block_steps(state_bytes, buffers):
+    """Steps a block of the 2D scan covers when its loop holds this many
+    ``[T, ...]`` buffers of states of this many bytes: as many as fit
+    ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // (buffers * state_bytes))
 
 
 def decay_rates_valid(A):
@@ -218,25 +227,26 @@ def direction_aware_scan_2d(
     ``h_i = h_{i-1} + e p_i`` (that is, ``exp(z) h_{i-1} + expm1(z)/A B_i
     x_i`` with ``z = delta_i A``) and ``y_i = sum_m C_i h_i``, S sequences at
     a time with d contiguous.  The steps run in blocks of T =
-    ``block_steps`` of the state size: a block forms e and ``B x / A`` for
-    all its steps in ``[T, S, m, d]`` buffers, runs ``p += h_{i-1}; p *=
-    e; h_i = h_{i-1} + p`` step by step, and then contracts its states with
-    C at once.  Taped, while the whole history fits in ``_HISTORY_BYTES``
-    (``keeps_history``), the blocks write their states into a ``[n + 1, S,
-    m, d]`` history after the zero start state; past that budget, and under
-    ``no_grad``, they go into one block buffer.  The backward pass is the
-    reverse-time adjoint ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``, over
-    the same blocks from the last.  A backward whose forward kept no states
-    first rebuilds the history by running the forward's loop again.  A
-    block reads its states as one slice of the history, recomputes e,
-    ``A_bar = 1 + e``, ``C g`` and ``B x / A`` for all its steps, runs the
-    recurrence for lam step by step into a block buffer, and then forms
-    every gradient term of its steps at once; only A's gradient is summed
-    step by step, in descending order.  With ``r = lam A_bar p_i``, delta's
-    gradient is ``sum_m A r`` and A's is ``delta r - (e/A lam)(B_i x_i /
-    A)``; where some ``|z| < _SERIES_BELOW`` that difference cancels, and
-    those entries take ``lam (delta A_bar h_{i-1} + delta^2 phi'(z) B_i
-    x_i)`` with phi's series.
+    ``block_steps`` of the state size and of the buffers the loop holds: a
+    forward block forms e and ``B x / A`` for all its steps in ``[T, S, m,
+    d]`` buffers, runs ``p += h_{i-1}; p *= e; h_i = h_{i-1} + p`` step by
+    step, and then contracts its states with C at once.  Taped, while the
+    whole history fits in ``_HISTORY_BYTES`` (``keeps_history``), the
+    blocks write their states into a ``[n + 1, S, m, d]`` history after the
+    zero start state; past that budget, and under ``no_grad``, they go into
+    a third block buffer.  The backward pass is the reverse-time adjoint
+    ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``, over its own, shorter
+    blocks from the last.  A backward whose forward kept no states first
+    rebuilds the history by running the forward's loop again, with the
+    forward's blocks.  A backward block reads its states as one slice of
+    the history, recomputes e, ``A_bar = 1 + e``, ``C g`` and ``B x / A``
+    for all its steps, runs the recurrence for lam step by step into a
+    block buffer, and then forms every gradient term of its steps at once;
+    only A's gradient is summed step by step, in descending order.  With
+    ``r = lam A_bar p_i``, delta's gradient is ``sum_m A r`` and A's is
+    ``delta r - (e/A lam)(B_i x_i / A)``; where some ``|z| <
+    _SERIES_BELOW`` that difference cancels, and those entries take ``lam
+    (delta A_bar h_{i-1} + delta^2 phi'(z) B_i x_i)`` with phi's series.
     """
     A, D, Theta = core.A, core.D, core.Theta
     d, m = A.shape
@@ -287,24 +297,31 @@ def direction_aware_scan_2d(
 
     dt = x_grid.dtype  # the buffers' dtype, whose itemsize sizes blocks and the history
     state_bytes = dt.itemsize * S * m * d
-    T = block_steps(state_bytes)
 
-    # (first step, steps) of each block
-    blocks = [(s, min(T, n - s)) for s in range(0, n, T)]
+    def blocks(buffers):  # (first step, steps) of each block
+        T = block_steps(state_bytes, buffers)
+        return [(s, min(T, n - s)) for s in range(0, n, T)]
 
     def history():  # the zero start state, then step s's state at row s + 1
         hs = np.empty((n + 1, S, m, d), dt)
         hs[0] = 0.0
         return hs
 
+    # taped, the history the backward reads, unless it is past the budget
+    hist = history() if grad_enabled() and keeps_history(n, state_bytes) else None
+    # e and p, and the states unless they go into the history; a backward
+    # that rebuilds the history runs these blocks too
+    fwd_blocks = blocks(3 if hist is None else 2)
+
     def run(inputs, hs=None, ys=None):
         # every step from the zero state, a block at a time: step s's state
         # goes to hs[s + 1] or, without hs, to a block buffer
         ds, xs, bs, cs, a_t, inv_a = inputs
+        T = fwd_blocks[0][1]
         eb, pb = np.empty((T, S, m, d), dt), np.empty((T, S, m, d), dt)
         hb = np.empty((T, S, m, d), dt) if hs is None else None
         h_prev = 0.0
-        for s, t in blocks:
+        for s, t in fwd_blocks:
             e, p = eb[:t], pb[:t]
             h = hb[:t] if hs is None else hs[s + 1:s + 1 + t]
             np.einsum("...d,md->...md", ds[s:s + t], a_t, out=e)
@@ -321,8 +338,6 @@ def direction_aware_scan_2d(
             if ys is not None:
                 ys[s:s + t] = np.matmul(cs[s:s + t, :, None, :], h)[:, :, 0]
 
-    # taped, the history the backward reads, unless it is past the budget
-    hist = history() if grad_enabled() and keeps_history(n, state_bytes) else None
     ys = np.empty((n, S, d), dt)
     # the inputs die with this call; the backward gathers its own
     run(step_inputs(), hist, ys)
@@ -350,11 +365,14 @@ def direction_aware_scan_2d(
         gd, gx = np.empty((n, S, d), dt), np.empty((n, S, d), dt)
         gb, gc = np.empty((n, S, m), dt), np.empty((n, S, m), dt)
         ga = np.zeros((S, m, d), dt)
+        # seven block buffers, and the slice of the history a block reads
+        bwd_blocks = blocks(8)
+        T = bwd_blocks[0][1]
         qb, ab, a_nb, cgb, lb, vb, rb = (np.empty((T, S, m, d), dt) for _ in range(7))
         # the steps with some |z| below phi's series switch
         near0 = ((ds * -a_t.max(axis=0)).min(axis=(1, 2)) < _SERIES_BELOW).tolist()
         lam_next, a_next = 0.0, 0.0  # lam and A_bar of the step after the block
-        for s, t in blocks[::-1]:
+        for s, t in bwd_blocks[::-1]:
             i = slice(s, s + t)
             d_row = ds[i, :, None, :]
             h = hs[s:s + t + 1]  # the states s - 1 .. s + t - 1

@@ -158,14 +158,19 @@ def _softplus(x):
     return out
 
 
-def _sigmoid(x):
-    # exp(-|x|) cannot overflow: it is exp(-x) for x >= 0 and exp(x) below
-    # (minimum rather than -abs keeps a NaN's sign, bit for bit).  As e <= 1,
-    # max(e, x >= 0) is 1 for x >= 0 and e below, a NaN passing through.
-    e = np.exp(np.minimum(x, -x))
-    out = np.maximum(e, x >= 0)
-    out /= np.add(e, 1.0, out=e)
+def _one_plus_exp_neg(x):
+    # 1 + exp(-x) in a new buffer.  Below exp's overflow edge (about -88.7
+    # in float32, -709.8 in float64) it is inf, so the overflow is expected.
+    out = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
     return out
+
+
+def _sigmoid(x):
+    out = _one_plus_exp_neg(x)
+    return np.divide(1.0, out, out=out)
 
 
 class Tensor:
@@ -331,8 +336,10 @@ class Tensor:
 
     def silu(self):
         _record(2 * self.size)
-        s = _sigmoid(self.data)
-        y = np.multiply(self.data, s, out=s)  # the product replaces s
+        # x / (1 + exp(-x)) in one buffer; past exp's overflow edge that is
+        # x / inf, -0.0
+        y = _one_plus_exp_neg(self.data)
+        np.divide(self.data, y, out=y)
 
         def bwd(g):
             # g * s * (1 + x (1 - s)), in the same order, in two buffers

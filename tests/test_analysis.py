@@ -200,7 +200,7 @@ def test_peak_bytes_monotone_in_resolution(monkeypatch):
 def test_peak_bytes_bound_the_taped_scan_node(d_inner, dtype):
     # a 14x14 grid with m = 16, one image: the figure accounts for the arrays
     # the taped node holds at its peak, so it sits less than a third above
-    # the measured peak (1.04x at d_inner 96, 1.28x at 384, in either dtype).
+    # the measured peak (1.03-1.04x at d_inner 96, 1.21-1.26x at 384).
     # An array the node gains and the figure does not count fails the lower
     # side, and one the figure counts but the node no longer keeps, such as
     # the whole history at d_inner 384, fails the upper side; so does a figure

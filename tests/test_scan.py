@@ -386,14 +386,17 @@ def test_ssm_no_grad_forward_peak_is_a_fraction_of_the_state_history():
 
 def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
     # with no history budget the taped node keeps no states, so it peaks
-    # where the no_grad forward does
+    # where the no_grad forward does: in its loop, which holds the gathered
+    # delta, x, B and C, the outputs ys and three [T, S, m, d] block
+    # buffers.  Besides those it holds index arrays, A^T and 1 / A^T, and a
+    # block's matmul output and numpy's iterator buffers, about 110 KiB here.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
     rng = np.random.default_rng(13)
     side, d, m = 14, 96, 16
     core = _rand_core(rng, d, m, theta_scale=0.3)
     x, b, c, delta = _rand_grids(rng, side, side, d, m)
     ps = generate_continuous_paths(side, side)
-    n, state = side * side, 8 * 4 * d * m
+    n, S, state = side * side, 4, 8 * 4 * d * m
     assert not scan_module.keeps_history(n, state)
     outs, peaks = [], []
     for grad in (True, False):
@@ -405,7 +408,9 @@ def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
         finally:
             tracemalloc.stop()
     assert np.array_equal(outs[1], outs[0])
-    assert peaks[1] <= 0.3 * n * state, f"no_grad peak {peaks[1] / (n * state):.3f}x the history"
+    inputs, ys = 8 * n * S * (2 * d + 2 * m), 8 * n * S * d
+    held = inputs + ys + 3 * scan_module.block_steps(state, 3) * state
+    assert held <= peaks[1] <= held + 128 * 1024, f"no_grad peak {peaks[1] - held} B above held"
     kept = peaks[0] - peaks[1]
     assert kept <= 64 * 1024, f"taped keeps {kept} B more than no_grad"
 
@@ -475,11 +480,13 @@ def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind
     ((2, 3, 5), "random"), ((4, 4), "random"),
 ], ids=["near-zero-z", "mixed-A", "signed-zero", "batch-2", "square-4x4"])
 def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkeypatch):
-    # T = 1, 2, 3, n and n + 1 steps a block, with the whole history kept
-    # and with no history budget, where the backward rebuilds it.  At n = 15
-    # the blocks of 2 leave a ragged last block, and at 4x4 blocks of 3 do.
-    # Every T must give the arithmetic of T = 1, zero signs included, and
-    # no_grad the taped output.
+    # Block budgets of 1, 6, 16, 24 and 8 (n + 1) states, with the whole
+    # history kept (a forward of 2 buffers) and with no history budget (3
+    # buffers), where the backward rebuilds the history with the forward's
+    # blocks; the backward holds 8.  That makes the forward's T differ from
+    # the backward's, with ragged last blocks on either side, and at 8 (n +
+    # 1) both cover the whole sequence.  Every pair of T must give the
+    # arithmetic of T = 1, zero signs included, and no_grad the taped output.
     x, b, c, delta, core, weight = _scan_case(np.random.default_rng(23), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
     ps = generate_continuous_paths(*lead[-2:])
@@ -488,9 +495,11 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
     runs = {}
     for budget in (1 << 40, 0):
         monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
-        for steps in (1, 2, 3, n, n + 1):
-            monkeypatch.setattr(scan_module, "_BLOCK_BYTES", steps * state)
-            assert scan_module.block_steps(state) == steps
+        forward = 2 if scan_module.keeps_history(n, state) else 3
+        for states in (1, 6, 16, 24, 8 * (n + 1)):
+            monkeypatch.setattr(scan_module, "_BLOCK_BYTES", states * state)
+            steps = scan_module.block_steps(state, forward), scan_module.block_steps(state, 8)
+            assert steps == (max(1, states // forward), max(1, states // 8))
             for t in leaves:
                 t.grad = None
             y = direction_aware_scan_2d(x, b, c, delta, core, ps)
@@ -500,20 +509,28 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
             assert np.array_equal(free.data, y.data), f"T = {steps}: no_grad output"
             assert np.array_equal(np.signbit(free.data), np.signbit(y.data))
             runs[budget, steps] = [y.data] + [t.grad for t in leaves]
-    want = runs[1 << 40, 1]
+    # a forward T other than the backward's, and a ragged last block in
+    # each loop, with the history kept and with it rebuilt
+    for budget in (1 << 40, 0):
+        pairs = [s for b, s in runs if b == budget]
+        assert any(f != t for f, t in pairs)
+        assert any(n % f for f, _ in pairs) and any(n % t for _, t in pairs)
+    want = runs[1 << 40, (1, 1)]
     for key, arrays in runs.items():
         for got, ref in zip(arrays, want):
-            assert np.array_equal(got, ref), f"(history budget, T) {key}"
+            assert np.array_equal(got, ref), f"(history budget, (forward T, backward T)) {key}"
             assert np.array_equal(np.signbit(got), np.signbit(ref)), f"{key}: zero signs"
 
 
 @pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "rebuilt"])
 def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
-    # Each step of a block adds one state to each of the backward's seven
-    # [T, S, m, d] buffers: 7 (T - 1) states above T = 1, on top of arrays
-    # that do not depend on T.  Past the budget the two buffers of the
-    # forward loop that rebuilds the history are freed before those seven
-    # are made, so the bound is the same.
+    # Each step of a backward block adds one state to each of the backward's
+    # seven [T, S, m, d] buffers: 7 (T - 1) states above T = 1, on top of
+    # arrays that do not depend on T.  The budget is set for a backward of
+    # T steps, 8 T states, which gives the forward blocks of 8 T / 2 or 8 T
+    # / 3 steps.  Past the history budget the two buffers of the forward
+    # loop that rebuilds the history, never more than n states each, are
+    # freed before those seven are made, so the bound is the same.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
     rng = np.random.default_rng(13)
     side, d, m = 6, 64, 16
@@ -524,7 +541,8 @@ def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
     g = rng.standard_normal((side, side, d))
     extra = {}
     for steps in (1, 4, side * side):
-        monkeypatch.setattr(scan_module, "_BLOCK_BYTES", steps * state)
+        monkeypatch.setattr(scan_module, "_BLOCK_BYTES", 8 * steps * state)
+        assert scan_module.block_steps(state, 8) == steps
         y = direction_aware_scan_2d(x, b, c, delta, core, ps)
         tracemalloc.start()
         try:

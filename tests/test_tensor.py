@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -86,36 +87,105 @@ def test_sigmoid_is_stable_at_extremes():
     assert np.isfinite(_softplus(x)).all()
 
 
-def test_sigmoid_matches_two_branch_formula_bit_for_bit():
-    def two_branch(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+def _pointwise_inputs(dtype, seed):
+    """±0, ±inf, ±NaN, ±800, a denormal, the three floats around the x
+    below which exp(-x) overflows, and spread-out normals, in ``dtype``."""
+    dtype = np.dtype(dtype)
+    edge = -np.log(np.finfo(dtype).max).astype(dtype)  # -88.72 or -709.78
+    around = [np.nextafter(edge, dtype.type(-np.inf)), edge, np.nextafter(edge, dtype.type(0))]
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(-around[0])) and np.isfinite(np.exp(-around[2]))
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+               np.finfo(dtype).smallest_subnormal, *around]
+    rng = np.random.default_rng(seed)
+    return np.concatenate([special, rng.standard_normal(20_000) * 10]).astype(dtype)
 
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0]
-    x = np.concatenate([special, np.random.default_rng(16).standard_normal(100_000)])
-    assert np.array_equal(_sigmoid(x).view(np.int64), two_branch(x).view(np.int64))
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_sigmoid_matches_the_reciprocal_form_bit_for_bit(dtype):
+    # 1 / (1 + exp(-x)), and Tensor.sigmoid's gradient g s (1 - s)
+    x = _pointwise_inputs(dtype, 16)
+    g = np.random.default_rng(17).standard_normal(x.shape).astype(dtype)
+    view = np.int64 if dtype == np.float64 else np.int32
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
+    assert s.dtype == dtype
+    assert np.array_equal(_sigmoid(x).view(view), s.view(view))
+    xt = Tensor(x.copy())
+    out = xt.sigmoid()
+    out.backward(g)
+    assert np.array_equal(out.data.view(view), s.view(view))
+    assert np.array_equal(xt.grad.view(view), (g * s * (1.0 - s)).view(view))
 
 
 def test_silu_output_and_gradient_match_the_closed_form_bit_for_bit():
-    # the closed form from the sigmoid saved at forward time; the backward
-    # recomputes it from the input instead of keeping it
-    special = [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0]
-    rng = np.random.default_rng(18)
-    x = np.concatenate([special, rng.standard_normal(10_000) * 10]).reshape(10, -1)
-    g = rng.standard_normal(x.shape)
-    g[:, :3] = [1.0, -0.0, 0.0]
-    s = _sigmoid(x)
+    # x / (1 + exp(-x)) forward, in float64 and float32; the backward
+    # recomputes the sigmoid from the input and forms g s (1 + x (1 - s)).
+    # Past exp's overflow edge silu is x / inf, -0.0, where the true value
+    # is below 1e-35 in float32 and 1e-305 in float64.
+    for dtype, view in ((np.float64, np.int64), (np.float32, np.int32)):
+        x = _pointwise_inputs(dtype, 18).reshape(4, -1)
+        g = np.random.default_rng(19).standard_normal(x.shape).astype(dtype)
+        g[:, :3] = [1.0, -0.0, 0.0]
+        xt = Tensor(x.copy())
+        with np.errstate(invalid="ignore", over="ignore"):  # -inf / inf; exp(800)
+            out = xt.silu()
+            out.backward(g)
+            s = 1.0 / (1.0 + np.exp(-x))
+            want_out, want = x / (1.0 + np.exp(-x)), g * s * (1.0 + x * (1.0 - s))
+            past = np.isfinite(x) & np.isinf(np.exp(-x))
+        assert np.array_equal(out.data.view(view), want_out.view(view)), dtype
+        assert np.array_equal(xt.grad.view(view), want.view(view)), dtype
+        assert past.sum() >= 2  # -800 and the floats past the edge
+        assert (out.data[past] == 0).all() and np.signbit(out.data[past]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_softplus_gradient_matches_the_closed_form_bit_for_bit(dtype):
+    x = _pointwise_inputs(dtype, 20)
+    g = np.random.default_rng(21).standard_normal(x.shape).astype(dtype)
+    view = np.int64 if dtype == np.float64 else np.int32
     xt = Tensor(x.copy())
-    with np.errstate(invalid="ignore"):  # -inf * 0 at x = -inf
-        out = xt.silu()
-        out.backward(g)
-        want_out, want = x * s, g * s * (1.0 + x * (1.0 - s))
-    assert np.array_equal(out.data.view(np.int64), want_out.view(np.int64))
-    assert np.array_equal(xt.grad.view(np.int64), want.view(np.int64))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in softplus(inf)
+        xt.softplus().backward(g)
+        want = g * (1.0 / (1.0 + np.exp(-x)))
+    assert np.array_equal(xt.grad.view(view), want.view(view))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_sigmoid_and_silu_are_within_a_few_ulp_of_long_double(dtype):
+    # wherever exp(-x) is finite: silu within 2.5 eps of its value, and the
+    # sigmoid within 2.5 eps where it is normal.  Below that the sigmoid is
+    # a denormal, rounded to its spacing, the smallest denormal.
+    fi = np.finfo(dtype)
+    edge = float(np.log(fi.max))
+    rng = np.random.default_rng(22)
+    x = np.concatenate([rng.standard_normal(50_000) * 10,
+                        rng.uniform(-edge, 40.0, 50_000)]).astype(dtype)
+    x = x[x > -edge]
+    xl = x.astype(np.longdouble)
+    s_ref = 1 / (1 + np.exp(-xl))
+    with no_grad():
+        y = Tensor(x).silu().data.astype(np.longdouble)
+    err = np.abs(_sigmoid(x).astype(np.longdouble) - s_ref)
+    assert (err <= 2.5 * fi.eps * s_ref + fi.smallest_subnormal).all()
+    y_ref = xl * s_ref
+    assert (np.abs(y - y_ref) <= 2.5 * fi.eps * np.abs(y_ref)).all()
+
+
+def test_no_grad_silu_peaks_one_array_above_its_input():
+    # silu's forward writes into one new buffer: exp(-x), 1 + exp(-x), then
+    # x over that.  Its output is all it allocates that is input-sized.
+    x = Tensor(np.random.default_rng(23).standard_normal((256, 1024)))
+    tracemalloc.start()
+    try:
+        with no_grad():
+            y = x.silu()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.data.nbytes == x.data.nbytes
+    assert peak <= 1.05 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f} inputs"
 
 
 def test_softplus_matches_two_branch_formula_bit_for_bit():
