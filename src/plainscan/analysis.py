@@ -2,8 +2,8 @@
 
 One fused multiply-add counts as one MAC; activations and special
 functions are costed at their per-element equivalents recorded by the
-tensor engine, so :func:`count_flops` reproduces an instrumented forward
-pass exactly.  Buckets follow the token/channel/other decomposition:
+tensor engine, so :func:`forward_stages` reproduces an instrumented forward
+pass stage by stage.  Buckets follow the token/channel/other decomposition:
 the scan recurrence is token mixing, the block's input and output
 projections are channel mixing, and everything else (tokenizer, scan
 parameter projections, convs, norms, gates, head) is "other".
@@ -85,46 +85,48 @@ def _check_resolution(resolution, patch):
     return (h, w), (h // patch) * (w // patch)
 
 
-def _stem_macs(cfg: ModelConfig, resolution):
+def forward_stages(cfg: ModelConfig, resolution):
+    """The forward of one image as ``(name, bucket, macs)`` rows, in the order
+    it runs them; ``bucket`` is the :class:`FlopsReport` field the row counts
+    toward.  A silu costs 2 per element, and adds cost nothing.  A stem conv's row
+    holds its silu, ``conv`` its silu, ``dt_proj`` its softplus and ``gate`` the
+    silu and the multiply."""
+    resolution, n = _check_resolution(resolution, cfg.patch)
+    d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
     h, w = resolution
-    total = 0
-    for _, k, s, p, c_in, c_out, silu_after in stem_layers(cfg):
-        h, w = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-        total += h * w * (k * k * c_in + 2 * silu_after) * c_out  # silu costs 2 per element
-    return total
+    rows = []
+    for name, size, s, p, c_in, c_out, silu_after in stem_layers(cfg):
+        h, w = (h + 2 * p - size) // s + 1, (w + 2 * p - size) // s + 1
+        rows.append((name, "other", h * w * (size * size * c_in + 2 * silu_after) * c_out))
+    # off the native grid, even at its token count, the forward resamples
+    # pos_embed with one matmul (resolutions and img_size are multiples of patch)
+    if resolution != (cfg.img_size, cfg.img_size):
+        rows.append(("pos_embed", "other", n * cfg.grid**2 * d))
+    block = [
+        ("norm", "other", 4 * n * d),
+        ("in_proj", "channel_mixing", n * d * 2 * di),
+        ("conv", "other", n * k * k * di + 2 * n * di),
+        ("x_proj", "other", n * di * (r + 2 * m)),  # B, C and the Delta logits
+        ("dt_proj", "other", n * r * di + n * di),
+        ("scan", "token_mixing", 4 * n * (10 * di * m + di)),
+        ("gate", "other", 2 * n * di + n * di),
+        ("out_proj", "channel_mixing", n * di * d),
+    ]
+    for i in range(cfg.depth):
+        rows += [(f"blocks.{i}.{name}", bucket, macs) for name, bucket, macs in block]
+    return rows + [("norm", "other", 4 * n * d), ("pool", "other", d),
+                   ("head", "other", d * cfg.num_classes)]
 
 
 def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
-    """MAC counts for one forward pass of one image at the given resolution.  Off
-    the native grid the forward resamples pos_embed once per batch, so a batch of
-    B meters B times this total less B - 1 resamples."""
-    resolution, n = _check_resolution(resolution, cfg.patch)
-    d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
-
-    scan_per_block = 4 * n * (10 * di * m + di)
-    proj_per_block = n * d * 2 * di + n * di * d
-    other_per_block = (
-        4 * n * d              # pre-norm
-        + n * k * k * di       # depthwise conv
-        + 2 * n * di           # silu on the conv branch
-        + n * di * (r + 2 * m)  # B/C/Delta-logit projection
-        + n * r * di           # Delta up-projection
-        + n * di               # softplus
-        + 2 * n * di           # silu on the gate branch
-        + n * di               # gating multiply
-    )
-    head_and_pool = 4 * n * d + d + d * cfg.num_classes
-    # off the native grid, even at its token count, the forward resamples
-    # pos_embed with one matmul (resolutions and img_size are multiples of patch)
-    resample = n * cfg.grid**2 * d if resolution != (cfg.img_size, cfg.img_size) else 0
-    return FlopsReport(
-        token_mixing=cfg.depth * scan_per_block,
-        channel_mixing=cfg.depth * proj_per_block,
-        other=(cfg.depth * other_per_block + _stem_macs(cfg, resolution) + head_and_pool
-               + resample),
-        resolution=tuple(resolution),
-        model_id=f"d{cfg.depth}w{cfg.d_model}",
-    )
+    """MACs of one forward pass of one image, :func:`forward_stages` summed per
+    bucket.  Off the native grid the forward resamples pos_embed once per batch,
+    so a batch of B meters B times this total less B - 1 resamples."""
+    resolution = _check_resolution(resolution, cfg.patch)[0]
+    buckets = dict.fromkeys(("token_mixing", "channel_mixing", "other"), 0)
+    for _, bucket, macs in forward_stages(cfg, resolution):
+        buckets[bucket] += macs
+    return FlopsReport(**buckets, resolution=resolution, model_id=f"d{cfg.depth}w{cfg.d_model}")
 
 
 def count_flops_attention(cfg: AttentionBaselineConfig, resolution) -> FlopsReport:

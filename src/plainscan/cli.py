@@ -187,9 +187,7 @@ def _scan_grad_check(rng):
     return [("direction_aware_scan_2d", fd), ("direction_aware_scan_2d vs reference", ref)]
 
 
-def _model_grad_check(seed, max_coords=4):
-    from .ops import cross_entropy
-
+def _model_grad_check(seed):
     cfg = get_config("toy")
     dataset = make_stripes(n=2, seed=seed)
     model = Model(cfg, seed=seed)
@@ -198,9 +196,9 @@ def _model_grad_check(seed, max_coords=4):
     inputs = model.parameters()
 
     def f(*ps):
-        return cross_entropy(model.forward(Tensor(images)), targets)
+        return ops.cross_entropy(model.forward(Tensor(images)), targets)
 
-    return ops.grad_check(f, inputs, max_coords_per_input=max_coords, seed=seed)
+    return ops.grad_check(f, inputs, max_coords_per_input=4, seed=seed)
 
 
 def build_parser():

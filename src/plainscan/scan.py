@@ -341,8 +341,8 @@ def direction_aware_scan_2d(
     ys = np.empty((n, S, d), dt)
     # the inputs die with this call; the backward gathers its own
     run(step_inputs(), hist, ys)
-    # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h,
-    # the convention analysis.count_flops costs the 2D scan with.
+    # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h, the
+    # convention of the blocks.i.scan row of analysis.forward_stages.
     _record(10 * n * S * m * d)
     bad = ~np.isfinite(ys)
     if bad.any():

@@ -28,8 +28,8 @@ its parents and (unless it is a leaf or the root) its gradient.  A
 second ``backward()`` through a released node raises.
 
 Multiply-accumulate counts can be collected with :func:`count_macs`; the
-cost conventions live in ``_record`` call sites and are mirrored by the
-analytic counters in :mod:`plainscan.analysis`.
+cost conventions live in ``_record`` call sites and are mirrored stage by
+stage by the rows of :func:`plainscan.analysis.forward_stages`.
 
 Importing this module sets glibc's malloc thresholds once
 (:func:`_keep_freed_heap`), so the memory a freed tape returns to the heap

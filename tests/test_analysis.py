@@ -20,58 +20,105 @@ from plainscan import (
     get_config,
     scaling_curve,
 )
+from plainscan import model as model_module
+from plainscan import ops
 from plainscan import scan as scan_module
-from plainscan.analysis import FlopsReport, peak_activation_bytes
+from plainscan.analysis import FlopsReport, forward_stages, peak_activation_bytes
 from plainscan.errors import ConfigError
 from plainscan.netpbm import normalize
 from plainscan.tensor import Tensor
 
 
 def _instrumented_macs(cfg, side, batch=1):
-    """MACs of one forward at a square ``side`` or an ``(h, w)`` resolution."""
+    """Metered MACs of one forward at a square ``side`` or an ``(h, w)``
+    resolution, one entry per stage.  The tally is read as each stage begins,
+    on entry to each callable ``Model`` calls (``Tensor.mean`` for the pool) and
+    on the scan's exit, where the gate begins, and read again at the end."""
     h, w = (side, side) if isinstance(side, int) else side
     model = Model(cfg, seed=0)
     img = normalize(np.zeros((batch, h, w, 3)))
-    with count_macs() as tally:
+    marks = []
+
+    def meter(fn, on_exit=False):
+        def wrapped(*args, **kwargs):
+            marks.append(tally.total)
+            out = fn(*args, **kwargs)
+            if on_exit:
+                marks.append(tally.total)
+            return out
+        return wrapped
+
+    with count_macs() as tally, pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((ops, "conv2d"), (model_module, "bilinear_resample_matrix"),
+                            (ops, "layernorm"), (ops, "depthwise_conv2d"), (ops, "linear"),
+                            (Tensor, "mean")):
+            mp.setattr(owner, name, meter(getattr(owner, name)))
+        mp.setattr(model_module, "direction_aware_scan_2d",
+                   meter(model_module.direction_aware_scan_2d, on_exit=True))
         model.forward(Tensor(img))
-    return tally.total
+    assert marks[0] == 0  # nothing is metered before the first stem conv
+    return [b - a for a, b in zip(marks, marks[1:] + [tally.total])]
+
+
+def _stage_macs(cfg, hw):
+    return [macs for _, _, macs in forward_stages(cfg, hw)]
 
 
 def test_analytic_equals_instrumented_toy():
     cfg = get_config("toy")
     for hw in ((32, 32), (32, 64)):  # the native 4x4 grid and a 4x8 one
-        assert count_flops(cfg, hw).total == _instrumented_macs(cfg, hw)
+        assert _instrumented_macs(cfg, hw) == _stage_macs(cfg, hw)
 
 
 def test_analytic_tracks_instrumented_off_grid_resolution():
     # off the native grid the forward adds one pos-embed resample matmul of
-    # dst_tokens * src_tokens * d_model MACs, which count_flops counts too
+    # dst_tokens * src_tokens * d_model MACs, which forward_stages counts too
     toy, l1 = get_config("toy"), get_config("L1", depth=1)
     # 2x2, 5x5, 1x5 and 2x8 toy grids against the native 4x4, and a 7x28 L1
     # grid against its 14x14; the last two have the native token count
     for cfg, hw in ((toy, (16, 16)), (toy, (40, 40)), (toy, (8, 40)), (toy, (16, 64)),
                     (l1, (112, 448))):
-        assert count_flops(cfg, hw).total == _instrumented_macs(cfg, hw)
+        assert _instrumented_macs(cfg, hw) == _stage_macs(cfg, hw)
 
 
 def test_instrumented_scales_with_batch():
     cfg = get_config("toy")
     one = _instrumented_macs(cfg, 32, batch=1)
     two = _instrumented_macs(cfg, 32, batch=2)
-    # the pos-embed expand is batch-free; everything else doubles
-    assert two == 2 * one
+    # on the native grid there is no pos-embed resample; every stage doubles
+    assert two == [2 * macs for macs in one]
 
 
 def test_a_batch_meters_the_pos_embed_resample_once():
     cfg = get_config("toy")
     resample = 1 * cfg.grid**2 * cfg.d_model  # 8x8 gives a 1x1 grid from the native 4x4
-    assert _instrumented_macs(cfg, 8, batch=2) == 2 * count_flops(cfg, (8, 8)).total - resample
+    metered = sum(_instrumented_macs(cfg, 8, batch=2))
+    assert metered == 2 * count_flops(cfg, (8, 8)).total - resample
 
 
 def test_analytic_equals_instrumented_stacked_stem():
     cfg = get_config("toy", stem="stacked", patch=16, d_model=8, state_size=2, img_size=32)
     for hw in ((32, 32), (32, 48)):  # the native 2x2 grid and a 2x3 one
-        assert count_flops(cfg, hw).total == _instrumented_macs(cfg, hw)
+        assert _instrumented_macs(cfg, hw) == _stage_macs(cfg, hw)
+    block = ("norm", "in_proj", "conv", "x_proj", "dt_proj", "scan", "gate", "out_proj")
+    assert [name for name, _, _ in forward_stages(cfg, (32, 48))] == [
+        "stem.0", "stem.1", "stem.2", "stem.3", "pos_embed",
+        *(f"blocks.{i}.{stage}" for i in range(cfg.depth) for stage in block),
+        "norm", "pool", "head",
+    ]
+
+
+def test_bucket_split_is_pinned():
+    # the meter sees no buckets, so the split of each total is pinned here
+    for name, hw, split in (
+        ("toy", (32, 32), (335872, 196608, 241760)),
+        ("toy", (16, 64), (335872, 196608, 249952)),
+        ("L1", (224, 224), (1163280384, 1040449536, 1086251712)),
+        ("L1", (112, 448), (1163280384, 1040449536, 1093627584)),
+        ("L3", (224, 224), (4071481344, 8497004544, 1886012352)),
+    ):
+        rep = count_flops(get_config(name), hw)
+        assert (rep.token_mixing, rep.channel_mixing, rep.other) == split, (name, hw)
 
 
 def test_report_shape_and_recount():

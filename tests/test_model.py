@@ -386,7 +386,7 @@ def _owner(a):
     # 196 float32 states of 96 KiB: past the 16 MiB history budget
     (get_config("L1", depth=1), 224, 1, False),
 ], ids=["toy", "L1-width-depth-1", "L1-depth-1-224-past-the-budget"])
-def test_taped_forward_keeps_only_node_data_and_scan_checkpoints(cfg, side, batch, kept):
+def test_taped_forward_keeps_only_node_data_and_kept_history(cfg, side, batch, kept):
     # A closure reads its node's and its parents' .data and re-derives the
     # rest, so what a taped forward leaves allocated is the data of the
     # graph's nodes plus each scan's state history, which past the budget

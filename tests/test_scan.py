@@ -441,7 +441,7 @@ def _scan_case(rng, lead, kind, d=3, m=4):
     ((3, 5), "near-zero"), ((3, 5), "mixed"), ((1, 1), "random"), ((4, 4), "random"),
     ((5, 7), "random"), ((2, 3, 5), "random"), ((3, 5), "signed-zero"),
 ], ids=["near-zero-z", "mixed-A", "n=1", "square-4x4", "rect-5x7", "batch-2", "signed-zero"])
-def test_checkpoint_segments_leave_output_and_gradients_bit_identical(lead, kind, monkeypatch):
+def test_kept_or_rebuilt_history_leaves_output_and_gradients_bit_identical(lead, kind, monkeypatch):
     # the whole history kept, and no budget, where the backward rebuilds the
     # history.  The backward gathers its inputs again from the parents'
     # data.  Past the budget it rebuilds the states from those rows, where
@@ -559,7 +559,7 @@ def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
 @pytest.mark.parametrize("lead, kind", [
     ((3, 5), "near-zero"), ((3, 5), "mixed"), ((5, 7), "random"),
 ], ids=["near-zero-z", "mixed-A", "rect-5x7"])
-def test_checkpointed_node_matches_reference(lead, kind, monkeypatch):
+def test_node_with_rebuilt_history_matches_reference(lead, kind, monkeypatch):
     # no history budget: the forward keeps no states and the backward
     # rebuilds them
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
