@@ -1,4 +1,4 @@
-"""Analytic parameter and MAC accounting.
+"""Analytic parameter, MAC and activation-memory accounting.
 
 One fused multiply-add counts as one MAC; activations and special
 functions are costed at their per-element equivalents recorded by the
@@ -6,7 +6,10 @@ tensor engine, so :func:`forward_stages` reproduces an instrumented forward
 pass stage by stage.  Buckets follow the token/channel/other decomposition:
 the scan recurrence is token mixing, the block's input and output
 projections are channel mixing, and everything else (tokenizer, scan
-parameter projections, convs, norms, gates, head) is "other".
+parameter projections, convs, norms, gates, head) is "other".  Each stage
+also counts the values it holds at once, and the largest of those is
+:func:`peak_activation_bytes`, a lower bound on a ``no_grad`` forward's
+peak that the stem sets for the L presets.
 
 For the attention baseline the whole multi-head attention module
 (QKV/out projections plus the two quadratic matmuls) is token mixing and
@@ -23,7 +26,6 @@ import numpy as np
 
 from .errors import ConfigError, check_integer
 from .model import _CONV_K, ModelConfig, param_spec, stem_layers
-from .scan import block_steps, keeps_history
 
 
 @dataclass(frozen=True)
@@ -86,36 +88,51 @@ def _check_resolution(resolution, patch):
 
 
 def forward_stages(cfg: ModelConfig, resolution):
-    """The forward of one image as ``(name, bucket, macs)`` rows, in the order
-    it runs them; ``bucket`` is the :class:`FlopsReport` field the row counts
-    toward.  A silu costs 2 per element, and adds cost nothing.  A stem conv's row
-    holds its silu, ``conv`` its silu, ``dt_proj`` its softplus and ``gate`` the
-    silu and the multiply."""
+    """The forward of one image as ``(name, bucket, macs, held)`` rows, in the
+    order it runs them; ``bucket`` is the :class:`FlopsReport` field the row
+    counts toward.  A silu costs 2 per element, and adds cost nothing.  A stem
+    conv's row holds its silu, ``conv`` its silu, ``dt_proj`` its softplus and
+    ``gate`` the silu and the multiply.
+
+    ``held`` counts the values the stage holds at once: its operands and
+    output (parameters aside, the pos-embed resample matrix included), a
+    padding conv's zero-padded input, and on every block row the block input,
+    held for the residual.  A stem conv, ``conv`` and ``dt_proj`` hold the
+    larger of their op and their activation's input and output, ``gate`` holds
+    both of its operands, the silu and the product, and ``scan`` also holds
+    the K = 4 per-path copies of its four inputs and of its output."""
     resolution, n = _check_resolution(resolution, cfg.patch)
     d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
     h, w = resolution
     rows = []
     for name, size, s, p, c_in, c_out, silu_after in stem_layers(cfg):
+        held = h * w * c_in + (p > 0) * (h + 2 * p) * (w + 2 * p) * c_in
         h, w = (h + 2 * p - size) // s + 1, (w + 2 * p - size) // s + 1
-        rows.append((name, "other", h * w * (size * size * c_in + 2 * silu_after) * c_out))
+        held += h * w * c_out
+        if silu_after:
+            held = max(held, 2 * h * w * c_out)
+        rows.append((name, "other", h * w * (size * size * c_in + 2 * silu_after) * c_out, held))
     # off the native grid, even at its token count, the forward resamples
     # pos_embed with one matmul (resolutions and img_size are multiples of patch)
     if resolution != (cfg.img_size, cfg.img_size):
-        rows.append(("pos_embed", "other", n * cfg.grid**2 * d))
-    block = [
-        ("norm", "other", 4 * n * d),
-        ("in_proj", "channel_mixing", n * d * 2 * di),
-        ("conv", "other", n * k * k * di + 2 * n * di),
-        ("x_proj", "other", n * di * (r + 2 * m)),  # B, C and the Delta logits
-        ("dt_proj", "other", n * r * di + n * di),
-        ("scan", "token_mixing", 4 * n * (10 * di * m + di)),
-        ("gate", "other", 2 * n * di + n * di),
-        ("out_proj", "channel_mixing", n * di * d),
+        rows.append(("pos_embed", "other", n * cfg.grid**2 * d, n * cfg.grid**2 + n * d))
+    padded = (h + k - 1) * (w + k - 1) * di  # the depthwise conv's padded input
+    block = [  # held beside the block input, which is also norm's input
+        ("norm", "other", 4 * n * d, n * d),
+        ("in_proj", "channel_mixing", n * d * 2 * di, n * d + 2 * n * di),
+        ("conv", "other", n * k * k * di + 2 * n * di, 2 * n * di + padded),
+        ("x_proj", "other", n * di * (r + 2 * m), n * di + n * (r + 2 * m)),  # B, C and Delta's
+        ("dt_proj", "other", n * r * di + n * di, 2 * n * di),  # the softplus holds more
+        # delta, x, B, C and the output on the grid and in the K = 4 paths' order
+        ("scan", "token_mixing", 4 * n * (10 * di * m + di), 5 * n * (3 * di + 2 * m)),
+        ("gate", "other", 2 * n * di + n * di, 4 * n * di),  # y, z, silu(z) and the product
+        ("out_proj", "channel_mixing", n * di * d, n * di + n * d),
     ]
     for i in range(cfg.depth):
-        rows += [(f"blocks.{i}.{name}", bucket, macs) for name, bucket, macs in block]
-    return rows + [("norm", "other", 4 * n * d), ("pool", "other", d),
-                   ("head", "other", d * cfg.num_classes)]
+        rows += [(f"blocks.{i}.{name}", bucket, macs, n * d + held)
+                 for name, bucket, macs, held in block]
+    return rows + [("norm", "other", 4 * n * d, 2 * n * d), ("pool", "other", d, n * d + d),
+                   ("head", "other", d * cfg.num_classes, d + cfg.num_classes)]
 
 
 def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
@@ -124,7 +141,7 @@ def count_flops(cfg: ModelConfig, resolution) -> FlopsReport:
     so a batch of B meters B times this total less B - 1 resamples."""
     resolution = _check_resolution(resolution, cfg.patch)[0]
     buckets = dict.fromkeys(("token_mixing", "channel_mixing", "other"), 0)
-    for _, bucket, macs in forward_stages(cfg, resolution):
+    for _, bucket, macs, _ in forward_stages(cfg, resolution):
         buckets[bucket] += macs
     return FlopsReport(**buckets, resolution=resolution, model_id=f"d{cfg.depth}w{cfg.d_model}")
 
@@ -146,58 +163,32 @@ def count_flops_attention(cfg: AttentionBaselineConfig, resolution) -> FlopsRepo
 
 
 def peak_activation_bytes(cfg, resolution) -> int:
-    """Footprint in bytes of the widest live operation for one image, taped,
-    at the config's dtype (the attention baseline's in float64).
+    """Bytes the widest stage of one image's forward holds at once: the
+    itemsize times the largest ``held`` of :func:`forward_stages`.
 
-    For this model that is the 2D scan's taped forward, and the figure is
-    an account of the arrays the node holds at its peak rather than a
-    proven bound.  The node holds the gathered ``[n, K, k]`` copies of
-    delta, x, B and C and its outputs (``4 n (3 d_inner + 2 m)`` values),
-    its state history (a row for the zero start state, then the whole
-    ``[n, K, m, d_inner]`` history, while ``scan.keeps_history`` says it
-    fits the budget, and no states otherwise) and its forward's ``[T, K,
-    m, d_inner]`` block buffers (``scan.block_steps`` of the state and of
-    the buffer count, and at most n steps): e and p, and the block's
-    states when they do not go into the history.  It also holds up to
-    four ``[n, d_inner]`` arrays while it puts the outputs on the grid and
-    adds the skip.  Measured with tracemalloc for one image, the figure is
-    0.99-1.31x the node's taped peak at 7x7, 14x14 and 28x28 grids, m 4
-    and 16, d_inner 96 and 384, in float64 and in float32; it falls 1%
-    short only at 7x7 with m 4 and d_inner 96, where the node's index
-    arrays, A^T and numpy's temporaries, which it does not count, are that
-    share of the peak.  A batch of images can cross the history budget
-    together where one image does not, and its block buffers hold fewer
-    steps of larger states in about the same bytes, so the figure times
-    the batch can be far above the node's peak (5.9x at four 14x14 images,
-    m 16, d_inner 96).  Under
-    ``no_grad`` the node keeps no states.  Taped, it keeps only its
-    history, if any, once the forward ends: the backward re-forms the
-    gathered copies from the node's inputs, rebuilds the history when the
-    forward kept none, and adds per-step gradient arrays and its own
-    block buffers.
+    Every held value scales with the batch, so the figure times the batch is
+    a lower bound on a forward's peak; it leaves out the conv's column
+    buffer and the scan's block buffers, which do not.  Measured with
+    tracemalloc over ``no_grad`` forwards it reads 0.21-0.70x the peak at
+    toy, where the scan's block buffers set it, and for L1 0.53x at 112 and
+    128, 0.75x at 224 and 0.93x at 448 in float32, and 0.86x at 224 in
+    float64.  For the L presets the stem's second conv sets it, so L1, L2
+    and L3 read the same.  The attention baseline counts 4-byte values, the
+    L presets' dtype.
     """
     if isinstance(cfg, AttentionBaselineConfig):
         resolution, n = _check_resolution(resolution, cfg.patch)
         attn = 2 * cfg.num_heads * n * n + 2 * n * cfg.d_model
         embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
-        return 8 * max(attn, embed)
-    resolution, n = _check_resolution(resolution, cfg.patch)
-    d, m = cfg.d_inner, cfg.state_size
-    itemsize = np.dtype(cfg.dtype).itemsize
-    state = 4 * m * d
-    kept = keeps_history(n, itemsize * state)
-    # e and p, and the block's states unless they go straight into the
-    # history, in buffers of at most n steps
-    buffers = 2 if kept else 3
-    blocks = buffers * min(n, block_steps(itemsize * state, buffers))
-    scan = 4 * n * (3 * d + 2 * m) + ((n + 1) * kept + blocks) * state + 4 * n * d
-    proj = n * cfg.d_model + n * 2 * cfg.d_inner
-    embed = resolution[0] * resolution[1] * 3 + n * cfg.d_model
-    return itemsize * max(scan, proj, embed)
+        return 4 * max(attn, embed)
+    held = max(held for *_, held in forward_stages(cfg, resolution))
+    return np.dtype(cfg.dtype).itemsize * held
 
 
 def scaling_curve(configs, resolutions):
-    """Rows of (model_id, side, token, channel, other, total, peak_bytes)."""
+    """Rows of (model_id, side, token, channel, other, total, peak_bytes), with
+    ``peak_bytes`` the :func:`peak_activation_bytes` of one image: for the L
+    presets the float32 stem's, 0.53-0.93x a measured peak from 112 to 448."""
     rows = []
     for cfg in configs:
         for side in resolutions:

@@ -146,18 +146,16 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     params = {}
     for name, shape in param_spec(cfg):
         leaf = name.rsplit(".", 1)[-1]
-        if leaf in ("bias", "beta") and not name.endswith("dt_proj.bias"):
-            val = np.zeros(shape)
-        elif leaf == "gamma" or leaf == "D":
-            val = np.ones(shape)
-        elif leaf == "theta":
-            val = np.zeros(shape)
-        elif leaf == "A":
-            val = -np.broadcast_to(np.arange(1, shape[1] + 1, dtype=float), shape).copy()
-        elif name.endswith("dt_proj.bias"):
+        if name.endswith("dt_proj.bias"):
             # softplus(bias) lands uniformly (log scale) in [1e-3, 1e-1]
             u = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), shape))
             val = np.log(np.expm1(u))
+        elif leaf in ("bias", "beta", "theta"):
+            val = np.zeros(shape)
+        elif leaf in ("gamma", "D"):
+            val = np.ones(shape)
+        elif leaf == "A":
+            val = -np.broadcast_to(np.arange(1, shape[1] + 1, dtype=float), shape).copy()
         else:
             val = _trunc_normal(rng, shape)
         params[name] = Tensor(val.astype(cfg.dtype, copy=False), name=name)

@@ -1,4 +1,5 @@
-"""MAC accounting: instrumented agreement, bucket bands, asymptotics."""
+"""MAC and memory accounting: instrumented agreement, bucket bands,
+asymptotics, and the peak figure against tracemalloc."""
 
 import re
 import tracemalloc
@@ -9,24 +10,19 @@ import pytest
 from plainscan import (
     DEIT_C224,
     Model,
-    ModelConfig,
-    SsmCore,
     count_flops,
     count_flops_attention,
     count_macs,
     count_params,
-    direction_aware_scan_2d,
-    generate_continuous_paths,
     get_config,
     scaling_curve,
 )
 from plainscan import model as model_module
 from plainscan import ops
-from plainscan import scan as scan_module
 from plainscan.analysis import FlopsReport, forward_stages, peak_activation_bytes
 from plainscan.errors import ConfigError
 from plainscan.netpbm import normalize
-from plainscan.tensor import Tensor
+from plainscan.tensor import Tensor, no_grad
 
 
 def _instrumented_macs(cfg, side, batch=1):
@@ -61,7 +57,7 @@ def _instrumented_macs(cfg, side, batch=1):
 
 
 def _stage_macs(cfg, hw):
-    return [macs for _, _, macs in forward_stages(cfg, hw)]
+    return [macs for _, _, macs, _ in forward_stages(cfg, hw)]
 
 
 def test_analytic_equals_instrumented_toy():
@@ -101,7 +97,7 @@ def test_analytic_equals_instrumented_stacked_stem():
     for hw in ((32, 32), (32, 48)):  # the native 2x2 grid and a 2x3 one
         assert _instrumented_macs(cfg, hw) == _stage_macs(cfg, hw)
     block = ("norm", "in_proj", "conv", "x_proj", "dt_proj", "scan", "gate", "out_proj")
-    assert [name for name, _, _ in forward_stages(cfg, (32, 48))] == [
+    assert [name for name, *_ in forward_stages(cfg, (32, 48))] == [
         "stem.0", "stem.1", "stem.2", "stem.3", "pos_embed",
         *(f"blocks.{i}.{stage}" for i in range(cfg.depth) for stage in block),
         "norm", "pool", "head",
@@ -216,61 +212,49 @@ def test_scaling_curve_rows():
     assert by_key[("d24w192", 256)][5] > by_key[("d24w192", 128)][5]
 
 
-def test_peak_bytes_monotone_in_resolution(monkeypatch):
-    # The figure grows with the side under either fixed rule, the whole
-    # history or no states.  It need not grow across the budget: L1 keeps a
-    # 6 MiB history at 128 and none from 224 on, where the figure falls.
-    # So each side's figure at the real budget is checked against the rule
-    # keeps_history picks there.
-    cfg = get_config("L1")
-    sides = (128, 224, 256, 448, 512)
-    state = np.dtype(cfg.dtype).itemsize * 4 * cfg.state_size * cfg.d_inner
-    rules = [scan_module.keeps_history((side // cfg.patch) ** 2, state) for side in sides]
-    assert rules == [True, False, False, False, False]
-    real = [peak_activation_bytes(cfg, (side, side)) for side in sides]
-    by_rule = {}
-    for kept, budget in ((True, 1 << 40), (False, 0)):
-        monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
+def test_peak_bytes_monotone_in_resolution():
+    # every stage holds more values at a larger side; the stem's second conv
+    # sets the figure for all three L presets
+    sides = (128, 224, 256, 448, 512, 1024)
+    peaks = [peak_activation_bytes(get_config("L1"), (side, side)) for side in sides]
+    assert all(a < b for a, b in zip(peaks, peaks[1:])), peaks
+    for name in ("L2", "L3"):
+        assert [peak_activation_bytes(get_config(name), (s, s)) for s in sides] == peaks, name
+    for cfg, sides in ((get_config("toy"), (32, 40, 64, 128, 256)),
+                       (DEIT_C224, (128, 224, 448, 1024, 4096))):
         peaks = [peak_activation_bytes(cfg, (side, side)) for side in sides]
-        assert all(a < b for a, b in zip(peaks, peaks[1:])), f"history kept {kept}: {peaks}"
-        by_rule[kept] = peaks
-    for i, (side, kept) in enumerate(zip(sides, rules)):
-        assert real[i] == by_rule[kept][i], f"side {side}"
-    assert peak_activation_bytes(DEIT_C224, (4096, 4096)) > peak_activation_bytes(
-        DEIT_C224, (128, 128)
-    )
+        assert all(a < b for a, b in zip(peaks, peaks[1:])), (cfg, peaks)
 
 
-@pytest.mark.parametrize("d_inner, dtype", [
-    (96, "float64"), (384, "float64"), (96, "float32"), (384, "float32"),
-], ids=["96", "384", "96-float32", "384-float32"])
-def test_peak_bytes_bound_the_taped_scan_node(d_inner, dtype):
-    # a 14x14 grid with m = 16, one image: the figure accounts for the arrays
-    # the taped node holds at its peak, so it sits less than a third above
-    # the measured peak (1.03-1.04x at d_inner 96, 1.21-1.26x at 384).
-    # An array the node gains and the figure does not count fails the lower
-    # side, and one the figure counts but the node no longer keeps, such as
-    # the whole history at d_inner 384, fails the upper side; so does a figure
-    # in 8-byte values for a float32 node.
-    side, m = 14, 16
-    cfg = ModelConfig(depth=1, d_model=d_inner // 2, state_size=m, patch=16,
-                      img_size=16 * side, stem="single", dtype=dtype)
-    rng = np.random.default_rng(21)
+def _traced_peak(model, images):
+    """tracemalloc's peak over a ``no_grad`` forward, run after a warm one
+    that builds the model's cached scan paths."""
+    with no_grad():
+        model.forward(images)
+        tracemalloc.start()
+        try:
+            model.forward(images)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-    def leaf(values):
-        return Tensor(values.astype(dtype))
 
-    core = SsmCore(A=leaf(-np.abs(rng.standard_normal((d_inner, m))) - 0.05),
-                   D=leaf(rng.standard_normal(d_inner)),
-                   Theta=leaf(0.3 * rng.standard_normal((5, m))))
-    x, b, c = (leaf(rng.standard_normal((side, side, k))) for k in (d_inner, m, m))
-    delta = leaf(rng.uniform(0.05, 1.0, (side, side, d_inner)))
-    ps = generate_continuous_paths(side, side)
-    tracemalloc.start()
-    try:
-        direction_aware_scan_2d(x, b, c, delta, core, ps)
-        measured = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    figure = peak_activation_bytes(cfg, (16 * side, 16 * side))
-    assert measured <= figure <= 2 * measured, f"figure {figure / measured:.3f}x the peak"
+def test_peak_bytes_bound_a_no_grad_forward_from_below():
+    # Measured: 0.21-0.70x at toy, where the scan's block buffers (a fixed
+    # byte budget) set the peak, and for L1 0.53x at 128, 0.75x at 224 and
+    # 0.93x at 448 in float32, and 0.86x at 224 in float64; the gap at L1 is
+    # conv2d's column buffer of at most 4 MiB.  So the figure times the batch
+    # stays at or below the peak, and at 0.7x of it or more where the stem
+    # sets an L1 peak well above that buffer.
+    toy = get_config("toy")
+    l1 = get_config("L1", depth=1)
+    l1_f64 = get_config("L1", depth=1, dtype="float64")
+    rng = np.random.default_rng(4)
+    for cfg, side, batches, floor in ((toy, 32, (1, 16, 64), 0), (toy, 64, (1,), 0),
+                                      (l1, 128, (1,), 0), (l1, 224, (1,), 0.7),
+                                      (l1, 448, (1,), 0.7), (l1_f64, 224, (1,), 0)):
+        model = Model(cfg, seed=0)
+        for batch in batches:
+            measured = _traced_peak(model, Tensor(rng.standard_normal((batch, side, side, 3))))
+            ratio = batch * peak_activation_bytes(cfg, (side, side)) / measured
+            assert floor <= ratio <= 1, (cfg.dtype, cfg.d_model, side, batch, ratio)

@@ -62,8 +62,10 @@ def test_flops_attention_baseline(capsys):
 def test_curve_command(capsys):
     assert main(["curve", "--resolutions", "128,256", "--configs", "L1"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[0].startswith("model,resolution")
+    assert out[0].startswith("model,resolution") and out[0].endswith(",peak_bytes")
     assert len(out) == 1 + 2 * 2  # L1 and the attention baseline at two sides
+    l1 = [int(line.rsplit(",", 1)[1]) for line in out[1:] if line.startswith("d24w192,")]
+    assert len(l1) == 2 and l1[0] < l1[1]  # L1's peak_bytes rises with the side
 
 
 def test_grad_check_command(capsys):

@@ -214,9 +214,8 @@ def test_reads_finder():
 
 
 def test_the_history_budget_is_read_in_one_place():
-    # the 2D scan node and analysis.peak_activation_bytes both ask
-    # scan.keeps_history whether a taped scan keeps its state history, so
-    # they cannot disagree about the budget
+    # the 2D scan node asks scan.keeps_history whether a taped scan keeps
+    # its state history, so a second reader cannot disagree about the budget
     package = Path(plainscan.__file__).parent
     found = [
         (path.name, func, line)
@@ -224,3 +223,33 @@ def test_the_history_budget_is_read_in_one_place():
         for line, func in _reads(path.read_text(), "_HISTORY_BYTES")
     ]
     assert [(name, func) for name, func, _ in found] == [("scan.py", "keeps_history")], found
+
+
+def _imported_modules(source):
+    """Every module a source imports or imports from, and each name it
+    imports from one, as dotted names relative to the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            found.add(base)
+            found.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return found
+
+
+def test_imported_modules_finder():
+    source = "import numpy as np\nfrom .scan import a\nfrom . import model\n" \
+             "from plainscan.tensor import T\n"
+    assert _imported_modules(source) == {
+        "numpy", "scan", "scan.a", "", "model", "plainscan.tensor", "plainscan.tensor.T",
+    }
+
+
+def test_analysis_imports_nothing_from_the_scan():
+    # the memory figure is read off analysis.forward_stages, not off the
+    # scan node's private budgets
+    source = (Path(plainscan.__file__).parent / "analysis.py").read_text()
+    found = sorted(name for name in _imported_modules(source) if "scan" in name.split("."))
+    assert not found, f"analysis.py imports {found}"
