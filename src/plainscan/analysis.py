@@ -100,7 +100,9 @@ def forward_stages(cfg: ModelConfig, resolution):
     held for the residual.  A stem conv, ``conv`` and ``dt_proj`` hold the
     larger of their op and their activation's input and output, ``gate`` holds
     both of its operands, the silu and the product, and ``scan`` also holds
-    the K = 4 per-path copies of its four inputs and of its output."""
+    the K = 4 per-path copies of its output; it gathers the paths' copies of
+    its inputs a segment of steps at a time, and those segments are left
+    out, as its block buffers are."""
     resolution, n = _check_resolution(resolution, cfg.patch)
     d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
     h, w = resolution
@@ -123,8 +125,8 @@ def forward_stages(cfg: ModelConfig, resolution):
         ("conv", "other", n * k * k * di + 2 * n * di, 2 * n * di + padded),
         ("x_proj", "other", n * di * (r + 2 * m), n * di + n * (r + 2 * m)),  # B, C and Delta's
         ("dt_proj", "other", n * r * di + n * di, 2 * n * di),  # the softplus holds more
-        # delta, x, B, C and the output on the grid and in the K = 4 paths' order
-        ("scan", "token_mixing", 4 * n * (10 * di * m + di), 5 * n * (3 * di + 2 * m)),
+        # delta, x, B, C and the output on the grid, and the K = 4 paths' outputs
+        ("scan", "token_mixing", 4 * n * (10 * di * m + di), n * (3 * di + 2 * m) + 4 * n * di),
         ("gate", "other", 2 * n * di + n * di, 4 * n * di),  # y, z, silu(z) and the product
         ("out_proj", "channel_mixing", n * di * d, n * di + n * d),
     ]
@@ -169,7 +171,7 @@ def peak_activation_bytes(cfg, resolution) -> int:
     Every held value scales with the batch, so the figure times the batch is
     a lower bound on a forward's peak; it leaves out the conv's column
     buffer and the scan's block buffers, which do not.  Measured with
-    tracemalloc over ``no_grad`` forwards it reads 0.21-0.70x the peak at
+    tracemalloc over ``no_grad`` forwards it reads 0.11-0.52x the peak at
     toy, where the scan's block buffers set it, and for L1 0.53x at 112 and
     128, 0.75x at 224 and 0.93x at 448 in float32, and 0.86x at 224 in
     float64.  For the L presets the stem's second conv sets it, so L1, L2

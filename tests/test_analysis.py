@@ -240,7 +240,7 @@ def _traced_peak(model, images):
 
 
 def test_peak_bytes_bound_a_no_grad_forward_from_below():
-    # Measured: 0.21-0.70x at toy, where the scan's block buffers (a fixed
+    # Measured: 0.11-0.52x at toy, where the scan's block buffers (a fixed
     # byte budget) set the peak, and for L1 0.53x at 128, 0.75x at 224 and
     # 0.93x at 448 in float32, and 0.86x at 224 in float64; the gap at L1 is
     # conv2d's column buffer of at most 4 MiB.  So the figure times the batch

@@ -384,12 +384,39 @@ def test_ssm_no_grad_forward_peak_is_a_fraction_of_the_state_history():
     assert saved >= 0.9, f"no_grad saves {saved:.3f}x the state history"
 
 
+def test_no_grad_node_at_l1_grid_56_peaks_below_two_time_major_arrays():
+    # L1's float32 node on a 56x56 grid, an 896x896 image (d_inner 384, m
+    # 16, B and C slices of x_proj's output): past its inputs it holds the
+    # K per-path outputs ys, one [n, S, d] array, and the un-permute's sum
+    # on the grid and its temporary, a quarter of one each.  Its segments of
+    # about sqrt(n) steps and its block buffers come to a few percent of one.
+    rng = np.random.default_rng(26)
+    side, d, m, rank = 56, 384, 16, 12
+    proj = rng.standard_normal((1, side, side, rank + 2 * m)).astype(np.float32)
+    b, c = Tensor(proj[..., rank:rank + m]), Tensor(proj[..., rank + m:])
+    x = Tensor(rng.standard_normal((1, side, side, d)).astype(np.float32))
+    delta = Tensor(rng.uniform(0.01, 1.0, (1, side, side, d)).astype(np.float32))
+    core = SsmCore(A=Tensor(-rng.uniform(0.5, 16.0, (d, m)).astype(np.float32)),
+                   D=Tensor(np.ones(d, np.float32)), Theta=Tensor(np.zeros((5, m), np.float32)))
+    ps = generate_continuous_paths(side, side)
+    array = 4 * side * side * 4 * d  # one float32 [n, S, d]
+    tracemalloc.start()
+    try:
+        with no_grad():
+            direction_aware_scan_2d(x, b, c, delta, core, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * array, f"peak {peak / array:.2f} [n, S, d] arrays"
+
+
 def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
     # with no history budget the taped node keeps no states, so it peaks
-    # where the no_grad forward does: in its loop, which holds the gathered
-    # delta, x, B and C, the outputs ys and three [T, S, m, d] block
-    # buffers.  Besides those it holds index arrays, A^T and 1 / A^T, and a
-    # block's matmul output and numpy's iterator buffers, about 110 KiB here.
+    # where the no_grad forward does: in its loop, which holds one segment of
+    # the gathered delta, x, B and C, each step's Theta[direction] rows, the
+    # outputs ys and three [T, S, m, d] block buffers.  Besides those it
+    # holds index arrays, A^T and 1 / A^T, and a block's matmul output and
+    # numpy's iterator buffers, about 110 KiB here.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
     rng = np.random.default_rng(13)
     side, d, m = 14, 96, 16
@@ -408,8 +435,10 @@ def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
         finally:
             tracemalloc.stop()
     assert np.array_equal(outs[1], outs[0])
-    inputs, ys = 8 * n * S * (2 * d + 2 * m), 8 * n * S * d
-    held = inputs + ys + 3 * scan_module.block_steps(state, 3) * state
+    T = scan_module.block_steps(state, 3)
+    segment = 8 * scan_module.segment_steps(n, T) * S * (2 * d + 2 * m)
+    theta, ys = 8 * n * S * m, 8 * n * S * d
+    held = segment + theta + ys + 3 * T * state
     assert held <= peaks[1] <= held + 128 * 1024, f"no_grad peak {peaks[1] - held} B above held"
     kept = peaks[0] - peaks[1]
     assert kept <= 64 * 1024, f"taped keeps {kept} B more than no_grad"
@@ -417,14 +446,17 @@ def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
 
 def _scan_case(rng, lead, kind, d=3, m=4):
     """Grids, core and output weight; near-zero kinds put every |z| below 1e-4,
-    "mixed" moves every other state's A well clear of that switch, and
+    "mixed" moves every other state's A well clear of that switch,
+    "near-zero-row" puts only the grid's second row below it, and
     "signed-zero" sets half of x and of B to -0.0."""
     x, b, c = (Tensor(rng.standard_normal((*lead, k))) for k in (d, m, m))
     if kind == "signed-zero":
         x.data[..., ::2] = -0.0
         b.data[..., 1::2] = -0.0
-    if kind in ("random", "signed-zero"):
+    if kind in ("random", "signed-zero", "near-zero-row"):
         delta = Tensor(rng.uniform(0.01, 1.5, (*lead, d)))
+        if kind == "near-zero-row":
+            delta.data[..., 1, :, :] = rng.uniform(1e-6, 2e-6, delta.data[..., 1, :, :].shape)
         A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05)
         D = Tensor(rng.standard_normal(d))
     else:
@@ -437,10 +469,35 @@ def _scan_case(rng, lead, kind, d=3, m=4):
     return x, b, c, delta, core, Tensor(rng.standard_normal((*lead, d)))
 
 
+_SEGMENT_STEPS = scan_module.segment_steps
+
+
+def _force_segments(monkeypatch, steps):
+    """Every loop of the 2D scan gathers segments of this many steps; at None
+    the node's own rule, about sqrt(n) rounded up to whole blocks."""
+    monkeypatch.setattr(scan_module, "segment_steps",
+                        _SEGMENT_STEPS if steps is None else lambda n, block: steps)
+
+
+def _same_bits(got, want):
+    """Equal as integers: equal values, zero signs and NaN payloads alike."""
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _series_steps_straddle_a_boundary(lead, steps):
+    """Whether, in a near-zero-row case, some step with |z| below the series
+    switch and the step before it fall in two segments of this many steps."""
+    H, W = lead[-2:]
+    order = np.stack([p.order for p in generate_continuous_paths(H, W).paths])
+    near = np.isin(order, range(W, 2 * W)).any(axis=0)  # per step: some path in row 1
+    return any(near[s - 1] and near[s] for s in range(steps, H * W, steps))
+
+
 @pytest.mark.parametrize("lead, kind", [
-    ((3, 5), "near-zero"), ((3, 5), "mixed"), ((1, 1), "random"), ((4, 4), "random"),
-    ((5, 7), "random"), ((2, 3, 5), "random"), ((3, 5), "signed-zero"),
-], ids=["near-zero-z", "mixed-A", "n=1", "square-4x4", "rect-5x7", "batch-2", "signed-zero"])
+    ((3, 5), "near-zero"), ((3, 5), "mixed"), ((3, 5), "near-zero-row"), ((1, 1), "random"),
+    ((4, 4), "random"), ((5, 7), "random"), ((2, 3, 5), "random"), ((3, 5), "signed-zero"),
+], ids=["near-zero-z", "mixed-A", "near-zero-row", "n=1", "square-4x4", "rect-5x7", "batch-2",
+        "signed-zero"])
 def test_kept_or_rebuilt_history_leaves_output_and_gradients_bit_identical(lead, kind, monkeypatch):
     # the whole history kept, and no budget, where the backward rebuilds the
     # history.  The backward gathers its inputs again from the parents'
@@ -450,6 +507,8 @@ def test_kept_or_rebuilt_history_leaves_output_and_gradients_bit_identical(lead,
     # budget runs twice, once with another node's forward and backward on
     # other data between the forward and its backward: the backward must
     # gather from its own parents, not reuse rows from the last forward.
+    # Every run gathers segments of the node's own length, of one step, of
+    # 4 steps (an uneven split of 15 or 35) and of the whole sequence.
     x, b, c, delta, core, weight = _scan_case(np.random.default_rng(18), lead, kind)
     other = _scan_case(np.random.default_rng(20), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
@@ -461,32 +520,39 @@ def test_kept_or_rebuilt_history_leaves_output_and_gradients_bit_identical(lead,
         monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
         kept = scan_module.keeps_history(n, state)
         for between in (False, True):
-            for t in leaves:
-                t.grad = None
-            y = direction_aware_scan_2d(x, b, c, delta, core, ps)
-            if between:
-                (direction_aware_scan_2d(*other[:5], ps) * other[5]).sum().backward()
-            (y * weight).sum().backward()
-            runs[kept, between] = [y.data] + [t.grad for t in leaves]
-    assert sorted(runs) == [(False, False), (False, True), (True, False), (True, True)]
+            for steps in (None, 1, 4, n):
+                _force_segments(monkeypatch, steps)
+                for t in leaves:
+                    t.grad = None
+                y = direction_aware_scan_2d(x, b, c, delta, core, ps)
+                if between:
+                    (direction_aware_scan_2d(*other[:5], ps) * other[5]).sum().backward()
+                (y * weight).sum().backward()
+                runs[kept, between, steps] = [y.data] + [t.grad for t in leaves]
+    assert {key[:2] for key in runs} == {(False, False), (False, True), (True, False), (True, True)}
+    if kind == "near-zero-row":
+        assert _series_steps_straddle_a_boundary(lead, 4)
+    want = runs[True, False, None]
     for key, arrays in runs.items():
-        for got, want in zip(arrays, runs[True, False]):
-            assert np.array_equal(got, want), f"(history kept, other node between) {key}"
-            assert np.array_equal(np.signbit(got), np.signbit(want)), f"{key}: zero signs"
+        for got, ref in zip(arrays, want):
+            assert _same_bits(got, ref), f"(history kept, other node between, segment) {key}"
 
 
 @pytest.mark.parametrize("lead, kind", [
-    ((3, 5), "near-zero"), ((3, 5), "mixed"), ((3, 5), "signed-zero"),
+    ((3, 5), "near-zero"), ((3, 5), "mixed"), ((3, 5), "near-zero-row"), ((3, 5), "signed-zero"),
     ((2, 3, 5), "random"), ((4, 4), "random"),
-], ids=["near-zero-z", "mixed-A", "signed-zero", "batch-2", "square-4x4"])
+], ids=["near-zero-z", "mixed-A", "near-zero-row", "signed-zero", "batch-2", "square-4x4"])
 def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkeypatch):
     # Block budgets of 1, 6, 16, 24 and 8 (n + 1) states, with the whole
     # history kept (a forward of 2 buffers) and with no history budget (3
     # buffers), where the backward rebuilds the history with the forward's
     # blocks; the backward holds 8.  That makes the forward's T differ from
     # the backward's, with ragged last blocks on either side, and at 8 (n +
-    # 1) both cover the whole sequence.  Every pair of T must give the
-    # arithmetic of T = 1, zero signs included, and no_grad the taped output.
+    # 1) both cover the whole sequence.  Each pair of T runs with the node's
+    # own segments, whole blocks of about sqrt(n) steps, and with segments of
+    # one step, of 4 steps (an uneven split of 15, which cuts some blocks
+    # short) and of the whole sequence.  Every run must give the arithmetic
+    # of T = 1, zero signs included, and no_grad the taped output.
     x, b, c, delta, core, weight = _scan_case(np.random.default_rng(23), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
     ps = generate_continuous_paths(*lead[-2:])
@@ -500,37 +566,42 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
             monkeypatch.setattr(scan_module, "_BLOCK_BYTES", states * state)
             steps = scan_module.block_steps(state, forward), scan_module.block_steps(state, 8)
             assert steps == (max(1, states // forward), max(1, states // 8))
-            for t in leaves:
-                t.grad = None
-            y = direction_aware_scan_2d(x, b, c, delta, core, ps)
-            (y * weight).sum().backward()
-            with no_grad():
-                free = direction_aware_scan_2d(x, b, c, delta, core, ps)
-            assert np.array_equal(free.data, y.data), f"T = {steps}: no_grad output"
-            assert np.array_equal(np.signbit(free.data), np.signbit(y.data))
-            runs[budget, steps] = [y.data] + [t.grad for t in leaves]
+            for segment in (None, 1, 4, n):
+                _force_segments(monkeypatch, segment)
+                for t in leaves:
+                    t.grad = None
+                y = direction_aware_scan_2d(x, b, c, delta, core, ps)
+                (y * weight).sum().backward()
+                with no_grad():
+                    free = direction_aware_scan_2d(x, b, c, delta, core, ps)
+                assert _same_bits(free.data, y.data), f"T = {steps}, segment {segment}: no_grad"
+                runs[budget, steps, segment] = [y.data] + [t.grad for t in leaves]
     # a forward T other than the backward's, and a ragged last block in
     # each loop, with the history kept and with it rebuilt
     for budget in (1 << 40, 0):
-        pairs = [s for b, s in runs if b == budget]
+        pairs = {s for b, s, _ in runs if b == budget}
         assert any(f != t for f, t in pairs)
         assert any(n % f for f, _ in pairs) and any(n % t for _, t in pairs)
-    want = runs[1 << 40, (1, 1)]
+    if kind == "near-zero-row":
+        assert _series_steps_straddle_a_boundary(lead, 4)
+    want = runs[1 << 40, (1, 1), 1]
     for key, arrays in runs.items():
         for got, ref in zip(arrays, want):
-            assert np.array_equal(got, ref), f"(history budget, (forward T, backward T)) {key}"
-            assert np.array_equal(np.signbit(got), np.signbit(ref)), f"{key}: zero signs"
+            assert _same_bits(got, ref), f"(history budget, (forward T, backward T), segment) {key}"
 
 
 @pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "rebuilt"])
 def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
-    # Each step of a backward block adds one state to each of the backward's
-    # seven [T, S, m, d] buffers: 7 (T - 1) states above T = 1, on top of
-    # arrays that do not depend on T.  The budget is set for a backward of
-    # T steps, 8 T states, which gives the forward blocks of 8 T / 2 or 8 T
-    # / 3 steps.  Past the history budget the two buffers of the forward
-    # loop that rebuilds the history, never more than n states each, are
-    # freed before those seven are made, so the bound is the same.
+    # The backward holds its whole gradients of delta, x, B and C, A's
+    # running gradient and each step's Theta[direction] rows; one segment of
+    # U steps of the gathered delta, x, B, C and g; seven [T, S, m, d] block
+    # buffers; and, past the history budget, the rebuilt history of n + 1
+    # states.  Above those it holds one block's [T, S, d] temporary at most,
+    # and index arrays, A^T and 1 / A^T, the un-permute's temporaries and
+    # numpy's iterator buffers, under 100 KiB here.  The budget is set for a
+    # backward of T steps, 8 T states, which gives the forward blocks of 8 T
+    # / 2 or 8 T / 3 steps.  The rebuild's own buffers are freed before the
+    # backward's are made.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
     rng = np.random.default_rng(13)
     side, d, m = 6, 64, 16
@@ -539,21 +610,24 @@ def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
     ps = generate_continuous_paths(side, side)
     state = 8 * 4 * m * d
     g = rng.standard_normal((side, side, d))
-    extra = {}
-    for steps in (1, 4, side * side):
+    n, S = side * side, 4
+    whole = 8 * n * S * (2 * d + 3 * m) + 8 * S * m * d  # gd, gx, gb, gc, Theta's rows; ga
+    for steps in (1, 4, n):
         monkeypatch.setattr(scan_module, "_BLOCK_BYTES", 8 * steps * state)
         assert scan_module.block_steps(state, 8) == steps
         y = direction_aware_scan_2d(x, b, c, delta, core, ps)
         tracemalloc.start()
         try:
             y._backward(g)
-            extra[steps] = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    for steps in (4, side * side):
-        grown = extra[steps] - extra[1]
-        assert grown <= 7 * (steps - 1) * state + 4096, (
-            f"T = {steps}: {grown / state:.1f} states more")
+        segment = 8 * scan_module.segment_steps(n, steps) * S * (3 * d + 2 * m)
+        history = 0 if scan_module.keeps_history(n, state) else (n + 1) * state
+        held = whole + segment + 7 * steps * state + history
+        above = peak - held
+        assert 0 <= above <= 8 * steps * S * d + 100 * 1024, (
+            f"T = {steps}: {above / state:.2f} states above what the backward holds")
 
 
 @pytest.mark.parametrize("lead, kind", [
