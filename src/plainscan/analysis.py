@@ -95,24 +95,25 @@ def forward_stages(cfg: ModelConfig, resolution):
     ``gate`` the silu and the multiply.
 
     ``held`` counts the values the stage holds at once: its operands and
-    output (parameters aside, the pos-embed resample matrix included), a
-    padding conv's zero-padded input, and on every block row the block input,
-    held for the residual.  A stem conv, ``conv`` and ``dt_proj`` hold the
-    larger of their op and their activation's input and output, ``gate`` holds
-    both of its operands, the silu and the product, and ``scan`` also holds
-    the K = 4 per-path copies of its output; it gathers the paths' copies of
-    its inputs a segment of steps at a time, and those segments are left
-    out, as its block buffers are."""
+    output (parameters aside, the pos-embed resample matrix included), the
+    depthwise conv's zero-padded input, and on every block row the block
+    input, held for the residual.  A stem conv holds its input and its output
+    alone: it pads one block of input rows at a time and applies its silu to
+    each block of output in place, and those block buffers are left out, as
+    its column buffer is.  ``conv`` and ``dt_proj`` hold the larger of their
+    op and their activation's input and output, ``gate`` holds both of its
+    operands, the silu and the product, and ``scan`` also holds the K = 4
+    per-path copies of its output; it gathers the paths' copies of its inputs
+    a segment of steps at a time, and those segments are left out, as its
+    block buffers are."""
     resolution, n = _check_resolution(resolution, cfg.patch)
     d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
     h, w = resolution
     rows = []
     for name, size, s, p, c_in, c_out, silu_after in stem_layers(cfg):
-        held = h * w * c_in + (p > 0) * (h + 2 * p) * (w + 2 * p) * c_in
+        held = h * w * c_in
         h, w = (h + 2 * p - size) // s + 1, (w + 2 * p - size) // s + 1
         held += h * w * c_out
-        if silu_after:
-            held = max(held, 2 * h * w * c_out)
         rows.append((name, "other", h * w * (size * size * c_in + 2 * silu_after) * c_out, held))
     # off the native grid, even at its token count, the forward resamples
     # pos_embed with one matmul (resolutions and img_size are multiples of patch)
@@ -169,14 +170,14 @@ def peak_activation_bytes(cfg, resolution) -> int:
     itemsize times the largest ``held`` of :func:`forward_stages`.
 
     Every held value scales with the batch, so the figure times the batch is
-    a lower bound on a forward's peak; it leaves out the conv's column
-    buffer and the scan's block buffers, which do not.  Measured with
+    a lower bound on a forward's peak; it leaves out the conv's column and
+    slab buffers and the scan's block buffers, which do not.  Measured with
     tracemalloc over ``no_grad`` forwards it reads 0.11-0.52x the peak at
-    toy, where the scan's block buffers set it, and for L1 0.53x at 112 and
-    128, 0.75x at 224 and 0.93x at 448 in float32, and 0.86x at 224 in
-    float64.  For the L presets the stem's second conv sets it, so L1, L2
-    and L3 read the same.  The attention baseline counts 4-byte values, the
-    L presets' dtype.
+    toy, where the scan's block buffers set it, and for L1 0.37x at 112,
+    0.44x at 128, 0.71x at 224 and 0.91x at 448 in float32, and 0.83x at 224
+    in float64.  From 64 up the stem's second conv sets it for the L presets,
+    so L1, L2 and L3 read the same there.  The attention baseline counts
+    4-byte values, the L presets' dtype.
     """
     if isinstance(cfg, AttentionBaselineConfig):
         resolution, n = _check_resolution(resolution, cfg.patch)
@@ -190,7 +191,7 @@ def peak_activation_bytes(cfg, resolution) -> int:
 def scaling_curve(configs, resolutions):
     """Rows of (model_id, side, token, channel, other, total, peak_bytes), with
     ``peak_bytes`` the :func:`peak_activation_bytes` of one image: for the L
-    presets the float32 stem's, 0.53-0.93x a measured peak from 112 to 448."""
+    presets the float32 stem's, 0.37-0.91x a measured peak from 112 to 448."""
     rows = []
     for cfg in configs:
         for side in resolutions:

@@ -137,6 +137,14 @@ def cmd_grad_check(args):
         results.append(
             ("depthwise_conv2d", ops.grad_check(lambda x, k: ops.depthwise_conv2d(x, k).sum(), [x, k]))
         )
+        # a stem-like conv with its fused silu, from a child stream so that the
+        # other rows draw the inputs they always have
+        crng = rng.spawn(1)[0]
+        x = Tensor(crng.standard_normal((2, 5, 6, 2)), name="x")
+        w = Tensor(crng.standard_normal((3, 3, 2, 3)), name="w")
+        cb = Tensor(crng.standard_normal(3), name="b")
+        results.append(("conv2d", ops.grad_check(
+            lambda x, w, b: ops.conv2d(x, w, b, stride=2, padding=1, silu=True).sum(), [x, w, cb])))
         x = Tensor(rng.standard_normal((4, 6)), name="x")
         g = Tensor(rng.standard_normal(6), name="gamma")
         bb = Tensor(rng.standard_normal(6), name="beta")

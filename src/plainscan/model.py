@@ -254,9 +254,8 @@ class Model:
             )
         tok = images.astype(self.dtype)
         for name, _, stride, padding, _, _, silu_after in stem_layers(cfg):
-            tok = ops.conv2d(tok, p[f"{name}.weight"], p[f"{name}.bias"], stride, padding)
-            if silu_after:
-                tok = tok.silu()
+            tok = ops.conv2d(tok, p[f"{name}.weight"], p[f"{name}.bias"], stride, padding,
+                             silu=silu_after)
         H, W = tok.shape[1:3]
         pos = p["pos_embed"]
         if (H, W) != (cfg.grid, cfg.grid):

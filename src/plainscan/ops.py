@@ -2,11 +2,15 @@
 
 Each function here is a single graph node with a hand-written backward
 rule; compositions of :class:`~plainscan.tensor.Tensor` arithmetic live
-with their callers.  Both convolutions see their input, forward and
-backward, through ``_windows``: one strided view of its padded k x k windows.
-``conv2d`` copies that view into im2col columns one block of output rows at
-a time, so its forward holds at most ``_COLS_BYTES`` of columns, and its
-backward keeps the input instead of the columns.
+with their callers.  Both convolutions see their input through
+``_windows``: one strided view of its padded k x k windows.  ``conv2d``'s
+forward runs one block of output rows at a time: it zero-pads only the
+input rows that block reads, as a slab, and copies the windows of that slab
+into im2col columns, so it holds at most ``_COLS_BYTES`` of columns and one
+block's slab, never a padded copy of its whole input.  A stem conv and the
+silu after it are one ``conv2d`` node, which applies the silu to each block
+of output in place, so the stem keeps no pre-activation.  Its backward keeps
+the input instead of the columns, and re-derives the pre-activation.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
-from .tensor import Tensor, _record, no_grad
+from .tensor import Tensor, _one_plus_exp_neg, _record, _silu_grad, no_grad
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -69,9 +73,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 # The most im2col columns, in bytes, that conv2d's forward forms at once.
-# 4 MiB keeps the stem at 224 as fast as one whole GEMM and a toy batch of
-# 64 8x8 patchified images in one block.
-_COLS_BYTES = 4 << 20
+# 2 MiB runs the stem at 224 as fast as 4 MiB did and keeps a toy batch of 64
+# 8x8 patchified images in one block.  With one block's input slab it is all
+# a conv holds beyond its input and output.
+_COLS_BYTES = 2 << 20
 
 
 def _windows(x, k, stride, pad):
@@ -124,25 +129,46 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     return Tensor(y, (x, kernel), backward=bwd)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Tensor:
-    """Dense strided conv, input [B,H,W,Cin], weight [k,k,Cin,Cout].
+def _row_slab(slab, x, lo, pad):
+    """Fill [B,n,W+2*pad,C] ``slab`` with input rows ``lo:lo+n`` of [B,H,W,C] ``x``,
+    zero-padded by ``pad`` columns on each side and by zero rows outside ``0:H``."""
+    H, W = x.shape[1:3]
+    top, bottom = max(0, -lo), min(lo + slab.shape[1], H) - lo
+    slab[:, :top] = 0
+    slab[:, bottom:] = 0
+    slab[:, top:bottom, :pad] = 0
+    slab[:, top:bottom, pad + W :] = 0
+    slab[:, top:bottom, pad : pad + W] = x[:, lo + top : lo + bottom]
 
-    The forward never holds the whole im2col matrix.  It copies the
-    ``_windows`` view, in (k, k, Cin) order, into one column buffer of at
-    most ``_COLS_BYTES`` a block of output rows at a time, and GEMMs each
-    block into its slice of the output; a block holds whole images when they
-    fit.  OpenBLAS sums each output element of a GEMM in the same order
-    whatever its number of rows, so the blocks reproduce one whole GEMM bit
-    for bit (``test_conv2d_row_blocks_match_one_gemm_bit_for_bit``).  That
-    holds while each block takes the blocked GEMM kernel: a one-row GEMM
-    goes to gemv and a very small one to a small-matrix kernel, which may
-    round differently.
 
-    The backward keeps the input, not the columns, and re-forms the columns
-    once for the weight gradient as one whole GEMM, by the tape's rule that
-    a closure reads only its parents' data (see :mod:`plainscan.tensor`).
-    The input gradient adds the column gradient into the view of
-    a zero buffer one stride x stride block of taps at a time; taps in a
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0,
+           silu: bool = False) -> Tensor:
+    """Dense strided conv, input [B,H,W,Cin], weight [k,k,Cin,Cout], with
+    ``silu`` applied to its output in the same node.
+
+    The forward never holds the whole im2col matrix, nor a padded copy of
+    the input.  It runs a block of output rows at a time, at most
+    ``_COLS_BYTES`` of columns, and holds whole images when they fit.  Each
+    block zero-pads only the input rows it reads into one slab buffer
+    (``padding=0`` windows the input itself), copies the ``_windows`` view
+    of that slab, in (k, k, Cin) order, into one column buffer, and GEMMs it
+    into its slice of the output; with ``silu`` it then applies the silu to
+    that slice in place, in the order of :meth:`Tensor.silu`.  OpenBLAS sums
+    each output element of a GEMM in the same order whatever its number of
+    rows, so the blocks reproduce one whole GEMM bit for bit
+    (``test_conv2d_row_blocks_match_one_gemm_bit_for_bit``).  That holds
+    while each block takes the blocked GEMM kernel: a one-row GEMM goes to
+    gemv and a very small one to a small-matrix kernel, which may round
+    differently.
+
+    The backward keeps the input, not the columns or the pre-activation,
+    and re-forms the columns once for the weight gradient as one whole GEMM,
+    by the tape's rule that a closure reads only its parents' data (see
+    :mod:`plainscan.tensor`).  With ``silu`` it first recomputes the
+    pre-activation from those columns and applies silu's backward, so the
+    output and all three gradients equal ``conv2d(...).silu()``'s bit for
+    bit.  The input gradient adds the column gradient into the view of a
+    zero buffer one stride x stride block of taps at a time; taps in a
     block never share an input cell, so each add is exact.
     """
     if x.data.ndim != 4:
@@ -154,27 +180,51 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0) -> Te
     B, H, W, Cin = x.shape
     k, _, _, Cout = w.shape
     K = k * k * Cin
-    # [B, Ho, Wo, k, k, Cin]: the column order of the weight matrix
-    win = _windows(x.data, k, stride, padding).transpose(0, 1, 2, 4, 5, 3)
-    Ho, Wo = win.shape[1:3]
+    Ho, Wo = ((n + 2 * padding - k) // stride + 1 for n in (H, W))
+    if Ho < 1 or Wo < 1:
+        raise ShapeError(f"conv2d input {x.shape} padded by {padding} is smaller than "
+                         f"its {k}x{k} kernel")
     wmat = w.data.reshape(K, Cout)
     out_data = np.empty((B, Ho, Wo, Cout), x.dtype)
     rows = max(1, _COLS_BYTES // (Wo * K * x.dtype.itemsize))
-    imgs, rows = max(1, rows // Ho), min(rows, Ho)  # whole images per block when they fit
-    blocks = [(slice(n, n + imgs), slice(r, r + rows))
-              for n in range(0, B, imgs) for r in range(0, Ho, rows)]
-    buf = np.empty(win[blocks[0]].size, x.dtype)  # the first block is the largest
-    for blk in blocks:
-        src, dst = win[blk], out_data[blk]
-        cols = buf[: src.size].reshape(src.shape)
-        np.copyto(cols, src)
-        np.matmul(cols.reshape(-1, K), wmat, out=dst.reshape(-1, Cout))
-        dst += b.data
-    _record(B * Ho * Wo * K * Cout)
+    imgs, rows = min(B, max(1, rows // Ho)), min(rows, Ho)  # whole images per block when they fit
+    if padding:  # each block's input rows, padded; its windows are a block's columns
+        slab = np.empty((imgs, (rows - 1) * stride + k, W + 2 * padding, Cin), x.dtype)
+        win = _windows(slab, k, stride, 0)
+    else:
+        win = _windows(x.data, k, stride, 0)
+    win = win.transpose(0, 1, 2, 4, 5, 3)  # [B, Ho, Wo, k, k, Cin]: the weight matrix's order
+    cols = np.empty((imgs, rows, Wo, k, k, Cin), x.dtype)
+    spare = cols.reshape(-1)
+    for n in range(0, B, imgs):
+        for r in range(0, Ho, rows):
+            dst = out_data[n : n + imgs, r : r + rows]
+            nb, rb = dst.shape[:2]
+            if padding:
+                _row_slab(slab[:nb, : (rb - 1) * stride + k], x.data[n : n + nb],
+                          r * stride - padding, padding)
+                src = win[:nb, :rb]
+            else:
+                src = win[n : n + nb, r : r + rb]
+            blk = cols[:nb, :rb]
+            np.copyto(blk, src)
+            np.matmul(blk.reshape(-1, K), wmat, out=dst.reshape(-1, Cout))
+            dst += b.data
+            if silu:  # x / (1 + exp(-x)) as Tensor.silu computes it, in the spent columns
+                flat = dst.reshape(-1)
+                for i in range(0, flat.size, spare.size):
+                    part = flat[i : i + spare.size]
+                    np.divide(part, _one_plus_exp_neg(part, out=spare[: part.size]), out=part)
+    _record(out_data.size * (K + 2 * silu))
 
     def bwd(g):
-        gflat = g.reshape(-1, Cout)
         cols = _windows(x.data, k, stride, padding).transpose(0, 1, 2, 4, 5, 3).reshape(-1, K)
+        if silu:
+            pre = cols @ wmat
+            pre += b.data
+            g = _silu_grad(pre.reshape(g.shape), g)
+            del pre
+        gflat = g.reshape(-1, Cout)
         w._accumulate((cols.T @ gflat).reshape(w.shape), fresh=True)
         del cols
         b._accumulate(gflat.sum(axis=0), fresh=True)

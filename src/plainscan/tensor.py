@@ -158,10 +158,11 @@ def _softplus(x):
     return out
 
 
-def _one_plus_exp_neg(x):
-    # 1 + exp(-x) in a new buffer.  Below exp's overflow edge (about -88.7
-    # in float32, -709.8 in float64) it is inf, so the overflow is expected.
-    out = np.negative(x)
+def _one_plus_exp_neg(x, out=None):
+    # 1 + exp(-x), in a new buffer unless ``out`` is given.  Below exp's
+    # overflow edge (about -88.7 in float32, -709.8 in float64) it is inf, so
+    # the overflow is expected.
+    out = np.negative(x, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -171,6 +172,17 @@ def _one_plus_exp_neg(x):
 def _sigmoid(x):
     out = _one_plus_exp_neg(x)
     return np.divide(1.0, out, out=out)
+
+
+def _silu_grad(x, g):
+    # g * s * (1 + x (1 - s)) with s = sigmoid(x), in that order, in two buffers
+    s = _sigmoid(x)
+    t = np.subtract(1.0, s)
+    np.multiply(x, t, out=t)
+    np.add(1.0, t, out=t)
+    np.multiply(g, s, out=s)
+    s *= t
+    return s
 
 
 class Tensor:
@@ -340,18 +352,8 @@ class Tensor:
         # x / inf, -0.0
         y = _one_plus_exp_neg(self.data)
         np.divide(self.data, y, out=y)
-
-        def bwd(g):
-            # g * s * (1 + x (1 - s)), in the same order, in two buffers
-            s = _sigmoid(self.data)
-            t = np.subtract(1.0, s)
-            np.multiply(self.data, t, out=t)
-            np.add(1.0, t, out=t)
-            np.multiply(g, s, out=s)
-            s *= t
-            self._accumulate(s, fresh=True)
-
-        return Tensor(y, (self,), backward=bwd)
+        return Tensor(y, (self,),
+                      backward=lambda g: self._accumulate(_silu_grad(self.data, g), fresh=True))
 
     def softplus(self):
         _record(self.size)

@@ -72,6 +72,9 @@ def test_grad_check_command(capsys):
     assert main(["grad-check", "--scope", "ops"]) == 0
     out = capsys.readouterr().out
     assert "matmul" in out and "max relative error" in out
+    # the dense conv, padded, stride 2, with its fused silu
+    errors = dict(line.split(": max relative error ") for line in out.splitlines())
+    assert float(errors["conv2d"]) <= 1e-5
 
 
 def test_grad_check_scan_scope_compares_with_the_oracle(capsys):

@@ -15,6 +15,7 @@ from plainscan.model import (
     bilinear_resample_matrix,
     check_params,
     param_spec,
+    stem_layers,
 )
 from plainscan.scan import keeps_history
 from plainscan.tensor import Tensor, no_grad
@@ -294,6 +295,27 @@ def test_stacked_stem_downsamples_by_16():
     assert tok.shape == (1, 2, 2, 8)
     out = model.forward(Tensor(np.zeros((1, 32, 32, 3)))).data
     assert out.shape == (1, 2) and np.isfinite(out).all()
+
+
+def test_taped_stem_keeps_one_array_per_layer():
+    # Each stem conv and the silu after it are one node, which keeps only its
+    # input: below the token grid the tape holds the four stem nodes alone,
+    # each the previous one's child, and no pre-activation between them.
+    cfg = get_config("L1", depth=1)
+    model = Model(cfg, seed=0)
+    images = Tensor(np.random.default_rng(8).uniform(-1, 1, (1, 224, 224, 3)).astype(np.float32))
+    tok = model.tokenize(images)._parents[0]  # the grid before the position embedding
+    nodes, stack = [], [tok]
+    while stack:
+        t = stack.pop()
+        if t._parents:
+            nodes.append(t)
+            stack.append(t._parents[0])
+    layers = [name for name, *_ in stem_layers(cfg)][::-1]
+    assert len(nodes) == len(layers)
+    for node, below, name in zip(nodes, nodes[1:] + [images], layers):
+        assert node._parents == (below, model.params[f"{name}.weight"],
+                                 model.params[f"{name}.bias"]), name
 
 
 def test_block_with_zero_out_proj_is_identity():

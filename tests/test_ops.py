@@ -264,6 +264,13 @@ def test_conv2d_exact_output_and_gradients(k, stride, padding):
     assert _rel_err(bt.grad, want_gb) < 1e-12
 
 
+def test_conv2d_rejects_an_input_smaller_than_its_kernel():
+    x, w, b = Tensor(np.zeros((1, 2, 9, 3))), Tensor(np.zeros((5, 5, 3, 4))), Tensor(np.zeros(4))
+    with pytest.raises(ShapeError, match="smaller than its 5x5 kernel"):
+        ops.conv2d(x, w, b, stride=1, padding=1)
+    assert ops.conv2d(x, w, b, stride=1, padding=2).shape == (1, 2, 9, 4)
+
+
 def test_conv2d_grad():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((1, 6, 6, 2)), name="x")
@@ -289,6 +296,8 @@ def _whole_gemm_conv(x, w, b, stride, padding):
     ((2, 18, 26, 3), 8, 8, 0, 4),
     ((2, 18, 26, 3), 3, 1, 1, 4),
     ((1, 56, 56, 96), 3, 2, 1, 192),  # the second L1 stem conv at 224
+    ((2, 17, 25, 3), 3, 2, 1, 4),  # the last block's slab ends in the bottom padding
+    ((2, 17, 25, 3), 5, 2, 2, 4),  # two rows of padding on each side
 ])
 @pytest.mark.parametrize("rows", [0.5, 2, "image-1", "image"])
 def test_conv2d_row_blocks_match_one_gemm_bit_for_bit(monkeypatch, shape, k, stride, padding,
@@ -301,37 +310,80 @@ def test_conv2d_row_blocks_match_one_gemm_bit_for_bit(monkeypatch, shape, k, str
     ho, wo = want.shape[1:3]
     rows = {"image-1": ho - 1, "image": ho}.get(rows, rows)  # image-1 ends a block mid-image
     monkeypatch.setattr(ops, "_COLS_BYTES", int(rows * wo * k * k * shape[3] * 8))
+    row_slab, slabs = ops._row_slab, []  # padding 0 windows the input itself
+    monkeypatch.setattr(ops, "_row_slab", lambda *a: slabs.append(a[2]) or row_slab(*a))
     out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
     assert np.array_equal(out.view(np.int64), want.view(np.int64)), (
         "conv2d's row blocks differ from one whole GEMM: either a block misses rows, or this "
         "BLAS sums a GEMM's output rows in an order that depends on how many rows it gets"
     )
+    assert bool(slabs) == bool(padding)
+
+
+_FLOAT_BITS = {np.float32: np.int32, np.float64: np.int64}
+
+
+@pytest.mark.parametrize("dtype", _FLOAT_BITS)
+@pytest.mark.parametrize("shape, rows", [
+    ((2, 18, 26, 3), 4),  # 9 output rows: blocks of 4, 4 and 1
+    ((2, 18, 26, 3), 1),  # one output row per block
+    ((3, 18, 26, 3), 18),  # two whole images, then one
+    ((2, 17, 25, 3), 3),  # the first slab starts, and the last ends, in the padding
+], ids=["uneven", "one-row", "whole-images-batch-3", "slab-in-padding"])
+def test_conv2d_with_silu_matches_conv2d_then_silu_bit_for_bit(monkeypatch, dtype, shape, rows):
+    # The fused node in row blocks against conv2d then Tensor.silu in one
+    # block; the fused backward recomputes the pre-activation from its columns.
+    B, H, W, _ = shape
+    ho, wo = (H - 1) // 2 + 1, (W - 1) // 2 + 1
+    rng = np.random.default_rng(15)
+    x, w, b, g = (rng.standard_normal(s).astype(dtype)
+                  for s in (shape, (3, 3, 3, 5), (5,), (B, ho, wo, 5)))  # g weights the output
+
+    def run(silu):
+        xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+        y = ops.conv2d(xt, wt, bt, stride=2, padding=1, silu=silu)
+        y = y if silu else y.silu()
+        y.backward(g)
+        return [y.data, xt.grad, wt.grad, bt.grad]
+
+    assert ops._COLS_BYTES >= B * ho * wo * 27 * x.itemsize
+    want = run(False)
+    monkeypatch.setattr(ops, "_COLS_BYTES", rows * wo * 27 * x.itemsize)
+    for name, got, ref in zip(("out", "x", "w", "b"), run(True), want):
+        assert got.dtype == dtype and got.shape == ref.shape, name
+        assert np.array_equal(got.view(_FLOAT_BITS[dtype]), ref.view(_FLOAT_BITS[dtype])), name
 
 
 def test_conv2d_keeps_no_columns_after_its_forward():
+    # Beside its output, the forward holds one block of columns and one
+    # block's padded input rows, never a padded copy of the whole input; the
+    # silu runs in the spent columns, and a taped node keeps only its output.
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((1, 56, 56, 96)))
     w = Tensor(rng.standard_normal((3, 3, 96, 192)))
     b = Tensor(rng.standard_normal(192))
     out_bytes = 28 * 28 * 192 * 8
-    padded_bytes = 58 * 58 * 96 * 8
+    rows = ops._COLS_BYTES // (28 * 864 * 8)
+    slab_bytes = (2 * (rows - 1) + 3) * 58 * 96 * 8
     slack = 64 << 10
     assert ops._COLS_BYTES < 28 * 28 * 864 * 8  # the whole columns exceed one block
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = ops.conv2d(x, w, b, stride=2, padding=1)  # taped
-        kept = tracemalloc.get_traced_memory()[0] - before
-        del out
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        with no_grad():
-            out = ops.conv2d(x, w, b, stride=2, padding=1)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert kept <= out_bytes + slack
-    assert peak <= out_bytes + padded_bytes + ops._COLS_BYTES + slack
+    for silu in (False, True):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(x, w, b, stride=2, padding=1, silu=silu)  # taped
+            kept = tracemalloc.get_traced_memory()[0] - before
+            del out
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = ops.conv2d(x, w, b, stride=2, padding=1, silu=silu)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            del out
+        finally:
+            tracemalloc.stop()
+        assert kept <= out_bytes + slack, silu
+        assert peak <= out_bytes + slab_bytes + ops._COLS_BYTES + slack, silu
 
 
 def test_linear_matches_manual():
@@ -375,6 +427,8 @@ _OPS = {  # the op on x [2, 5, 5, 4], w and b, and the shapes of w and b
     "layernorm": (lambda x, w, b: ops.layernorm(x, w, b), (4,), (4,)),
     "depthwise_conv2d": (lambda x, w, b: ops.depthwise_conv2d(x, w), (3, 3, 4), None),
     "conv2d": (lambda x, w, b: ops.conv2d(x, w, b, stride=2, padding=1), (3, 3, 4, 2), (2,)),
+    "conv2d_silu": (lambda x, w, b: ops.conv2d(x, w, b, stride=2, padding=1, silu=True),
+                    (3, 3, 4, 2), (2,)),
     "linear": (lambda x, w, b: ops.linear(x, w, b), (4, 2), (2,)),
     "cross_entropy": (lambda x, w, b: ops.cross_entropy(x.reshape(50, 4), np.arange(50) % 4),
                       None, None),
