@@ -104,8 +104,7 @@ def forward_stages(cfg: ModelConfig, resolution):
     op and their activation's input and output, ``gate`` holds both of its
     operands, the silu and the product, and ``scan`` also holds the K = 4
     per-path copies of its output; it gathers the paths' copies of its inputs
-    a segment of steps at a time, and those segments are left out, as its
-    block buffers are."""
+    a block of steps at a time, and those block buffers are left out."""
     resolution, n = _check_resolution(resolution, cfg.patch)
     d, di, m, r, k = cfg.d_model, cfg.d_inner, cfg.state_size, cfg.rank, _CONV_K
     h, w = resolution

@@ -88,6 +88,8 @@ def cmd_curve(args):
     if not sides:
         raise ConfigError("no resolutions given")
     configs = [get_config(c) for c in args.configs.split(",") if c]
+    if not configs:
+        raise ConfigError("no configs given")
     rows = analysis.scaling_curve(configs + [analysis.DEIT_C224], sides)
     w = csv.writer(sys.stdout)
     w.writerow(["model", "resolution", "token_mixing", "channel_mixing",

@@ -149,11 +149,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0,
     The forward never holds the whole im2col matrix, nor a padded copy of
     the input.  It runs a block of output rows at a time, at most
     ``_COLS_BYTES`` of columns, and holds whole images when they fit.  Each
-    block zero-pads only the input rows it reads into one slab buffer
-    (``padding=0`` windows the input itself), copies the ``_windows`` view
-    of that slab, in (k, k, Cin) order, into one column buffer, and GEMMs it
-    into its slice of the output; with ``silu`` it then applies the silu to
-    that slice in place, in the order of :meth:`Tensor.silu`.  OpenBLAS sums
+    block zero-pads only the input rows it reads into one slab buffer,
+    copies the ``_windows`` view of that slab, in (k, k, Cin) order, into
+    one column buffer, and GEMMs it into its slice of the output; with
+    ``silu`` it then applies the silu to that slice in place, in the order
+    of :meth:`Tensor.silu`.  OpenBLAS sums
     each output element of a GEMM in the same order whatever its number of
     rows, so the blocks reproduce one whole GEMM bit for bit
     (``test_conv2d_row_blocks_match_one_gemm_bit_for_bit``).  That holds
@@ -188,26 +188,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0,
     out_data = np.empty((B, Ho, Wo, Cout), x.dtype)
     rows = max(1, _COLS_BYTES // (Wo * K * x.dtype.itemsize))
     imgs, rows = min(B, max(1, rows // Ho)), min(rows, Ho)  # whole images per block when they fit
-    if padding:  # each block's input rows, padded; its windows are a block's columns
-        slab = np.empty((imgs, (rows - 1) * stride + k, W + 2 * padding, Cin), x.dtype)
-        win = _windows(slab, k, stride, 0)
-    else:
-        win = _windows(x.data, k, stride, 0)
-    win = win.transpose(0, 1, 2, 4, 5, 3)  # [B, Ho, Wo, k, k, Cin]: the weight matrix's order
+    # each block's input rows, padded; its windows are a block's columns
+    slab = np.empty((imgs, (rows - 1) * stride + k, W + 2 * padding, Cin), x.dtype)
+    win = _windows(slab, k, stride, 0).transpose(0, 1, 2, 4, 5, 3)  # the weight matrix's order
     cols = np.empty((imgs, rows, Wo, k, k, Cin), x.dtype)
     spare = cols.reshape(-1)
     for n in range(0, B, imgs):
         for r in range(0, Ho, rows):
             dst = out_data[n : n + imgs, r : r + rows]
             nb, rb = dst.shape[:2]
-            if padding:
-                _row_slab(slab[:nb, : (rb - 1) * stride + k], x.data[n : n + nb],
-                          r * stride - padding, padding)
-                src = win[:nb, :rb]
-            else:
-                src = win[n : n + nb, r : r + rb]
+            _row_slab(slab[:nb, : (rb - 1) * stride + k], x.data[n : n + nb],
+                      r * stride - padding, padding)
             blk = cols[:nb, :rb]
-            np.copyto(blk, src)
+            np.copyto(blk, win[:nb, :rb])
             np.matmul(blk.reshape(-1, K), wmat, out=dst.reshape(-1, Cout))
             dst += b.data
             if silu:  # x / (1 + exp(-x)) as Tensor.silu computes it, in the spent columns

@@ -18,13 +18,12 @@ contractions with C, runs once per block of T consecutive steps, and only
 the recurrence itself runs step by step.  T is ``block_steps``: as many
 steps as let the loop's block buffers fit ``_BLOCK_BYTES``, which keeps
 them in cache, so the forward, with two or three buffers, runs longer
-blocks than the backward, with seven and a history slice.  Each loop
-gathers its time-major inputs a segment of whole blocks at a time, about
-sqrt(n) steps (``segment_steps``), into buffers it reuses, so beside the
-grids it holds whole time-major arrays only for what it sums on the grid:
-the forward's per-path outputs and the backward's input gradients.  The
-results are bit-identical for every T and every segment length, since
-each value is the same product or sum as at T = 1.  Taped, the forward
+blocks than the backward, with seven and a history slice.  Each block
+gathers its own time-major inputs into buffers its loop reuses, so beside
+the grids a loop holds whole time-major arrays only for what it sums on
+the grid: the forward's per-path outputs and the backward's input
+gradients.  The results are bit-identical for every T, since each value
+is the same product or sum as at T = 1.  Taped, the forward
 keeps its whole state history while that fits in ``_HISTORY_BYTES``
 (``keeps_history``), and otherwise no states, as under ``no_grad``; a
 backward whose forward kept none first rebuilds the history with the
@@ -41,7 +40,6 @@ on the tape and sums the results on the grid: the oracle for the 2D scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +76,6 @@ def block_steps(state_bytes, buffers):
     ``[T, ...]`` buffers of states of this many bytes: as many as fit
     ``_BLOCK_BYTES``, and at least one."""
     return max(1, _BLOCK_BYTES // (buffers * state_bytes))
-
-
-def segment_steps(n, block):
-    """Steps of the 2D scan's inputs that a loop of blocks of ``block`` steps
-    gathers at once, of an n-step sequence: about sqrt(n), so that neither
-    the segments nor their count grow as fast as n, rounded up to whole
-    blocks."""
-    return -(-(math.isqrt(n - 1) + 1) // block) * block
 
 
 def decay_rates_valid(A):
@@ -232,14 +222,13 @@ def direction_aware_scan_2d(
     The paths are permutations, so the forward gathers each input into its
     time-major order, and the backward gathers ``g`` by each order and
     returns the input gradients to the grid by the inverse orders and a sum
-    over K; no scatter-add.  Each loop gathers those rows a segment of
-    ``segment_steps`` steps at a time, about sqrt(n) rounded up to whole
-    blocks, into one set of ``[U, S, k]`` buffers that every segment
-    reuses: the forward's die with its loop, and the backward gathers its
-    own, with g's, from the grids.  The per-path outputs and the input
-    gradients stay whole ``[n, S, k]`` arrays, because the un-permute sums
-    one cell's K paths in path order, and those arrive in different
-    segments.  Theta's gradient is B's, summed per direction label.
+    over K; no scatter-add.  Each block gathers its own rows into one set of
+    ``[T, S, k]`` buffers that every block of its loop reuses: the
+    forward's die with its loop, and the backward gathers its own, with
+    g's, from the grids.  The per-path outputs and the input gradients stay
+    whole ``[n, S, k]`` arrays, because the un-permute sums one cell's K
+    paths in path order, and those arrive in different blocks.  Theta's
+    gradient is B's, summed per direction label.
 
     Step i computes ``e = expm1(delta_i A)``, ``p_i = h_{i-1} + B_i x_i / A``,
     ``h_i = h_{i-1} + e p_i`` (that is, ``exp(z) h_{i-1} + expm1(z)/A B_i
@@ -299,7 +288,7 @@ def direction_aware_scan_2d(
         return total.transpose(1, 0, 2).reshape(shape)
 
     def step_inputs():
-        # what every segment's gather reads, derived from the parents' data
+        # what every block's gather reads, derived from the parents' data
         # once a call: the grids as [L n, k] rows (B and C are slices of
         # x_proj's output, so this copies them), each step's Theta[direction]
         # rows, and A^T and 1 / A^T, each [m, d]
@@ -308,32 +297,21 @@ def direction_aware_scan_2d(
         a_t = np.ascontiguousarray(A.data.T)
         return grids, Theta.data[labels][:, :, None, :], a_t, 1.0 / a_t
 
-    def gather(grids, theta, bufs, s0, u):
-        # steps s0 .. s0 + u - 1 of delta, x, B + Theta[direction] and C (and
-        # of g, if given) in the paths' order, time-major, into the first u
-        # rows of each [U, S, k] buffer.  rows is time-major, so they are one
+    def gather(grids, theta, bufs, s, t):
+        # steps s .. s + t - 1 of delta, x, B + Theta[direction] and C (and
+        # of g, if given) in the paths' order, time-major, into the first t
+        # rows of each [T, S, k] buffer.  rows is time-major, so they are one
         # slice of it; in "raise" mode take would buffer its output.
-        r = rows[s0 * S:(s0 + u) * S]
-        seg = [buf[:u] for buf in bufs]
-        for a, out in zip(grids, seg):
-            a.take(r, 0, out.reshape(u * S, -1), "clip")
-        b_paths = seg[2].reshape(u, K, L, m)  # a view of the segment's B
-        b_paths += theta[s0:s0 + u]
-        return seg
+        r = rows[s * S:(s + t) * S]
+        blk = [buf[:t] for buf in bufs]
+        for a, out in zip(grids, blk):
+            a.take(r, 0, out.reshape(t * S, -1), "clip")
+        b_paths = blk[2].reshape(t, K, L, m)  # a view of the block's B
+        b_paths += theta[s:s + t]
+        return blk
 
     dt = x_grid.dtype  # the buffers' dtype, whose itemsize sizes blocks and the history
     state_bytes = dt.itemsize * S * m * d
-
-    def segments(buffers):
-        # (first step, steps, blocks) of each segment that a loop of this many
-        # block buffers gathers, with the (first step, steps) of its blocks
-        T = block_steps(state_bytes, buffers)
-        U = segment_steps(n, T)
-        out = []
-        for s0 in range(0, n, U):
-            s1 = min(s0 + U, n)
-            out.append((s0, s1 - s0, [(s, min(T, s1 - s)) for s in range(s0, s1, T)]))
-        return out
 
     def history():  # the zero start state, then step s's state at row s + 1
         hs = np.empty((n + 1, S, m, d), dt)
@@ -343,41 +321,39 @@ def direction_aware_scan_2d(
     # taped, the history the backward reads, unless it is past the budget
     hist = history() if grad_enabled() and keeps_history(n, state_bytes) else None
     # e and p, and the states unless they go into the history; a backward
-    # that rebuilds the history runs these segments too
-    fwd_segments = segments(3 if hist is None else 2)
+    # that rebuilds the history runs these blocks too
+    fwd_T = block_steps(state_bytes, 3 if hist is None else 2)
 
     def run(inputs, hs=None, ys=None):
-        # every step from the zero state, a segment and within it a block at
-        # a time: step s's state goes to hs[s + 1] or, without hs, to a block
-        # buffer
+        # every step from the zero state, a block at a time: step s's state
+        # goes to hs[s + 1] or, without hs, to a block buffer
         grids, theta, a_t, inv_a = inputs
-        U, T = fwd_segments[0][1], fwd_segments[0][2][0][1]  # the first is the longest
-        bufs = [np.empty((U, S, a.shape[1]), dt) for a in grids]
+        T = fwd_T
+        bufs = [np.empty((T, S, a.shape[1]), dt) for a in grids]
         eb, pb = np.empty((T, S, m, d), dt), np.empty((T, S, m, d), dt)
         hb = np.empty((T, S, m, d), dt) if hs is None else None
         h_prev = 0.0
-        for s0, u, blocks in fwd_segments:
-            ds, xs, bs, cs = gather(grids, theta, bufs, s0, u)
-            for s, t in blocks:
-                i = slice(s - s0, s - s0 + t)  # the block's rows in the segment
-                e, p = eb[:t], pb[:t]
-                h = hb[:t] if hs is None else hs[s + 1:s + 1 + t]
-                np.einsum("...d,md->...md", ds[i], a_t, out=e)
-                np.expm1(e, out=e)
-                # p = h_{i-1} + B x / A, and h_i = h_{i-1} + expm1(z) p
-                np.einsum("...m,...d->...md", bs[i], xs[i], out=p)
-                p *= inv_a
-                for j in range(t):
-                    if s + j:
-                        p[j] += h_prev
-                    p[j] *= e[j]
-                    np.add(h_prev, p[j], out=h[j])
-                    h_prev = h[j]
-                if ys is not None:
-                    ys[s:s + t] = np.matmul(cs[i, :, None, :], h)[:, :, 0]
+        for s in range(0, n, T):
+            t = min(T, n - s)
+            ds, xs, bs, cs = gather(grids, theta, bufs, s, t)
+            e, p = eb[:t], pb[:t]
+            h = hb[:t] if hs is None else hs[s + 1:s + 1 + t]
+            np.einsum("...d,md->...md", ds, a_t, out=e)
+            np.expm1(e, out=e)
+            # p = h_{i-1} + B x / A, and h_i = h_{i-1} + expm1(z) p
+            np.einsum("...m,...d->...md", bs, xs, out=p)
+            p *= inv_a
+            for j in range(t):
+                if s + j:
+                    p[j] += h_prev
+                p[j] *= e[j]
+                np.add(h_prev, p[j], out=h[j])
+                h_prev = h[j]
+            if ys is not None:
+                ys[s:s + t] = np.matmul(cs[:, :, None, :], h)[:, :, 0]
 
     ys = np.empty((n, S, d), dt)
-    # the segment buffers die with this call; the backward gathers its own
+    # the block buffers die with this call; the backward gathers its own
     run(step_inputs(), hist, ys)
     # Metered as the unfused ZOH of B and of Theta_k plus A_bar*h and C*h, the
     # convention of the blocks.i.scan row of analysis.forward_stages.
@@ -403,60 +379,57 @@ def direction_aware_scan_2d(
         gb, gc = np.empty((n, S, m), dt), np.empty((n, S, m), dt)
         ga = np.zeros((S, m, d), dt)
         # seven block buffers, and the slice of the history a block reads
-        bwd_segments = segments(8)
-        U, T = bwd_segments[0][1], bwd_segments[0][2][0][1]
-        bufs = [np.empty((U, S, a.shape[1]), dt) for a in grids]
+        T = block_steps(state_bytes, 8)
+        bufs = [np.empty((T, S, a.shape[1]), dt) for a in grids]
         qb, ab, a_nb, cgb, lb, vb, rb = (np.empty((T, S, m, d), dt) for _ in range(7))
         z_min = -a_t.max(axis=0)  # the smallest |z| of each channel per unit delta
         lam_next, a_next = 0.0, 0.0  # lam and A_bar of the step after the block
-        for s0, u, blocks in bwd_segments[::-1]:
-            ds, xs, bs, cs, gs = gather(grids, theta, bufs, s0, u)
-            # the steps with some |z| below phi's series switch
-            near0 = ((ds * z_min).min(axis=(1, 2)) < _SERIES_BELOW).tolist()
-            for s, t in blocks[::-1]:
-                # the block's rows in the segment, and in the whole sequence
-                i, k = slice(s - s0, s - s0 + t), slice(s, s + t)
-                d_row = ds[i, :, None, :]
-                h = hs[s:s + t + 1]  # the states s - 1 .. s + t - 1
-                h_prev = h[:-1]
-                gc[k] = np.matmul(h[1:], gs[i, :, :, None])[..., 0]
-                q, a, cg, lam, v, r = qb[:t], ab[:t], cgb[:t], lb[:t], vb[:t], rb[:t]
-                np.einsum("...m,...d->...md", bs[i], xs[i], out=v)
-                np.einsum("...d,md->...md", ds[i], a_t, out=q)  # z, until its expm1
-                near = any(near0[i])
-                if near:
-                    small = np.abs(q) < _SERIES_BELOW
-                    dz = np.broadcast_to(d_row, q.shape)[small]
-                    series = _phi_prime(q[small]) * dz * dz * v[small]
-                np.expm1(q, out=q)
-                np.add(q, 1.0, out=a)  # exp(z)
-                q *= inv_a  # du/d(B x)
-                np.einsum("...m,...d->...md", cs[i], gs[i], out=cg)
-                # lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}, the adjoint's recurrence
-                for j in range(t - 1, -1, -1):
-                    np.multiply(lam_next, a_next, out=lam[j])
-                    lam[j] += cg[j]
-                    lam_next, a_next = lam[j], a[j]
-                w = np.multiply(q, lam, out=cg)
-                gx[k] = np.matmul(bs[i, :, None, :], w)[:, :, 0]
-                gb[k] = np.matmul(w, xs[i, :, :, None])[..., 0]
-                v *= inv_a
-                # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
-                np.add(h_prev, v, out=r)
-                r *= a
-                r *= lam
-                gd[k] = np.einsum("tlmd,md->tld", r, a_t)
-                # dh_i/dA = delta exp(z) p - expm1(z)/A B x / A, which cancels
-                # near z = 0: there it is delta exp(z) h_{i-1} + delta^2 phi'(z) B x
-                r *= d_row
-                w *= v
-                r -= w
-                if near:
-                    r[small] = lam[small] * (dz * a[small] * h_prev[small] + series)
-                for j in range(t - 1, -1, -1):
-                    ga += r[j]
-                # a_next is this block's first A_bar: the next block writes the other buffer
-                ab, a_nb = a_nb, ab
+        for s in range(0, n, T)[::-1]:
+            t = min(T, n - s)
+            i = slice(s, s + t)
+            ds, xs, bs, cs, gs = gather(grids, theta, bufs, s, t)
+            d_row = ds[:, :, None, :]
+            h = hs[s:s + t + 1]  # the states s - 1 .. s + t - 1
+            h_prev = h[:-1]
+            gc[i] = np.matmul(h[1:], gs[..., None])[..., 0]
+            q, a, cg, lam, v, r = qb[:t], ab[:t], cgb[:t], lb[:t], vb[:t], rb[:t]
+            np.einsum("...m,...d->...md", bs, xs, out=v)
+            np.einsum("...d,md->...md", ds, a_t, out=q)  # z, until its expm1
+            # whether some step has some |z| below phi's series switch
+            near = (ds * z_min).min() < _SERIES_BELOW
+            if near:
+                small = np.abs(q) < _SERIES_BELOW
+                dz = np.broadcast_to(d_row, q.shape)[small]
+                series = _phi_prime(q[small]) * dz * dz * v[small]
+            np.expm1(q, out=q)
+            np.add(q, 1.0, out=a)  # exp(z)
+            q *= inv_a  # du/d(B x)
+            np.einsum("...m,...d->...md", cs, gs, out=cg)
+            # lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}, the adjoint's recurrence
+            for j in range(t - 1, -1, -1):
+                np.multiply(lam_next, a_next, out=lam[j])
+                lam[j] += cg[j]
+                lam_next, a_next = lam[j], a[j]
+            w = np.multiply(q, lam, out=cg)
+            gx[i] = np.matmul(bs[:, :, None, :], w)[:, :, 0]
+            gb[i] = np.matmul(w, xs[..., None])[..., 0]
+            v *= inv_a
+            # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
+            np.add(h_prev, v, out=r)
+            r *= a
+            r *= lam
+            gd[i] = np.einsum("tlmd,md->tld", r, a_t)
+            # dh_i/dA = delta exp(z) p - expm1(z)/A B x / A, which cancels
+            # near z = 0: there it is delta exp(z) h_{i-1} + delta^2 phi'(z) B x
+            r *= d_row
+            w *= v
+            r -= w
+            if near:
+                r[small] = lam[small] * (dz * a[small] * h_prev[small] + series)
+            for j in range(t - 1, -1, -1):
+                ga += r[j]
+            # a_next is this block's first A_bar: the next block writes the other buffer
+            ab, a_nb = a_nb, ab
         gx = to_grid(gx, x_grid.shape)
         gx += g * (K * D.data)
         g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x_grid.data.reshape(-1, d))

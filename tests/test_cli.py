@@ -232,6 +232,16 @@ def test_non_positive_resolution_exits_1(capsys, argv):
     assert "must be positive" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["curve", "--resolutions", ",", "--configs", "L1"], "no resolutions given"),
+    (["curve", "--resolutions", "224", "--configs", ","], "no configs given"),
+], ids=["resolutions", "configs"])
+def test_curve_with_an_empty_list_exits_1(capsys, argv, missing):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert missing in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("entry", ["abc", "16.5"])
 def test_non_integer_resolution_exits_1_naming_the_entry(capsys, entry):
     assert main(["curve", "--resolutions", f"224,{entry}"]) == 1

@@ -388,8 +388,9 @@ def test_no_grad_node_at_l1_grid_56_peaks_below_two_time_major_arrays():
     # L1's float32 node on a 56x56 grid, an 896x896 image (d_inner 384, m
     # 16, B and C slices of x_proj's output): past its inputs it holds the
     # K per-path outputs ys, one [n, S, d] array, and the un-permute's sum
-    # on the grid and its temporary, a quarter of one each.  Its segments of
-    # about sqrt(n) steps and its block buffers come to a few percent of one.
+    # on the grid and its temporary, a quarter of one each.  Its block
+    # buffers, the gathered inputs of one block included, come to a few
+    # percent of one.
     rng = np.random.default_rng(26)
     side, d, m, rank = 56, 384, 16, 12
     proj = rng.standard_normal((1, side, side, rank + 2 * m)).astype(np.float32)
@@ -412,7 +413,7 @@ def test_no_grad_node_at_l1_grid_56_peaks_below_two_time_major_arrays():
 
 def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
     # with no history budget the taped node keeps no states, so it peaks
-    # where the no_grad forward does: in its loop, which holds one segment of
+    # where the no_grad forward does: in its loop, which holds one block of
     # the gathered delta, x, B and C, each step's Theta[direction] rows, the
     # outputs ys and three [T, S, m, d] block buffers.  Besides those it
     # holds index arrays, A^T and 1 / A^T, and a block's matmul output and
@@ -436,9 +437,9 @@ def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
             tracemalloc.stop()
     assert np.array_equal(outs[1], outs[0])
     T = scan_module.block_steps(state, 3)
-    segment = 8 * scan_module.segment_steps(n, T) * S * (2 * d + 2 * m)
+    block = 8 * T * S * (2 * d + 2 * m)
     theta, ys = 8 * n * S * m, 8 * n * S * d
-    held = segment + theta + ys + 3 * T * state
+    held = block + theta + ys + 3 * T * state
     assert held <= peaks[1] <= held + 128 * 1024, f"no_grad peak {peaks[1] - held} B above held"
     kept = peaks[0] - peaks[1]
     assert kept <= 64 * 1024, f"taped keeps {kept} B more than no_grad"
@@ -447,8 +448,10 @@ def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
 def _scan_case(rng, lead, kind, d=3, m=4):
     """Grids, core and output weight; near-zero kinds put every |z| below 1e-4,
     "mixed" moves every other state's A well clear of that switch,
-    "near-zero-row" puts only the grid's second row below it, and
-    "signed-zero" sets half of x and of B to -0.0."""
+    "near-zero-row" puts only the grid's second row below it and every other
+    |z| a few times above it, so that A's gradient is small enough for the
+    second row's series entries to set some of its bits, and "signed-zero"
+    sets half of x and of B to -0.0."""
     x, b, c = (Tensor(rng.standard_normal((*lead, k))) for k in (d, m, m))
     if kind == "signed-zero":
         x.data[..., ::2] = -0.0
@@ -456,6 +459,7 @@ def _scan_case(rng, lead, kind, d=3, m=4):
     if kind in ("random", "signed-zero", "near-zero-row"):
         delta = Tensor(rng.uniform(0.01, 1.5, (*lead, d)))
         if kind == "near-zero-row":
+            delta.data[...] = rng.uniform(5e-3, 1e-2, delta.shape)
             delta.data[..., 1, :, :] = rng.uniform(1e-6, 2e-6, delta.data[..., 1, :, :].shape)
         A = Tensor(-np.abs(rng.standard_normal((d, m))) - 0.05)
         D = Tensor(rng.standard_normal(d))
@@ -469,28 +473,21 @@ def _scan_case(rng, lead, kind, d=3, m=4):
     return x, b, c, delta, core, Tensor(rng.standard_normal((*lead, d)))
 
 
-_SEGMENT_STEPS = scan_module.segment_steps
-
-
-def _force_segments(monkeypatch, steps):
-    """Every loop of the 2D scan gathers segments of this many steps; at None
-    the node's own rule, about sqrt(n) rounded up to whole blocks."""
-    monkeypatch.setattr(scan_module, "segment_steps",
-                        _SEGMENT_STEPS if steps is None else lambda n, block: steps)
-
-
 def _same_bits(got, want):
     """Equal as integers: equal values, zero signs and NaN payloads alike."""
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _series_steps_straddle_a_boundary(lead, steps):
-    """Whether, in a near-zero-row case, some step with |z| below the series
-    switch and the step before it fall in two segments of this many steps."""
+def _near_blocks_border_plain_ones(lead, steps):
+    """Whether, in a near-zero-row case, the backward's blocks of this many
+    steps have a block with some |z| below the series switch right after a
+    block with none, and one right before a block with none: so a block
+    that took either neighbour's series test would skip its own series."""
     H, W = lead[-2:]
     order = np.stack([p.order for p in generate_continuous_paths(H, W).paths])
     near = np.isin(order, range(W, 2 * W)).any(axis=0)  # per step: some path in row 1
-    return any(near[s - 1] and near[s] for s in range(steps, H * W, steps))
+    blocks = [bool(near[s:s + steps].any()) for s in range(0, H * W, steps)]
+    return {(False, True), (True, False)} <= set(zip(blocks, blocks[1:]))
 
 
 @pytest.mark.parametrize("lead, kind", [
@@ -507,8 +504,6 @@ def test_kept_or_rebuilt_history_leaves_output_and_gradients_bit_identical(lead,
     # budget runs twice, once with another node's forward and backward on
     # other data between the forward and its backward: the backward must
     # gather from its own parents, not reuse rows from the last forward.
-    # Every run gathers segments of the node's own length, of one step, of
-    # 4 steps (an uneven split of 15 or 35) and of the whole sequence.
     x, b, c, delta, core, weight = _scan_case(np.random.default_rng(18), lead, kind)
     other = _scan_case(np.random.default_rng(20), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
@@ -520,22 +515,18 @@ def test_kept_or_rebuilt_history_leaves_output_and_gradients_bit_identical(lead,
         monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
         kept = scan_module.keeps_history(n, state)
         for between in (False, True):
-            for steps in (None, 1, 4, n):
-                _force_segments(monkeypatch, steps)
-                for t in leaves:
-                    t.grad = None
-                y = direction_aware_scan_2d(x, b, c, delta, core, ps)
-                if between:
-                    (direction_aware_scan_2d(*other[:5], ps) * other[5]).sum().backward()
-                (y * weight).sum().backward()
-                runs[kept, between, steps] = [y.data] + [t.grad for t in leaves]
-    assert {key[:2] for key in runs} == {(False, False), (False, True), (True, False), (True, True)}
-    if kind == "near-zero-row":
-        assert _series_steps_straddle_a_boundary(lead, 4)
-    want = runs[True, False, None]
+            for t in leaves:
+                t.grad = None
+            y = direction_aware_scan_2d(x, b, c, delta, core, ps)
+            if between:
+                (direction_aware_scan_2d(*other[:5], ps) * other[5]).sum().backward()
+            (y * weight).sum().backward()
+            runs[kept, between] = [y.data] + [t.grad for t in leaves]
+    assert set(runs) == {(False, False), (False, True), (True, False), (True, True)}
+    want = runs[True, False]
     for key, arrays in runs.items():
         for got, ref in zip(arrays, want):
-            assert _same_bits(got, ref), f"(history kept, other node between, segment) {key}"
+            assert _same_bits(got, ref), f"(history kept, other node between) {key}"
 
 
 @pytest.mark.parametrize("lead, kind", [
@@ -548,10 +539,7 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
     # buffers), where the backward rebuilds the history with the forward's
     # blocks; the backward holds 8.  That makes the forward's T differ from
     # the backward's, with ragged last blocks on either side, and at 8 (n +
-    # 1) both cover the whole sequence.  Each pair of T runs with the node's
-    # own segments, whole blocks of about sqrt(n) steps, and with segments of
-    # one step, of 4 steps (an uneven split of 15, which cuts some blocks
-    # short) and of the whole sequence.  Every run must give the arithmetic
+    # 1) both cover the whole sequence.  Every run must give the arithmetic
     # of T = 1, zero signs included, and no_grad the taped output.
     x, b, c, delta, core, weight = _scan_case(np.random.default_rng(23), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
@@ -566,35 +554,33 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
             monkeypatch.setattr(scan_module, "_BLOCK_BYTES", states * state)
             steps = scan_module.block_steps(state, forward), scan_module.block_steps(state, 8)
             assert steps == (max(1, states // forward), max(1, states // 8))
-            for segment in (None, 1, 4, n):
-                _force_segments(monkeypatch, segment)
-                for t in leaves:
-                    t.grad = None
-                y = direction_aware_scan_2d(x, b, c, delta, core, ps)
-                (y * weight).sum().backward()
-                with no_grad():
-                    free = direction_aware_scan_2d(x, b, c, delta, core, ps)
-                assert _same_bits(free.data, y.data), f"T = {steps}, segment {segment}: no_grad"
-                runs[budget, steps, segment] = [y.data] + [t.grad for t in leaves]
+            for t in leaves:
+                t.grad = None
+            y = direction_aware_scan_2d(x, b, c, delta, core, ps)
+            (y * weight).sum().backward()
+            with no_grad():
+                free = direction_aware_scan_2d(x, b, c, delta, core, ps)
+            assert _same_bits(free.data, y.data), f"T = {steps}: no_grad"
+            runs[budget, steps] = [y.data] + [t.grad for t in leaves]
     # a forward T other than the backward's, and a ragged last block in
     # each loop, with the history kept and with it rebuilt
     for budget in (1 << 40, 0):
-        pairs = {s for b, s, _ in runs if b == budget}
+        pairs = {s for b, s in runs if b == budget}
         assert any(f != t for f, t in pairs)
         assert any(n % f for f, _ in pairs) and any(n % t for _, t in pairs)
     if kind == "near-zero-row":
-        assert _series_steps_straddle_a_boundary(lead, 4)
-    want = runs[1 << 40, (1, 1), 1]
+        assert any(_near_blocks_border_plain_ones(lead, t) for _, (_, t) in runs)
+    want = runs[1 << 40, (1, 1)]
     for key, arrays in runs.items():
         for got, ref in zip(arrays, want):
-            assert _same_bits(got, ref), f"(history budget, (forward T, backward T), segment) {key}"
+            assert _same_bits(got, ref), f"(history budget, (forward T, backward T)) {key}"
 
 
 @pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "rebuilt"])
 def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
     # The backward holds its whole gradients of delta, x, B and C, A's
-    # running gradient and each step's Theta[direction] rows; one segment of
-    # U steps of the gathered delta, x, B, C and g; seven [T, S, m, d] block
+    # running gradient and each step's Theta[direction] rows; one block of T
+    # steps of the gathered delta, x, B, C and g; seven [T, S, m, d] block
     # buffers; and, past the history budget, the rebuilt history of n + 1
     # states.  Above those it holds one block's [T, S, d] temporary at most,
     # and index arrays, A^T and 1 / A^T, the un-permute's temporaries and
@@ -622,9 +608,9 @@ def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        segment = 8 * scan_module.segment_steps(n, steps) * S * (3 * d + 2 * m)
+        block = 8 * steps * S * (3 * d + 2 * m)
         history = 0 if scan_module.keeps_history(n, state) else (n + 1) * state
-        held = whole + segment + 7 * steps * state + history
+        held = whole + block + 7 * steps * state + history
         above = peak - held
         assert 0 <= above <= 8 * steps * S * d + 100 * 1024, (
             f"T = {steps}: {above / state:.2f} states above what the backward holds")
