@@ -11,7 +11,7 @@ from .analysis import (
     scaling_curve,
 )
 from .model import Model, ModelConfig, PRESETS, get_config, init_params
-from .ops import activation, depthwise_conv2d, grad_check, layernorm
+from .ops import depthwise_conv2d, grad_check, layernorm
 from .paths import (
     Direction,
     PathSet,
@@ -44,7 +44,6 @@ __all__ = [
     "ScanPath",
     "SsmCore",
     "Tensor",
-    "activation",
     "apply_path",
     "count_flops",
     "count_flops_attention",

@@ -171,9 +171,9 @@ def peak_activation_bytes(cfg, resolution) -> int:
     Every held value scales with the batch, so the figure times the batch is
     a lower bound on a forward's peak; it leaves out the conv's column and
     slab buffers and the scan's block buffers, which do not.  Measured with
-    tracemalloc over ``no_grad`` forwards it reads 0.11-0.52x the peak at
-    toy, where the scan's block buffers set it, and for L1 0.37x at 112,
-    0.44x at 128, 0.71x at 224 and 0.91x at 448 in float32, and 0.83x at 224
+    tracemalloc over ``no_grad`` forwards it reads 0.04-0.58x the peak at
+    toy, where the scan's block buffers set it, and for L1 0.44x at 112,
+    0.50x at 128, 0.76x at 224 and 0.92x at 448 in float32, and 0.86x at 224
     in float64.  From 64 up the stem's second conv sets it for the L presets,
     so L1, L2 and L3 read the same there.  The attention baseline counts
     4-byte values, the L presets' dtype.
@@ -190,7 +190,7 @@ def peak_activation_bytes(cfg, resolution) -> int:
 def scaling_curve(configs, resolutions):
     """Rows of (model_id, side, token, channel, other, total, peak_bytes), with
     ``peak_bytes`` the :func:`peak_activation_bytes` of one image: for the L
-    presets the float32 stem's, 0.37-0.91x a measured peak from 112 to 448."""
+    presets the float32 stem's, 0.44-0.92x a measured peak from 112 to 448."""
     rows = []
     for cfg in configs:
         for side in resolutions:

@@ -6,11 +6,12 @@ with their callers.  Both convolutions see their input through
 ``_windows``: one strided view of its padded k x k windows.  ``conv2d``'s
 forward runs one block of output rows at a time: it zero-pads only the
 input rows that block reads, as a slab, and copies the windows of that slab
-into im2col columns, so it holds at most ``_COLS_BYTES`` of columns and one
-block's slab, never a padded copy of its whole input.  A stem conv and the
-silu after it are one ``conv2d`` node, which applies the silu to each block
-of output in place, so the stem keeps no pre-activation.  Its backward keeps
-the input instead of the columns, and re-derives the pre-activation.
+into im2col columns, so it holds at most ``tensor._BLOCK_BYTES`` of columns
+and one block's slab, never a padded copy of its whole input.  A stem conv
+and the silu after it are one ``conv2d`` node, which applies the silu to
+each block of output in place, so the stem keeps no pre-activation.  Its
+backward keeps the input instead of the columns, and re-derives the
+pre-activation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
-from .tensor import Tensor, _one_plus_exp_neg, _record, _silu_grad, no_grad
+from .tensor import Tensor, _record, _silu, _silu_grad, block_steps, no_grad
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -70,13 +71,6 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         x._accumulate((gx - m1 - xhat * m2) * inv, fresh=True)
 
     return Tensor(y, (x, gamma, beta), backward=bwd)
-
-
-# The most im2col columns, in bytes, that conv2d's forward forms at once.
-# 2 MiB runs the stem at 224 as fast as 4 MiB did and keeps a toy batch of 64
-# 8x8 patchified images in one block.  With one block's input slab it is all
-# a conv holds beyond its input and output.
-_COLS_BYTES = 2 << 20
 
 
 def _windows(x, k, stride, pad):
@@ -147,15 +141,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0,
     ``silu`` applied to its output in the same node.
 
     The forward never holds the whole im2col matrix, nor a padded copy of
-    the input.  It runs a block of output rows at a time, at most
-    ``_COLS_BYTES`` of columns, and holds whole images when they fit.  Each
-    block zero-pads only the input rows it reads into one slab buffer,
-    copies the ``_windows`` view of that slab, in (k, k, Cin) order, into
-    one column buffer, and GEMMs it into its slice of the output; with
-    ``silu`` it then applies the silu to that slice in place, in the order
-    of :meth:`Tensor.silu`.  OpenBLAS sums
-    each output element of a GEMM in the same order whatever its number of
-    rows, so the blocks reproduce one whole GEMM bit for bit
+    the input.  It runs a block of output rows at a time, as many as
+    ``tensor.block_steps`` fits in one column buffer, and holds whole images
+    when they fit.  Each block zero-pads only the input rows it reads into
+    one slab buffer, copies the ``_windows`` view of that slab, in (k, k,
+    Cin) order, into the column buffer, and GEMMs it into its slice of the
+    output; with ``silu`` it then applies :meth:`Tensor.silu`'s formula,
+    ``tensor._silu``, to that slice in place.  OpenBLAS sums each output
+    element of a GEMM in the same order whatever its number of rows, so the
+    blocks reproduce one whole GEMM bit for bit
     (``test_conv2d_row_blocks_match_one_gemm_bit_for_bit``).  That holds
     while each block takes the blocked GEMM kernel: a one-row GEMM goes to
     gemv and a very small one to a small-matrix kernel, which may round
@@ -186,7 +180,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0,
                          f"its {k}x{k} kernel")
     wmat = w.data.reshape(K, Cout)
     out_data = np.empty((B, Ho, Wo, Cout), x.dtype)
-    rows = max(1, _COLS_BYTES // (Wo * K * x.dtype.itemsize))
+    rows = block_steps(Wo * K * x.dtype.itemsize, 1)
     imgs, rows = min(B, max(1, rows // Ho)), min(rows, Ho)  # whole images per block when they fit
     # each block's input rows, padded; its windows are a block's columns
     slab = np.empty((imgs, (rows - 1) * stride + k, W + 2 * padding, Cin), x.dtype)
@@ -203,11 +197,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0,
             np.copyto(blk, win[:nb, :rb])
             np.matmul(blk.reshape(-1, K), wmat, out=dst.reshape(-1, Cout))
             dst += b.data
-            if silu:  # x / (1 + exp(-x)) as Tensor.silu computes it, in the spent columns
+            if silu:  # Tensor.silu's formula, through the spent columns
                 flat = dst.reshape(-1)
                 for i in range(0, flat.size, spare.size):
                     part = flat[i : i + spare.size]
-                    np.divide(part, _one_plus_exp_neg(part, out=spare[: part.size]), out=part)
+                    _silu(part, spare[: part.size], part)
     _record(out_data.size * (K + 2 * silu))
 
     def bwd(g):

@@ -15,13 +15,13 @@ The node's loops run over ``[T, S, m, d]`` buffers (the wide channel axis
 contiguous): everything a step computes that reads no carried state, the
 discretization with its one transcendental, the outer products and the
 contractions with C, runs once per block of T consecutive steps, and only
-the recurrence itself runs step by step.  T is ``block_steps``: as many
-steps as let the loop's block buffers fit ``_BLOCK_BYTES``, which keeps
-them in cache, so the forward, with two or three buffers, runs longer
-blocks than the backward, with seven and a history slice.  Each block
-gathers its own time-major inputs into buffers its loop reuses, so beside
-the grids a loop holds whole time-major arrays only for what it sums on
-the grid: the forward's per-path outputs and the backward's input
+the recurrence itself runs step by step.  T is ``tensor.block_steps``: as
+many steps as let the loop's block buffers fit ``tensor._BLOCK_BYTES``,
+which keeps them in cache, so the forward, with two or three buffers, runs
+longer blocks than the backward, with seven and a history slice.  Each
+block gathers its own time-major inputs into buffers its loop reuses, so
+beside the grids a loop holds whole time-major arrays only for what it
+sums on the grid: the forward's per-path outputs and the backward's input
 gradients.  The results are bit-identical for every T, since each value
 is the same product or sum as at T = 1.  Taped, the forward
 keeps its whole state history while that fits in ``_HISTORY_BYTES``
@@ -46,36 +46,17 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .paths import PathSet, apply_path, invert_path
-from .tensor import _SERIES_BELOW, Tensor, _phi_prime, _record, grad_enabled
+from .tensor import _SERIES_BELOW, Tensor, _phi_prime, _record, block_steps, grad_enabled
 
 # The taped 2D scan keeps its whole state history while it fits in this
 # many bytes, and otherwise no states.
 _HISTORY_BYTES = 16 << 20
-# The 2D scan does its steps' state-free work a block of steps at a time.
-# A loop's block buffers, with the history slice a backward block reads,
-# fit in this many bytes: a loop's whole working set, kept in a 2 MiB L2.
-# Swept on a 2-vCPU Xeon (2 MiB L2 a core), the budgets interleaved in one
-# process, median ms of the l1-infer / toy-train / scan-long ops:
-#   768 KiB 28.1 / 67.1 / 14.2    1152 KiB 27.8 / 66.9 / 13.5
-#   1536 KiB 27.8 / 67.5 / 13.5   2048 KiB 28.4 / 69.9 / 13.9
-# Sizing one block's states alone, without the buffer count, read 29.4 /
-# 67.4 / 13.8 at 128 KiB and 27.6 / 71.0 / 14.5 at 512 KiB, where toy-train
-# and scan-long run the seven-buffer backward out of L2; this rule read
-# 27.7 / 67.6 / 13.5 at 1536 KiB in the same runs.
-_BLOCK_BYTES = 1536 << 10
 
 
 def keeps_history(n, state_bytes):
     """Whether a taped 2D scan of n steps over states of this many bytes
     keeps its state history, or leaves its backward to rebuild it."""
     return n * state_bytes <= _HISTORY_BYTES
-
-
-def block_steps(state_bytes, buffers):
-    """Steps a block of the 2D scan covers when its loop holds this many
-    ``[T, ...]`` buffers of states of this many bytes: as many as fit
-    ``_BLOCK_BYTES``, and at least one."""
-    return max(1, _BLOCK_BYTES // (buffers * state_bytes))
 
 
 def decay_rates_valid(A):
@@ -289,9 +270,10 @@ def direction_aware_scan_2d(
 
     def step_inputs():
         # what every block's gather reads, derived from the parents' data
-        # once a call: the grids as [L n, k] rows (B and C are slices of
-        # x_proj's output, so this copies them), each step's Theta[direction]
-        # rows, and A^T and 1 / A^T, each [m, d]
+        # once a call: the grids as [L n, k] rows (views of the model's
+        # contiguous grids; only a non-contiguous grid a caller passes is
+        # copied), each step's Theta[direction] rows, and A^T and 1 / A^T,
+        # each [m, d]
         grids = [t.data.reshape(L * n, k)
                  for t, k in ((delta_grid, d), (x_grid, d), (b_grid, m), (c_grid, m))]
         a_t = np.ascontiguousarray(A.data.T)

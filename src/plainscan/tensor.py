@@ -50,6 +50,20 @@ _mac_stack: list[MacTally] = []
 _FLOATS = (np.dtype(np.float64), np.dtype(np.float32))  # the dtypes PMWB stores
 # phi and phi' switch to their series where |z| is below this
 _SERIES_BELOW = 1e-4
+# A blocked loop's buffers fit in this many bytes (block_steps): the 2D
+# scan's block buffers with the history slice a backward block reads, and
+# conv2d's im2col columns.  That is a loop's whole working set, kept in a
+# 2 MiB L2.  Swept for the scan on a 2-vCPU Xeon (2 MiB L2 a core), the
+# budgets interleaved in one process, median ms of the l1-infer / toy-train
+# / scan-long ops:
+#   768 KiB 28.1 / 67.1 / 14.2    1152 KiB 27.8 / 66.9 / 13.5
+#   1536 KiB 27.8 / 67.5 / 13.5   2048 KiB 28.4 / 69.9 / 13.9
+# Sizing one block's states alone, without the buffer count, read 29.4 /
+# 67.4 / 13.8 at 128 KiB and 27.6 / 71.0 / 14.5 at 512 KiB, where toy-train
+# and scan-long run the seven-buffer backward out of L2; this rule read
+# 27.7 / 67.6 / 13.5 at 1536 KiB in the same runs.  A toy batch of 64 8x8
+# patchified images is exactly one conv2d block.
+_BLOCK_BYTES = 1536 << 10
 _grad_enabled = True
 
 
@@ -94,6 +108,13 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def block_steps(unit_bytes, buffers):
+    """Units a block covers (steps of the 2D scan, output rows of conv2d)
+    when its loop holds this many buffers of this many bytes a unit: as
+    many as fit ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // (buffers * unit_bytes))
 
 
 def _released(g):
@@ -167,6 +188,12 @@ def _one_plus_exp_neg(x, out=None):
         np.exp(out, out=out)
     out += 1.0
     return out
+
+
+def _silu(x, tmp, out):
+    # x / (1 + exp(-x)) through ``tmp`` into ``out``, either of which may be
+    # x's own buffer; past exp's overflow edge that is x / inf, -0.0
+    return np.divide(x, _one_plus_exp_neg(x, out=tmp), out=out)
 
 
 def _sigmoid(x):
@@ -348,10 +375,8 @@ class Tensor:
 
     def silu(self):
         _record(2 * self.size)
-        # x / (1 + exp(-x)) in one buffer; past exp's overflow edge that is
-        # x / inf, -0.0
-        y = _one_plus_exp_neg(self.data)
-        np.divide(self.data, y, out=y)
+        y = np.empty_like(self.data)
+        _silu(self.data, y, y)
         return Tensor(y, (self,),
                       backward=lambda g: self._accumulate(_silu_grad(self.data, g), fresh=True))
 

@@ -81,16 +81,15 @@ def toy_train(
         loss = cross_entropy(logits, dataset.labels[idx])
         if not np.isfinite(loss.data):
             raise NumericalError(f"training diverged (non-finite loss) at step {step}")
-        for p in model.parameters():
+        for _, p in named:
             p.grad = None
         loss.backward()
         for name, p in named:
             if p.grad is not None:
                 _require_valid(step, f"the gradient of {name}", p.grad)
-        for p in model.parameters():
+        for name, p in named:
             if p.grad is not None:
                 p.data -= lr * p.grad
-        for name, p in named:
             _require_valid(step, f"after the update, {name}", p.data, name.endswith(".A"))
         curve.append((step, float(loss.data)))
     return accuracy(model, dataset), curve, model

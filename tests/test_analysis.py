@@ -240,12 +240,13 @@ def _traced_peak(model, images):
 
 
 def test_peak_bytes_bound_a_no_grad_forward_from_below():
-    # Measured: 0.11-0.52x at toy, where the scan's block buffers (a fixed
-    # byte budget) set the peak, and for L1 0.44x at 128, 0.71x at 224 and
-    # 0.91x at 448 in float32, and 0.83x at 224 in float64; the gap at L1 is
-    # conv2d's column buffer of at most 2 MiB and one block's input slab.  So
-    # the figure times the batch stays at or below the peak, and at 0.7x of it
-    # or more where the stem sets an L1 peak well above those buffers.
+    # Measured: 0.04-0.58x at toy, where the scan's block buffers (a fixed
+    # byte budget) set the peak, and for L1 0.50x at 128, 0.76x at 224 and
+    # 0.92x at 448 in float32, and 0.86x at 224 in float64; the gap at L1 is
+    # conv2d's column buffer of at most tensor._BLOCK_BYTES (1.5 MiB) and one
+    # block's input slab.  So the figure times the batch stays at or below
+    # the peak, and at 0.7x of it or more where the stem sets an L1 peak well
+    # above those buffers.
     toy = get_config("toy")
     l1 = get_config("L1", depth=1)
     l1_f64 = get_config("L1", depth=1, dtype="float64")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from plainscan import ops
+from plainscan import tensor as tensor_module
 from plainscan.errors import ConfigError, ShapeError
+from plainscan.model import get_config, stem_layers
 from plainscan.tensor import Tensor, count_macs, no_grad
 
 
@@ -309,7 +311,7 @@ def test_conv2d_row_blocks_match_one_gemm_bit_for_bit(monkeypatch, shape, k, str
     want = _whole_gemm_conv(x, w, b, stride, padding)
     ho, wo = want.shape[1:3]
     rows = {"image-1": ho - 1, "image": ho}.get(rows, rows)  # image-1 ends a block mid-image
-    monkeypatch.setattr(ops, "_COLS_BYTES", int(rows * wo * k * k * shape[3] * 8))
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", int(rows * wo * k * k * shape[3] * 8))
     row_slab, slabs = ops._row_slab, []  # every block, padded or not, fills the slab
     monkeypatch.setattr(ops, "_row_slab", lambda *a: slabs.append(a[2]) or row_slab(*a))
     out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
@@ -346,9 +348,9 @@ def test_conv2d_with_silu_matches_conv2d_then_silu_bit_for_bit(monkeypatch, dtyp
         y.backward(g)
         return [y.data, xt.grad, wt.grad, bt.grad]
 
-    assert ops._COLS_BYTES >= B * ho * wo * 27 * x.itemsize
+    assert tensor_module._BLOCK_BYTES >= B * ho * wo * 27 * x.itemsize
     want = run(False)
-    monkeypatch.setattr(ops, "_COLS_BYTES", rows * wo * 27 * x.itemsize)
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", rows * wo * 27 * x.itemsize)
     for name, got, ref in zip(("out", "x", "w", "b"), run(True), want):
         assert got.dtype == dtype and got.shape == ref.shape, name
         assert np.array_equal(got.view(_FLOAT_BITS[dtype]), ref.view(_FLOAT_BITS[dtype])), name
@@ -363,10 +365,10 @@ def test_conv2d_keeps_no_columns_after_its_forward():
     w = Tensor(rng.standard_normal((3, 3, 96, 192)))
     b = Tensor(rng.standard_normal(192))
     out_bytes = 28 * 28 * 192 * 8
-    rows = ops._COLS_BYTES // (28 * 864 * 8)
+    rows = tensor_module._BLOCK_BYTES // (28 * 864 * 8)
     slab_bytes = (2 * (rows - 1) + 3) * 58 * 96 * 8
     slack = 64 << 10
-    assert ops._COLS_BYTES < 28 * 28 * 864 * 8  # the whole columns exceed one block
+    assert tensor_module._BLOCK_BYTES < 28 * 28 * 864 * 8  # the whole columns exceed one block
     for silu in (False, True):
         tracemalloc.start()
         try:
@@ -383,7 +385,23 @@ def test_conv2d_keeps_no_columns_after_its_forward():
         finally:
             tracemalloc.stop()
         assert kept <= out_bytes + slack, silu
-        assert peak <= out_bytes + slab_bytes + ops._COLS_BYTES + slack, silu
+        assert peak <= out_bytes + slab_bytes + tensor_module._BLOCK_BYTES + slack, silu
+
+
+def test_l1_stem_convs_at_224_run_these_row_blocks(monkeypatch):
+    # Each block's output rows, read off the slab it fills (every L1 stem
+    # conv is 3x3 with stride 2): tensor.block_steps of one output row's Wo x
+    # k x k x Cin float32 columns, at most the image.  README quotes these.
+    blocks, row_slab = [], ops._row_slab
+    monkeypatch.setattr(ops, "_row_slab", lambda slab, *a: blocks[-1].append(
+        (slab.shape[1] - 3) // 2 + 1) or row_slab(slab, *a))
+    x = Tensor(np.zeros((1, 224, 224, 3), np.float32))
+    with no_grad():
+        for _, k, stride, padding, c_in, c_out, silu in stem_layers(get_config("L1")):
+            blocks.append([])
+            w = Tensor(np.zeros((k, k, c_in, c_out), np.float32))
+            x = ops.conv2d(x, w, Tensor(np.zeros(c_out, np.float32)), stride, padding, silu)
+    assert blocks == [[112], [8] * 7, [8, 8, 8, 4], [14]]
 
 
 def test_linear_matches_manual():

@@ -225,6 +225,18 @@ def test_the_history_budget_is_read_in_one_place():
     assert [(name, func) for name, func, _ in found] == [("scan.py", "keeps_history")], found
 
 
+def test_the_block_budget_is_read_in_one_place():
+    # the 2D scan's blocks and conv2d's column blocks are sized by
+    # tensor.block_steps, so no loop keeps a byte budget of its own
+    package = Path(plainscan.__file__).parent
+    found = [
+        (path.name, func, line)
+        for path in sorted(package.glob("*.py"))
+        for line, func in _reads(path.read_text(), "_BLOCK_BYTES")
+    ]
+    assert [(name, func) for name, func, _ in found] == [("tensor.py", "block_steps")], found
+
+
 def _imported_modules(source):
     """Every module a source imports or imports from, and each name it
     imports from one, as dotted names relative to the package."""

@@ -21,9 +21,10 @@ from plainscan import (
     zoh_discretize,
 )
 from plainscan import scan as scan_module
+from plainscan import tensor as tensor_module
 from plainscan.errors import NumericalError, ShapeError
 from plainscan.ops import grad_check
-from plainscan.tensor import Tensor, count_macs, no_grad
+from plainscan.tensor import Tensor, block_steps, count_macs, no_grad
 
 
 def _rand_core(rng, d, m, theta_scale=0.0):
@@ -436,7 +437,7 @@ def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
         finally:
             tracemalloc.stop()
     assert np.array_equal(outs[1], outs[0])
-    T = scan_module.block_steps(state, 3)
+    T = block_steps(state, 3)
     block = 8 * T * S * (2 * d + 2 * m)
     theta, ys = 8 * n * S * m, 8 * n * S * d
     held = block + theta + ys + 3 * T * state
@@ -551,8 +552,8 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
         monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
         forward = 2 if scan_module.keeps_history(n, state) else 3
         for states in (1, 6, 16, 24, 8 * (n + 1)):
-            monkeypatch.setattr(scan_module, "_BLOCK_BYTES", states * state)
-            steps = scan_module.block_steps(state, forward), scan_module.block_steps(state, 8)
+            monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", states * state)
+            steps = block_steps(state, forward), block_steps(state, 8)
             assert steps == (max(1, states // forward), max(1, states // 8))
             for t in leaves:
                 t.grad = None
@@ -574,6 +575,22 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
     for key, arrays in runs.items():
         for got, ref in zip(arrays, want):
             assert _same_bits(got, ref), f"(history budget, (forward T, backward T)) {key}"
+
+
+def test_block_steps_at_the_benchmark_shapes():
+    # The T README lists for each benchmark workload's scan: its states are
+    # itemsize x 4 paths x batch x m x d bytes, and its forward holds 2
+    # buffers while the taped node keeps the history and 3 past it; the
+    # backward counts 8.
+    toy, l1 = get_config("toy"), get_config("L1")
+    for name, itemsize, batch, n, m, d, want in (
+        ("scan-long", 8, 1, 256, 16, 64, (24, 6)),  # 32 KiB states
+        ("toy-train", 8, 16, 16, toy.state_size, toy.d_inner, (6, 1)),  # 128 KiB
+        ("l1-infer", 4, 1, 196, l1.state_size, l1.d_inner, (5, 2)),  # 96 KiB
+    ):
+        state = itemsize * 4 * batch * m * d
+        forward = 2 if scan_module.keeps_history(n, state) else 3
+        assert (block_steps(state, forward), block_steps(state, 8)) == want, name
 
 
 @pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "rebuilt"])
@@ -599,8 +616,8 @@ def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
     n, S = side * side, 4
     whole = 8 * n * S * (2 * d + 3 * m) + 8 * S * m * d  # gd, gx, gb, gc, Theta's rows; ga
     for steps in (1, 4, n):
-        monkeypatch.setattr(scan_module, "_BLOCK_BYTES", 8 * steps * state)
-        assert scan_module.block_steps(state, 8) == steps
+        monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 8 * steps * state)
+        assert block_steps(state, 8) == steps
         y = direction_aware_scan_2d(x, b, c, delta, core, ps)
         tracemalloc.start()
         try:
