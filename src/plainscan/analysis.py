@@ -171,7 +171,7 @@ def peak_activation_bytes(cfg, resolution) -> int:
     Every held value scales with the batch, so the figure times the batch is
     a lower bound on a forward's peak; it leaves out the conv's column and
     slab buffers and the scan's block buffers, which do not.  Measured with
-    tracemalloc over ``no_grad`` forwards it reads 0.04-0.58x the peak at
+    tracemalloc over ``no_grad`` forwards it reads 0.13-0.58x the peak at
     toy, where the scan's block buffers set it, and for L1 0.44x at 112,
     0.50x at 128, 0.76x at 224 and 0.92x at 448 in float32, and 0.86x at 224
     in float64.  From 64 up the stem's second conv sets it for the L presets,

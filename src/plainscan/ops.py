@@ -165,8 +165,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0,
     zero buffer one stride x stride block of taps at a time; taps in a
     block never share an input cell, so each add is exact.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv2d input must be [B,H,W,C], got {x.shape}")
+    if x.data.ndim != 4 or 0 in x.shape:
+        raise ShapeError(f"conv2d input must be [B,H,W,C], none of them 0, got {x.shape}")
     if w.data.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"conv2d weight must be [k,k,Cin,Cout], got {w.shape}")
     if x.shape[3] != w.shape[2]:

@@ -15,16 +15,16 @@ The node's loops run over ``[T, S, m, d]`` buffers (the wide channel axis
 contiguous): everything a step computes that reads no carried state, the
 discretization with its one transcendental, the outer products and the
 contractions with C, runs once per block of T consecutive steps, and only
-the recurrence itself runs step by step.  T is ``tensor.block_steps``: as
-many steps as let the loop's block buffers fit ``tensor._BLOCK_BYTES``,
-which keeps them in cache, so the forward, with two or three buffers, runs
-longer blocks than the backward, with seven and a history slice.  Each
-block gathers its own time-major inputs into buffers its loop reuses, so
-beside the grids a loop holds whole time-major arrays only for what it
-sums on the grid: the forward's per-path outputs and the backward's input
-gradients.  The results are bit-identical for every T, since each value
-is the same product or sum as at T = 1.  Taped, the forward
-keeps its whole state history while that fits in ``_HISTORY_BYTES``
+the recurrence itself runs step by step.  T is ``tensor.block_steps``, and
+at most the sequence: as many steps as let the loop's block buffers fit
+``tensor._BLOCK_BYTES``, which keeps them in cache, so the forward, with
+two buffers, runs longer blocks than the backward, with five and a history
+slice.  Each block gathers its own time-major inputs into buffers its loop
+reuses, so beside the grids a loop holds whole time-major arrays only for
+what it sums on the grid: the forward's per-path outputs and the
+backward's input gradients.  The results are bit-identical for every T,
+since each value is the same product or sum as at T = 1.  Taped, the
+forward keeps its whole state history while that fits in ``_HISTORY_BYTES``
 (``keeps_history``), and otherwise no states, as under ``no_grad``; a
 backward whose forward kept none first rebuilds the history with the
 forward's own loop.  The history is all the node keeps: its backward
@@ -73,8 +73,8 @@ class SsmCore:
     Theta: Tensor   # [5, m], direction vectors (4 cardinal + BEGIN)
 
     def __post_init__(self):
-        if self.A.data.ndim != 2:
-            raise ShapeError(f"A must be [d_inner, m], got {self.A.shape}")
+        if self.A.data.ndim != 2 or 0 in self.A.shape:
+            raise ShapeError(f"A must be [d_inner, m], both at least 1, got {self.A.shape}")
         d, m = self.A.shape
         if self.D.shape != (d,):
             raise ShapeError(f"D must be [{d}], got {self.D.shape}")
@@ -221,25 +221,27 @@ def direction_aware_scan_2d(
     step, and then contracts its states with C at once.  Taped, while the
     whole history fits in ``_HISTORY_BYTES`` (``keeps_history``), the
     blocks write their states into a ``[n + 1, S, m, d]`` history after the
-    zero start state; past that budget, and under ``no_grad``, they go into
-    a third block buffer.  The backward pass is the reverse-time adjoint
-    ``lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}``, over its own, shorter
-    blocks from the last.  A backward whose forward kept no states first
-    rebuilds the history by running the forward's loop again, with the
-    forward's blocks.  A backward block reads its states as one slice of
-    the history, recomputes e, ``A_bar = 1 + e``, ``C g`` and ``B x / A``
-    for all its steps, runs the recurrence for lam step by step into a
-    block buffer, and then forms every gradient term of its steps at once;
-    only A's gradient is summed step by step, in descending order.  With
-    ``r = lam A_bar p_i``, delta's gradient is ``sum_m A r`` and A's is
-    ``delta r - (e/A lam)(B_i x_i / A)``; where some ``|z| <
+    zero start state; past that budget, and under ``no_grad``, they are
+    written over p.  Either way a copy of a block's last state starts the
+    next.  The backward pass is the reverse-time adjoint ``lam_i = C_i g_i
+    + A_bar_{i+1} lam_{i+1}``, over its own, shorter blocks from the last,
+    with ``A_bar lam`` of the step after a block carried as one state.  A
+    backward whose forward kept no states first rebuilds the history by
+    running the forward's loop again, with the forward's blocks.  A
+    backward block reads its states as one slice of the history, recomputes
+    e, ``A_bar = 1 + e``, ``C g`` and ``B x / A`` for all its steps, runs the
+    recurrence for lam step by step into a block buffer, and then forms
+    every gradient term of its steps at once, ``r`` in the spent buffer of
+    ``e / A``; only A's gradient is summed step by step, in descending
+    order.  With ``r = lam A_bar p_i``, delta's gradient is ``sum_m A r``
+    and A's is ``delta r - (e/A lam)(B_i x_i / A)``; where some ``|z| <
     _SERIES_BELOW`` that difference cancels, and those entries take ``lam
     (delta A_bar h_{i-1} + delta^2 phi'(z) B_i x_i)`` with phi's series.
     """
     A, D, Theta = core.A, core.D, core.Theta
     d, m = A.shape
-    if x_grid.data.ndim not in (3, 4):
-        raise ShapeError(f"grids must be [H,W,C] or [B,H,W,C], got {x_grid.shape}")
+    if x_grid.data.ndim not in (3, 4) or 0 in x_grid.shape[:-3]:
+        raise ShapeError(f"grids must be [H,W,C] or [B,H,W,C] with B >= 1, got {x_grid.shape}")
     lead = x_grid.shape[:-1]
     H, W = lead[-2:]
     if (H, W) != (paths.height, paths.width):
@@ -302,35 +304,32 @@ def direction_aware_scan_2d(
 
     # taped, the history the backward reads, unless it is past the budget
     hist = history() if grad_enabled() and keeps_history(n, state_bytes) else None
-    # e and p, and the states unless they go into the history; a backward
-    # that rebuilds the history runs these blocks too
-    fwd_T = block_steps(state_bytes, 3 if hist is None else 2)
 
     def run(inputs, hs=None, ys=None):
         # every step from the zero state, a block at a time: step s's state
-        # goes to hs[s + 1] or, without hs, to a block buffer
+        # goes to hs[s + 1] or, without hs, over p
         grids, theta, a_t, inv_a = inputs
-        T = fwd_T
+        T = min(n, block_steps(state_bytes, 2))  # e and p
         bufs = [np.empty((T, S, a.shape[1]), dt) for a in grids]
         eb, pb = np.empty((T, S, m, d), dt), np.empty((T, S, m, d), dt)
-        hb = np.empty((T, S, m, d), dt) if hs is None else None
-        h_prev = 0.0
+        carry = np.zeros((S, m, d), dt)  # the state before the block
         for s in range(0, n, T):
             t = min(T, n - s)
             ds, xs, bs, cs = gather(grids, theta, bufs, s, t)
             e, p = eb[:t], pb[:t]
-            h = hb[:t] if hs is None else hs[s + 1:s + 1 + t]
+            h = p if hs is None else hs[s + 1:s + 1 + t]
             np.einsum("...d,md->...md", ds, a_t, out=e)
             np.expm1(e, out=e)
             # p = h_{i-1} + B x / A, and h_i = h_{i-1} + expm1(z) p
             np.einsum("...m,...d->...md", bs, xs, out=p)
             p *= inv_a
+            h_prev = carry
             for j in range(t):
-                if s + j:
-                    p[j] += h_prev
+                p[j] += h_prev
                 p[j] *= e[j]
                 np.add(h_prev, p[j], out=h[j])
                 h_prev = h[j]
+            carry[...] = h_prev  # the next block's einsum writes over p
             if ys is not None:
                 ys[s:s + t] = np.matmul(cs[:, :, None, :], h)[:, :, 0]
 
@@ -360,12 +359,12 @@ def direction_aware_scan_2d(
         gd, gx = np.empty((n, S, d), dt), np.empty((n, S, d), dt)
         gb, gc = np.empty((n, S, m), dt), np.empty((n, S, m), dt)
         ga = np.zeros((S, m, d), dt)
-        # seven block buffers, and the slice of the history a block reads
-        T = block_steps(state_bytes, 8)
+        # five block buffers, and the slice of the history a block reads
+        T = min(n, block_steps(state_bytes, 6))
         bufs = [np.empty((T, S, a.shape[1]), dt) for a in grids]
-        qb, ab, a_nb, cgb, lb, vb, rb = (np.empty((T, S, m, d), dt) for _ in range(7))
+        qb, ab, cgb, lb, vb = (np.empty((T, S, m, d), dt) for _ in range(5))
         z_min = -a_t.max(axis=0)  # the smallest |z| of each channel per unit delta
-        lam_next, a_next = 0.0, 0.0  # lam and A_bar of the step after the block
+        carry = np.zeros((S, m, d), dt)  # A_bar lam of the step after the block
         for s in range(0, n, T)[::-1]:
             t = min(T, n - s)
             i = slice(s, s + t)
@@ -374,7 +373,7 @@ def direction_aware_scan_2d(
             h = hs[s:s + t + 1]  # the states s - 1 .. s + t - 1
             h_prev = h[:-1]
             gc[i] = np.matmul(h[1:], gs[..., None])[..., 0]
-            q, a, cg, lam, v, r = qb[:t], ab[:t], cgb[:t], lb[:t], vb[:t], rb[:t]
+            q, a, cg, lam, v = qb[:t], ab[:t], cgb[:t], lb[:t], vb[:t]
             np.einsum("...m,...d->...md", bs, xs, out=v)
             np.einsum("...d,md->...md", ds, a_t, out=q)  # z, until its expm1
             # whether some step has some |z| below phi's series switch
@@ -389,15 +388,15 @@ def direction_aware_scan_2d(
             np.einsum("...m,...d->...md", cs, gs, out=cg)
             # lam_i = C_i g_i + A_bar_{i+1} lam_{i+1}, the adjoint's recurrence
             for j in range(t - 1, -1, -1):
-                np.multiply(lam_next, a_next, out=lam[j])
-                lam[j] += cg[j]
-                lam_next, a_next = lam[j], a[j]
+                np.add(carry, cg[j], out=lam[j])
+                np.multiply(lam[j], a[j], out=carry)
             w = np.multiply(q, lam, out=cg)
             gx[i] = np.matmul(bs[:, :, None, :], w)[:, :, 0]
             gb[i] = np.matmul(w, xs[..., None])[..., 0]
             v *= inv_a
-            # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p
-            np.add(h_prev, v, out=r)
+            # dh_i/dz = exp(z) (h_{i-1} + B x / A) = exp(z) p, formed in q's
+            # buffer: q is spent once w is taken
+            r = np.add(h_prev, v, out=q)
             r *= a
             r *= lam
             gd[i] = np.einsum("tlmd,md->tld", r, a_t)
@@ -410,8 +409,6 @@ def direction_aware_scan_2d(
                 r[small] = lam[small] * (dz * a[small] * h_prev[small] + series)
             for j in range(t - 1, -1, -1):
                 ga += r[j]
-            # a_next is this block's first A_bar: the next block writes the other buffer
-            ab, a_nb = a_nb, ab
         gx = to_grid(gx, x_grid.shape)
         gx += g * (K * D.data)
         g_d = np.einsum("ld,ld->d", g.reshape(-1, d), x_grid.data.reshape(-1, d))

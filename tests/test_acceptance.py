@@ -96,20 +96,23 @@ def test_criterion_4_asymptotics(verdict):
 
 
 def test_criterion_5_scan_geometry(verdict):
+    # the direction of each step (row, col) delta, looked up at 3 (row + 1)
+    # + col + 1; -1 where a delta is no unit move
+    step_direction = np.full(9, -1)
+    for (dr, dc), direction in _DELTAS.items():
+        step_direction[3 * (dr + 1) + dc + 1] = direction
     bad = 0
     for H in range(1, 33):
         for W in range(1, 33):
             pset = ps.generate_continuous_paths(H, W)
             n = H * W
             for p in pset.paths:
-                ok = sorted(p.order.tolist()) == list(range(n))
-                cells = p.cells()
-                deltas = np.diff(cells, axis=0)
+                ok = np.array_equal(np.sort(p.order), np.arange(n))
+                deltas = np.diff(p.cells(), axis=0)
                 ok = ok and np.all(np.abs(deltas).sum(axis=1) == 1)
                 ok = ok and p.directions[0] == Direction.BEGIN
-                ok = ok and all(
-                    p.directions[i + 1] == _DELTAS[tuple(deltas[i])]
-                    for i in range(n - 1)
+                ok = ok and np.array_equal(
+                    p.directions[1:], step_direction[3 * (deltas[:, 0] + 1) + deltas[:, 1] + 1]
                 )
                 bad += not ok
             bad += pset.paths[2].order.tolist() != pset.paths[0].order[::-1].tolist()

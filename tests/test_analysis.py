@@ -240,7 +240,7 @@ def _traced_peak(model, images):
 
 
 def test_peak_bytes_bound_a_no_grad_forward_from_below():
-    # Measured: 0.04-0.58x at toy, where the scan's block buffers (a fixed
+    # Measured: 0.13-0.58x at toy, where the scan's block buffers (a fixed
     # byte budget) set the peak, and for L1 0.50x at 128, 0.76x at 224 and
     # 0.92x at 448 in float32, and 0.86x at 224 in float64; the gap at L1 is
     # conv2d's column buffer of at most tensor._BLOCK_BYTES (1.5 MiB) and one

@@ -119,3 +119,52 @@ def test_run_once_divides_the_childrens_fault_delta_by_the_ops_attempted(monkeyp
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Proc())
     line, result = bench_pairs.run_once(Path("."), "toy-train", 1, 1.0, 0)
     assert line == "machine" and result["minflt_per_op"] == 50.0
+
+
+def test_host_probe_runs_numpy_alone_at_run_pys_blas_thread_count(monkeypatch):
+    calls = []
+
+    class Proc:
+        stdout = '{"gemm_ms": 13.0, "elementwise_ms": 1.5}\n'
+
+    def run(cmd, **kwargs):
+        calls.append((cmd, kwargs["env"]))
+        return Proc()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.host_probe() == {"gemm_ms": 13.0, "elementwise_ms": 1.5}
+    [(cmd, env)] = calls
+    assert cmd[1:] == ["-I", "-c", bench_pairs.PROBE] and "plainscan" not in bench_pairs.PROBE
+    threads = str(len(bench_pairs.os.sched_getaffinity(0)))
+    assert [env[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")] == [
+        threads] * 3
+
+
+def test_the_probe_script_reports_both_timings():
+    probe = bench_pairs.host_probe()
+    assert set(probe) == {"gemm_ms", "elementwise_ms"} and all(v > 0 for v in probe.values())
+
+
+def test_bench_workload_probes_the_host_before_and_after_each_pair(monkeypatch):
+    log = []
+
+    def probe():
+        log.append("probe")
+        return {"gemm_ms": float(len(log)), "elementwise_ms": 1.0}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        log.append(f"{checkout} {seed}")
+        [result] = _results({"latency_ms.p50": [1.0]})
+        return "machine", result
+
+    monkeypatch.setattr(bench_pairs, "host_probe", probe)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    args = bench_pairs.parse_args(_REQUIRED + ["--pairs", "2", "--first-seed", "5"])
+    out = bench_pairs.bench_workload(args, "toy-train", 1.0, {"latency_ms.p50": "lower"})
+    assert log == ["probe", "p 5", "c 5", "probe", "probe", "c 6", "p 6", "probe"]
+    assert out["host_probe"] == [
+        {"before": {"gemm_ms": 1.0, "elementwise_ms": 1.0},
+         "after": {"gemm_ms": 4.0, "elementwise_ms": 1.0}},
+        {"before": {"gemm_ms": 5.0, "elementwise_ms": 1.0},
+         "after": {"gemm_ms": 8.0, "elementwise_ms": 1.0}}]
+    assert out["host_probe_median"] == {"gemm_ms": 4.5, "elementwise_ms": 1.0}

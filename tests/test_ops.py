@@ -273,6 +273,15 @@ def test_conv2d_rejects_an_input_smaller_than_its_kernel():
     assert ops.conv2d(x, w, b, stride=1, padding=2).shape == (1, 2, 9, 4)
 
 
+@pytest.mark.parametrize("shape", [(0, 6, 6, 3), (2, 6, 6, 0)], ids=["no-images", "no-channels"])
+def test_conv2d_rejects_an_empty_input(shape):
+    # a block of zero images (or of zero-byte rows) would never advance
+    x = Tensor(np.zeros(shape))
+    w, b = Tensor(np.zeros((3, 3, shape[3], 4))), Tensor(np.zeros(4))
+    with pytest.raises(ShapeError, match="none of them 0"):
+        ops.conv2d(x, w, b, stride=1, padding=1)
+
+
 def test_conv2d_grad():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((1, 6, 6, 2)), name="x")

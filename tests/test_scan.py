@@ -92,6 +92,13 @@ def test_zoh_validation():
         zoh_discretize(A, Tensor(np.array([1.0, 2.0])), Tensor(np.array([1.0])))
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4)], ids=["no-states", "no-channels"])
+def test_ssm_core_rejects_an_empty_state_matrix(shape):
+    d, m = shape
+    with pytest.raises(ShapeError, match="both at least 1"):
+        SsmCore(A=Tensor(-np.ones(shape)), D=Tensor(np.ones(d)), Theta=Tensor(np.zeros((5, m))))
+
+
 # -- the reference scan -------------------------------------------------
 
 
@@ -333,6 +340,14 @@ def test_2d_scan_shape_checks():
         direction_aware_scan_2d(x, b, c, delta, core, ps)
 
 
+def test_2d_scan_rejects_an_empty_batch():
+    rng = np.random.default_rng(12)
+    core = _rand_core(rng, 2, 3)
+    grids = [Tensor(np.ones((0, 3, 3, k))) for k in (2, 3, 3, 2)]
+    with pytest.raises(ShapeError, match="B >= 1"):
+        direction_aware_scan_2d(*grids, core, generate_continuous_paths(3, 3))
+
+
 def test_2d_scan_flags_nonfinite_input():
     rng = np.random.default_rng(12)
     core = _rand_core(rng, 2, 3, theta_scale=0.3)
@@ -416,9 +431,10 @@ def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
     # with no history budget the taped node keeps no states, so it peaks
     # where the no_grad forward does: in its loop, which holds one block of
     # the gathered delta, x, B and C, each step's Theta[direction] rows, the
-    # outputs ys and three [T, S, m, d] block buffers.  Besides those it
-    # holds index arrays, A^T and 1 / A^T, and a block's matmul output and
-    # numpy's iterator buffers, about 110 KiB here.
+    # outputs ys, two [T, S, m, d] block buffers and the state carried from
+    # one block to the next.  Besides those it holds index arrays, A^T and
+    # 1 / A^T, and a block's matmul output and numpy's iterator buffers,
+    # about 110 KiB here.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", 0)
     rng = np.random.default_rng(13)
     side, d, m = 14, 96, 16
@@ -437,10 +453,10 @@ def test_taped_forward_past_the_budget_keeps_no_states(monkeypatch):
         finally:
             tracemalloc.stop()
     assert np.array_equal(outs[1], outs[0])
-    T = block_steps(state, 3)
+    T = min(n, block_steps(state, 2))
     block = 8 * T * S * (2 * d + 2 * m)
     theta, ys = 8 * n * S * m, 8 * n * S * d
-    held = block + theta + ys + 3 * T * state
+    held = block + theta + ys + 2 * T * state + state
     assert held <= peaks[1] <= held + 128 * 1024, f"no_grad peak {peaks[1] - held} B above held"
     kept = peaks[0] - peaks[1]
     assert kept <= 64 * 1024, f"taped keeps {kept} B more than no_grad"
@@ -535,13 +551,14 @@ def test_kept_or_rebuilt_history_leaves_output_and_gradients_bit_identical(lead,
     ((2, 3, 5), "random"), ((4, 4), "random"),
 ], ids=["near-zero-z", "mixed-A", "near-zero-row", "signed-zero", "batch-2", "square-4x4"])
 def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkeypatch):
-    # Block budgets of 1, 6, 16, 24 and 8 (n + 1) states, with the whole
-    # history kept (a forward of 2 buffers) and with no history budget (3
-    # buffers), where the backward rebuilds the history with the forward's
-    # blocks; the backward holds 8.  That makes the forward's T differ from
-    # the backward's, with ragged last blocks on either side, and at 8 (n +
-    # 1) both cover the whole sequence.  Every run must give the arithmetic
-    # of T = 1, zero signs included, and no_grad the taped output.
+    # Block budgets of 1, 6, 16, 18, 24 and 8 (n + 1) states, with the whole
+    # history kept and with no history budget, where the backward rebuilds
+    # the history with the forward's blocks.  The forward counts 2 buffers
+    # and the backward 6, and neither block is longer than the sequence.
+    # That makes the forward's T differ from the backward's, with ragged
+    # last blocks on either side, and at 8 (n + 1) both cover the whole
+    # sequence.  Every run must give the arithmetic of T = 1, zero signs
+    # included, and no_grad the taped output.
     x, b, c, delta, core, weight = _scan_case(np.random.default_rng(23), lead, kind)
     leaves = [x, b, c, delta, core.A, core.D, core.Theta]
     ps = generate_continuous_paths(*lead[-2:])
@@ -550,11 +567,10 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
     runs = {}
     for budget in (1 << 40, 0):
         monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
-        forward = 2 if scan_module.keeps_history(n, state) else 3
-        for states in (1, 6, 16, 24, 8 * (n + 1)):
+        for states in (1, 6, 16, 18, 24, 8 * (n + 1)):
             monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", states * state)
-            steps = block_steps(state, forward), block_steps(state, 8)
-            assert steps == (max(1, states // forward), max(1, states // 8))
+            steps = min(n, block_steps(state, 2)), min(n, block_steps(state, 6))
+            assert steps == (min(n, max(1, states // 2)), min(n, max(1, states // 6)))
             for t in leaves:
                 t.grad = None
             y = direction_aware_scan_2d(x, b, c, delta, core, ps)
@@ -579,31 +595,31 @@ def test_block_size_leaves_output_and_gradients_bit_identical(lead, kind, monkey
 
 def test_block_steps_at_the_benchmark_shapes():
     # The T README lists for each benchmark workload's scan: its states are
-    # itemsize x 4 paths x batch x m x d bytes, and its forward holds 2
-    # buffers while the taped node keeps the history and 3 past it; the
-    # backward counts 8.
+    # itemsize x 4 paths x batch x m x d bytes, its forward holds 2 buffers
+    # and its backward counts 6, and no block is longer than the n steps.
     toy, l1 = get_config("toy"), get_config("L1")
     for name, itemsize, batch, n, m, d, want in (
-        ("scan-long", 8, 1, 256, 16, 64, (24, 6)),  # 32 KiB states
-        ("toy-train", 8, 16, 16, toy.state_size, toy.d_inner, (6, 1)),  # 128 KiB
-        ("l1-infer", 4, 1, 196, l1.state_size, l1.d_inner, (5, 2)),  # 96 KiB
+        ("scan-long", 8, 1, 256, 16, 64, (24, 8)),  # 32 KiB states
+        ("toy-train", 8, 16, 16, toy.state_size, toy.d_inner, (6, 2)),  # 128 KiB
+        ("l1-infer", 4, 1, 196, l1.state_size, l1.d_inner, (8, 2)),  # 96 KiB
     ):
         state = itemsize * 4 * batch * m * d
-        forward = 2 if scan_module.keeps_history(n, state) else 3
-        assert (block_steps(state, forward), block_steps(state, 8)) == want, name
+        got = min(n, block_steps(state, 2)), min(n, block_steps(state, 6))
+        assert got == want, name
 
 
 @pytest.mark.parametrize("budget", [1 << 40, 0], ids=["history", "rebuilt"])
 def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
     # The backward holds its whole gradients of delta, x, B and C, A's
     # running gradient and each step's Theta[direction] rows; one block of T
-    # steps of the gathered delta, x, B, C and g; seven [T, S, m, d] block
-    # buffers; and, past the history budget, the rebuilt history of n + 1
-    # states.  Above those it holds one block's [T, S, d] temporary at most,
-    # and index arrays, A^T and 1 / A^T, the un-permute's temporaries and
-    # numpy's iterator buffers, under 100 KiB here.  The budget is set for a
-    # backward of T steps, 8 T states, which gives the forward blocks of 8 T
-    # / 2 or 8 T / 3 steps.  The rebuild's own buffers are freed before the
+    # steps of the gathered delta, x, B, C and g; five [T, S, m, d] block
+    # buffers and the adjoint's state carried from one block to the next;
+    # and, past the history budget, the rebuilt history of n + 1 states.
+    # Above those it holds one block's [T, S, d] temporary at most, and index
+    # arrays, A^T and 1 / A^T, the un-permute's temporaries and numpy's
+    # iterator buffers, under 100 KiB here.  The budget is set for a
+    # backward of T steps, 6 T states, which gives the forward blocks of 3 T
+    # steps, or n.  The rebuild's own buffers are freed before the
     # backward's are made.
     monkeypatch.setattr(scan_module, "_HISTORY_BYTES", budget)
     rng = np.random.default_rng(13)
@@ -616,8 +632,8 @@ def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
     n, S = side * side, 4
     whole = 8 * n * S * (2 * d + 3 * m) + 8 * S * m * d  # gd, gx, gb, gc, Theta's rows; ga
     for steps in (1, 4, n):
-        monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 8 * steps * state)
-        assert block_steps(state, 8) == steps
+        monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 6 * steps * state)
+        assert min(n, block_steps(state, 6)) == steps
         y = direction_aware_scan_2d(x, b, c, delta, core, ps)
         tracemalloc.start()
         try:
@@ -627,10 +643,38 @@ def test_backward_block_buffers_grow_with_the_block(budget, monkeypatch):
             tracemalloc.stop()
         block = 8 * steps * S * (3 * d + 2 * m)
         history = 0 if scan_module.keeps_history(n, state) else (n + 1) * state
-        held = whole + block + 7 * steps * state + history
+        held = whole + block + 5 * steps * state + state + history
         above = peak - held
         assert 0 <= above <= 8 * steps * S * d + 100 * 1024, (
             f"T = {steps}: {above / state:.2f} states above what the backward holds")
+
+
+def test_a_short_scans_blocks_stop_at_its_length():
+    # A 9-step scan over 192-byte states: each loop's blocks are at most the
+    # 9 steps, so its buffers, the history and the gradients come to a few
+    # KiB, and index arrays and numpy's temporaries to a few more.  Blocks
+    # sized by the budget alone would be 4096 steps of forward buffers
+    # (1.5 MiB) and 1365 of backward ones.
+    rng = np.random.default_rng(13)
+    d, m = 2, 3
+    core = _rand_core(rng, d, m, theta_scale=0.3)
+    x, b, c, delta = _rand_grids(rng, 3, 3, d, m)
+    ps = generate_continuous_paths(3, 3)
+    g = rng.standard_normal((3, 3, d))
+    assert block_steps(8 * 4 * m * d, 2) == 4096
+    peaks = []
+    for grad in (False, True):
+        tracemalloc.start()
+        try:
+            if grad:
+                direction_aware_scan_2d(x, b, c, delta, core, ps)._backward(g)
+            else:
+                with no_grad():
+                    direction_aware_scan_2d(x, b, c, delta, core, ps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 64 * 1024, f"peaks {peaks} B (no_grad, taped and backward)"
 
 
 @pytest.mark.parametrize("lead, kind", [

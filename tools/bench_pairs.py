@@ -20,6 +20,13 @@ it attempted.  It counts the interpreter's start-up, the set-up probes and
 the warm-up op as well, so it is an upper bound on the faults of one op.
 Each side's median and quartiles of it are in the workload summary.
 
+Before and after each pair a host probe times a fixed float32 GEMM and a
+fixed elementwise loop (``PROBE``) in a fresh interpreter that imports
+numpy and not plainscan, with BLAS pinned to the CPUs this process may use,
+as ``run.py`` pins it.  Each workload records the probe's timings per pair
+and their medians, so that runs, and files, can be read against how fast
+the host was at the time.
+
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs 10 --first-seed 301 --out BENCH.json
 
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import resource
 import statistics
@@ -54,6 +62,41 @@ def parse_args(argv=None):
     if args.pairs < 2:  # the quartiles of each side need two runs
         p.error(f"--pairs must be at least 2, got {args.pairs}")
     return args
+
+
+# Medians of 15 timed reps, in ms, of a 1024 x 1024 float32 GEMM and of
+# exp and an add over 1 Mi float32 values (4 MiB, past L2).
+PROBE = """
+import json, statistics, time
+import numpy as np
+rng = np.random.default_rng(0)
+a = rng.standard_normal((1024, 1024), dtype=np.float32)
+x = rng.standard_normal(1 << 20, dtype=np.float32)
+y = np.empty_like(x)
+def median_ms(f):
+    f()
+    times = []
+    for _ in range(15):
+        t = time.perf_counter()
+        f()
+        times.append(time.perf_counter() - t)
+    return 1e3 * statistics.median(times)
+def elementwise():
+    np.exp(x, out=y)
+    np.add(y, x, out=y)
+print(json.dumps({"gemm_ms": median_ms(lambda: a @ a), "elementwise_ms": median_ms(elementwise)}))
+"""
+
+
+def host_probe():
+    """``PROBE``'s timings, from a fresh interpreter (``-I``: no PYTHONPATH,
+    so no checkout's package) at ``run.py``'s BLAS thread count."""
+    threads = str(len(os.sched_getaffinity(0)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-I", "-c", PROBE], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -121,11 +164,12 @@ def summarise(runs, better):
 def bench_workload(args, workload, seconds, better):
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
-    machine, order = set(), []
+    machine, order, probes = set(), [], []
     for i in range(args.pairs):
         seed = args.first_seed + i
         first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(first[0])
+        probes.append({"before": host_probe()})
         for side in first:
             line, result = run_once(sides[side], workload, seed, seconds, 0)
             machine.add(line)
@@ -134,8 +178,13 @@ def bench_workload(args, workload, seconds, better):
                   f"p50 {result['metrics']['latency_ms.p50']['value']:.1f} ms, "
                   f"failed {result['failed']}/{result['attempted']}, "
                   f"{result['minflt_per_op']:.0f} faults/op", flush=True)
+        probes[-1]["after"] = host_probe()
+        print(f"{workload} seed {seed} host probe: {probes[-1]}", flush=True)
     out = {"seeds": [args.first_seed + i for i in range(args.pairs)], "first": order,
-           "machine": sorted(machine)}
+           "machine": sorted(machine), "host_probe": probes,
+           "host_probe_median": {name: statistics.median(p[when][name] for p in probes
+                                                         for when in ("before", "after"))
+                                 for name in probes[0]["before"]}}
     out.update(summarise(runs, better))
     return out
 
