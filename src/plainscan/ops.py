@@ -1,7 +1,8 @@
 """Neural-net primitives built on the gradient tape.
 
-Each function here is a single graph node with a hand-written backward
-rule; compositions of :class:`~plainscan.tensor.Tensor` arithmetic live
+Every function here, ``linear`` included, is one graph node with a
+hand-written backward rule that re-derives what it needs from its parents'
+data; compositions of :class:`~plainscan.tensor.Tensor` arithmetic live
 with their callers.  Both convolutions see their input through
 ``_windows``: one strided view of its padded k x k windows.  ``conv2d``'s
 forward runs one block of output rows at a time: it zero-pads only the
@@ -228,12 +229,34 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int = 0,
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis of an arbitrarily batched input."""
-    lead = x.shape[:-1]
-    out = x.reshape(-1, x.shape[-1]) @ w
+    """Affine map over the last axis of an arbitrarily batched input.
+
+    One GEMM of the input's rows into a fresh output, the bias added in
+    place.  The backward re-derives those rows from ``x.data``, so a strided
+    ``x`` (a slice of a wider output) leaves no copy on the tape.  Output
+    and gradients equal the chain ``reshape``, ``@``, ``expand``, ``+``,
+    ``reshape`` of :class:`~plainscan.tensor.Tensor` ops bit for bit.
+    """
+    if x.data.ndim == 0 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs input [..., k] and weight [k, out], "
+                         f"got {x.shape} and {w.shape}")
+    k, p = w.shape
+    if b is not None and b.shape != (p,):
+        raise ShapeError(f"linear bias must be [out] for weight {w.shape}, got {b.shape}")
+    out = x.data.reshape(-1, k) @ w.data
     if b is not None:
-        out = out + b.expand(out.shape)
-    return out.reshape(*lead, w.shape[1])
+        out += b.data
+    _record(out.size * k)
+
+    def bwd(g):
+        g = g.reshape(-1, p)
+        x._accumulate((g @ w.data.T).reshape(x.shape), fresh=True)
+        w._accumulate(x.data.reshape(-1, k).T @ g, fresh=True)
+        if b is not None:
+            b._accumulate(g.sum(axis=0), fresh=True)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor(out.reshape(*x.shape[:-1], p), parents, backward=bwd)
 
 
 def _shifted_logsumexp(a):

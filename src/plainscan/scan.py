@@ -272,10 +272,12 @@ def direction_aware_scan_2d(
 
     def step_inputs():
         # what every block's gather reads, derived from the parents' data
-        # once a call: the grids as [L n, k] rows (views of the model's
-        # contiguous grids; only a non-contiguous grid a caller passes is
-        # copied), each step's Theta[direction] rows, and A^T and 1 / A^T,
-        # each [m, d]
+        # once a call: the grids as [L n, k] rows, each step's
+        # Theta[direction] rows, and A^T and 1 / A^T, each [m, d].  The
+        # model's x and delta grids are contiguous; its B and C grids are
+        # strided slices of x_proj's output, whose leading axes still merge,
+        # so all four rows are views; only a grid a caller passes whose
+        # leading axes do not merge is copied
         grids = [t.data.reshape(L * n, k)
                  for t, k in ((delta_grid, d), (x_grid, d), (b_grid, m), (c_grid, m))]
         a_t = np.ascontiguousarray(A.data.T)

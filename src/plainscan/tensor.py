@@ -6,8 +6,9 @@ becomes float64, and every op computes and allocates in its inputs' dtype.
 The op set is the one the package calls, plus ``sigmoid``.  There is no
 implicit broadcasting and no scalar operand: ``+`` and ``*`` take another
 Tensor of the same shape, and anything else goes through an explicit
-``expand``, a read-only broadcast view rather than a copy.  Shape errors
-raise :class:`~plainscan.errors.ShapeError` naming both operands.
+``expand``, a read-only broadcast view rather than a copy; a basic-index
+slice is a view of its parent too.  Shape errors raise
+:class:`~plainscan.errors.ShapeError` naming both operands.
 
 Every op builds its node in one step, ``Tensor(value, parents,
 backward=bwd)``, and only there does the grad mode act: while the tape
@@ -21,11 +22,13 @@ forward and keeps no copy; besides those arrays it keeps only small
 constants of the op, such as indices and shapes, and the 2D scan its
 state history while that fits its budget (:mod:`plainscan.scan`).  No
 op writes into a Tensor's data after building it, which is what makes
-this exact: code that changes a parent's ``.data`` between a forward and
-its backward changes the gradients.  ``backward()`` releases the graph
-as it runs: once a node's closure has run, the node drops the closure,
-its parents and (unless it is a leaf or the root) its gradient.  A
-second ``backward()`` through a released node raises.
+this exact, and what lets a slice or an ``expand`` share its parent's
+buffer: code that changes a parent's ``.data`` between a forward and its
+backward changes the gradients, and the data of the views on it.
+``backward()`` releases the graph as it runs: once a node's closure has
+run, the node drops the closure, its parents and (unless it is a leaf or
+the root) its gradient.  A second ``backward()`` through a released node
+raises.
 
 Multiply-accumulate counts can be collected with :func:`count_macs`; the
 cost conventions live in ``_record`` call sites and are mirrored stage by
@@ -436,8 +439,12 @@ class Tensor:
     def __getitem__(self, idx):
         """Basic indexing only: ints, slices, ``...`` and ``None``.
 
-        A basic index never repeats an element, so the gradient is one
-        assignment; gathers with index arrays go through :meth:`take`.
+        The value is a view of this Tensor's data, not a copy, so the tape
+        holds a slice and its parent in one buffer; ints alone pick one
+        element, a 0-d value as in numpy.  That is safe because no op
+        writes into a Tensor's data after building it.  A basic index
+        never repeats an element, so the gradient is one assignment; gathers
+        with index arrays go through :meth:`take`.
         """
         for part in idx if isinstance(idx, tuple) else (idx,):
             if not (part is None or part is Ellipsis or isinstance(part, slice)
@@ -452,7 +459,7 @@ class Tensor:
             full[idx] = g
             self._accumulate(full, fresh=True)
 
-        return Tensor(np.ascontiguousarray(self.data[idx]), (self,), backward=bwd)
+        return Tensor(self.data[idx], (self,), backward=bwd)
 
     def take(self, indices, axis=0):
         """Gather along an axis; the gradient scatter-adds back."""

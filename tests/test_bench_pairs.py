@@ -94,6 +94,27 @@ def test_summarise_says_whether_the_change_median_is_inside_the_parent_iqr():
     assert out["no_worse_than_parent_iqr"] == {"lat": False, "rate": True}
 
 
+def test_summarise_says_whether_every_change_run_reads_better_than_every_parent_run():
+    # lat is bimodal on the parent side with a wide IQR, and every change
+    # run still reads below every parent run; rate's sides overlap at 5.0,
+    # and rss ties at 100.0
+    parent = {"lat": [69.5, 67.2, 69.9, 67.3], "rate": [4.0, 5.0, 4.5, 4.2],
+              "rss": [100.0, 101.0, 102.0, 103.0]}
+    change = {"lat": [64.4, 64.2, 64.3, 64.4], "rate": [5.0, 6.0, 5.5, 5.2],
+              "rss": [99.0, 100.0, 98.0, 97.0]}
+    better = {"lat": "lower", "rate": "higher", "rss": "lower"}
+    out = bench_pairs.summarise({"parent": _results(parent), "change": _results(change)},
+                                better)
+    assert out["change_separated"] == {"lat": True, "rate": False, "rss": False}
+    out = bench_pairs.summarise({"parent": _results(change), "change": _results(parent)},
+                                better)
+    assert out["change_separated"] == {"lat": False, "rate": False, "rss": False}
+    change["rate"][0] = 5.01
+    out = bench_pairs.summarise({"parent": _results(parent), "change": _results(change)},
+                                better)
+    assert out["change_separated"]["rate"]
+
+
 def test_summarise_holds_each_sides_faults_per_op():
     out = bench_pairs.summarise(
         {"parent": _results({"lat": [1.0] * 4}, minflt=[4200.0, 4800.0, 4500.0, 0.0]),

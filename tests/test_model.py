@@ -402,6 +402,21 @@ def _owner(a):
     return a
 
 
+def _node_data_bytes(root, existing):
+    """Bytes of the distinct buffers under the data of the nodes reachable
+    from ``root`` through ``_parents``, less those ``existing`` holds."""
+    buffers, seen, stack = {}, set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+            base = _owner(t.data)
+            if id(base) not in existing:
+                buffers[id(base)] = base.nbytes
+    return sum(buffers.values())
+
+
 @pytest.mark.parametrize("cfg, side, batch, kept", [
     (get_config("toy"), 32, 16, True),
     (get_config("L1", depth=1, img_size=64), 64, 2, True),
@@ -426,23 +441,29 @@ def test_taped_forward_keeps_only_node_data_and_kept_history(cfg, side, batch, k
         tracemalloc.stop()
     numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     retained = sum(t.size for t in snapshot.filter_traces(numpy_only).traces)
-    buffers, seen, stack = {}, set(), [root]
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            stack.extend(t._parents)
-            base = _owner(t.data)
-            if id(base) not in existing:
-                buffers[id(base)] = base.nbytes
     n = cfg.grid ** 2
     state = model.dtype.itemsize * 4 * batch * cfg.state_size * cfg.d_inner
     assert keeps_history(n, state) == kept
     histories = cfg.depth * (n + 1) * keeps_history(n, state) * state
-    node_data = sum(buffers.values())
+    node_data = _node_data_bytes(root, existing)
     assert node_data <= retained <= node_data + histories + (32 << 10), (
         f"kept {retained - node_data - histories} B beyond node data and state histories"
     )
+
+
+@pytest.mark.parametrize("cfg, side, batch, most", [
+    (get_config("toy"), 32, 16, 2994432),
+    (get_config("L1", depth=1), 224, 1, 12081504),
+], ids=["toy", "L1-depth-1-224"])
+def test_taped_forward_node_data_stays_within_its_measured_bytes(cfg, side, batch, most):
+    # The node data a taped forward leaves, as measured when each linear
+    # became one node and basic-index slices views of their parents (the
+    # copies and pre-bias GEMM outputs read 4477440 and 13775808 bytes
+    # before).  A node that copies what it could view fails this.
+    model = Model(cfg, seed=0)
+    images = Tensor(np.random.default_rng(1).uniform(-1, 1, (batch, side, side, 3)))
+    existing = {id(_owner(t.data)) for t in [images, *model.parameters()]}
+    assert _node_data_bytes(model.forward(images), existing) <= most
 
 
 def test_l1_backward_past_the_history_budget_matches_a_kept_history(monkeypatch):

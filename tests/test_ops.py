@@ -1,5 +1,6 @@
 """Layer primitives against brute-force numpy oracles."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -422,6 +423,59 @@ def test_linear_matches_manual():
     assert np.abs(out - (x @ w + b)).max() < 1e-12
     out = ops.linear(Tensor(x), Tensor(w)).data
     assert np.abs(out - x @ w).max() < 1e-12
+
+
+def _linear_chain(x, w, b):
+    # linear as Tensor arithmetic: reshape, @, expand, + and reshape
+    out = x.reshape(-1, x.shape[-1]) @ w
+    if b is not None:
+        out = out + b.expand(out.shape)
+    return out.reshape(*x.shape[:-1], w.shape[1])
+
+
+@pytest.mark.parametrize("dtype", _FLOAT_BITS)
+@pytest.mark.parametrize("shape", [(6, 5), (2, 3, 4, 5)], ids=["2d", "bhwk"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("sliced", [False, True], ids=["whole", "last-axis-slice"])
+def test_linear_is_one_node_matching_the_chain_bit_for_bit(dtype, shape, bias, sliced):
+    # One node whose parents are the input, weight and bias, with the
+    # output and gradients of the chain, compared as int views; a sliced
+    # input is a strided view of a wider leaf, as in_proj's halves are.
+    rng = np.random.default_rng(15)
+    k = shape[-1]
+    wide = rng.standard_normal((*shape[:-1], k + 3 * sliced)).astype(dtype)
+    w = rng.standard_normal((k, 7)).astype(dtype)
+    b = rng.standard_normal(7).astype(dtype) if bias else None
+    seed = rng.standard_normal((*shape[:-1], 7)).astype(dtype)
+
+    def run(f):
+        leaves = [Tensor(wide.copy()), Tensor(w.copy())] + ([Tensor(b.copy())] if bias else [])
+        x = leaves[0][..., 1 : 1 + k] if sliced else leaves[0]
+        out = f(x, leaves[1], leaves[2] if bias else None)
+        parents = out._parents
+        out.backward(seed)
+        return (x, *leaves[1:]), parents, [out.data] + [t.grad for t in leaves]
+
+    inputs, parents, got = run(ops.linear)
+    assert len(parents) == len(inputs) and all(p is t for p, t in zip(parents, inputs))
+    want = run(_linear_chain)[2]
+    for name, g, r in zip(("out", "x", "w", "b"), got, want):
+        assert g.dtype == dtype and g.shape == r.shape, name
+        assert np.array_equal(g.view(_FLOAT_BITS[dtype]), r.view(_FLOAT_BITS[dtype])), name
+
+
+def test_linear_rejects_a_weight_that_does_not_fit_its_input():
+    x = Tensor(np.zeros((2, 3, 5)))
+    for w in (np.zeros((4, 2)), np.zeros(5), np.zeros((5, 2, 1))):
+        with pytest.raises(ShapeError, match=re.escape(f"(2, 3, 5) and {w.shape}")):
+            ops.linear(x, Tensor(w))
+
+
+def test_linear_rejects_a_bias_that_is_not_one_per_output():
+    x, w = Tensor(np.zeros((2, 5))), Tensor(np.zeros((5, 4)))
+    for b in (np.zeros(3), np.zeros((1, 4)), np.zeros(())):
+        with pytest.raises(ShapeError, match=r"\(5, 4\), got " + re.escape(str(b.shape))):
+            ops.linear(x, w, Tensor(b))
 
 
 def test_cross_entropy_value_and_grad():

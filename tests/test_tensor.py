@@ -304,6 +304,25 @@ def test_getitem_gradient():
 
 
 @pytest.mark.parametrize("idx", [
+    1, (slice(None), slice(1, 3)), (..., slice(None, None, 2)), (slice(1, None), None, 0),
+], ids=["int", "last-axis-slice", "strided", "none-and-int"])
+def test_getitem_is_a_view_of_its_parent(idx):
+    # the tape keeps a slice and its parent in one buffer
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+    y = x[idx]
+    assert np.shares_memory(y.data, x.data)
+    assert np.array_equal(y.data, x.data[idx])
+
+
+def test_getitem_of_one_element_is_0d_as_in_numpy():
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    y = x[1, 2]
+    assert y.shape == () and y.data == 5.0
+    (y * Tensor(np.array(2.0))).backward()
+    assert np.array_equal(x.grad, [[0, 0, 0], [0, 0, 2]])
+
+
+@pytest.mark.parametrize("idx", [
     np.array([0, 0, 2]), [0, 0, 2], (slice(None), np.array([1])), np.array([True, False, True]),
     True,
 ], ids=["int-array", "list", "array-in-tuple", "mask", "bool"])

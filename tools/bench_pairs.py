@@ -7,8 +7,9 @@ value, the seeds and the machine line that ``run.py`` prints.  For each
 end-to-end metric it adds how many pairs the change won, the gap between
 the medians and that gap relative to the parent's median, whether the
 change's median is no worse than the parent's worse quartile, whether the
-gap is wider than the parent's IQR, and whether both make the bar a claimed
-gain must clear.  The report also holds each end-to-end metric's bound, the
+gap is wider than the parent's IQR, whether both make the bar a claimed
+gain must clear, and whether every change run reads better than every parent
+run.  The report also holds each end-to-end metric's bound, the
 relative worsening the benchmark allows, so that a workload running none of
 the changed code can be read beside the claimed one.  With ``--trace-seed``
 it adds one traced run (``--trace 1``) per side and workload with the
@@ -128,7 +129,10 @@ def summarise(runs, better):
     parent's worse quartile (inside the parent's IQR or better), and whether
     the gap is wider than that IQR, ``q3 - q1``.  ``claim_bar_met`` is the
     bar a claimed gain must clear: at least nine tenths of the pairs won and
-    a gap wider than that IQR.
+    a gap wider than that IQR.  ``change_separated`` says whether every
+    change run reads better than every parent run, the reading that still
+    tells the sides apart when a metric's spread is wider than its bound
+    (a bimodal RSS, say).
     """
     out = {}
     for side, results in runs.items():
@@ -140,7 +144,7 @@ def summarise(runs, better):
                      "attempted": sum(r["attempted"] for r in results),
                      "failed": sum(r["failed"] for r in results),
                      "minflt_per_op": summary([r["minflt_per_op"] for r in results])}
-    wins, gaps, relative, inside, wider, met = {}, {}, {}, {}, {}, {}
+    wins, gaps, relative, inside, wider, met, separated = {}, {}, {}, {}, {}, {}, {}
     for name, direction in better.items():
         parent, change = out["parent"]["metrics"][name], out["change"]["metrics"][name]
         sign = 1 if direction == "lower" else -1
@@ -152,12 +156,16 @@ def summarise(runs, better):
         inside[name] = sign * ((q3 if sign > 0 else q1) - change["median"]) >= 0
         wider[name] = gaps[name] > q3 - q1
         met[name] = wider[name] and wins[name] >= 0.9 * len(pairs)
+        # sign * value is smaller the better a run reads
+        separated[name] = (max(sign * c for c in change["values"])
+                           < min(sign * p for p in parent["values"]))
     out["change_won_pairs"] = wins
     out["change_median_gap"] = gaps
     out["change_relative_gap"] = relative
     out["no_worse_than_parent_iqr"] = inside
     out["gap_wider_than_parent_iqr"] = wider
     out["claim_bar_met"] = met
+    out["change_separated"] = separated
     return out
 
 
